@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt build vet test race fuzz bench-smoke bench-hot bench-json load-smoke flight-smoke scenario-smoke wire-smoke diagnose-smoke scale-smoke cover staticcheck ci
+.PHONY: all fmt build vet test race fuzz bench-smoke bench-hot bench-json bench-e2e load-smoke flight-smoke scenario-smoke wire-smoke diagnose-smoke scale-smoke cover staticcheck ci
 
 all: ci
 
@@ -54,12 +54,21 @@ bench-hot:
 # BENCH_3.json (incremental repair vs cold GS under churn),
 # BENCH_4.json (snapshot serving vs the mutex-guarded facade under a
 # churn storm), BENCH_5.json (serving-path tail latency under a churn
-# storm, with vs without admission control — EXPERIMENTS.md E17),
-# BENCH_6.json (flight-recorder overhead on the hardened read path),
-# BENCH_7.json (flat SoA data plane vs the BENCH_3 map-based baseline)
-# and BENCH_8.json (binary wire data plane vs the HTTP/JSON path).
+# storm, with vs without admission control — EXPERIMENTS.md E17) and
+# BENCH_7.json (flat SoA data plane vs the BENCH_3 map-based baseline).
+# BENCH_6.json (flight-recorder overhead) and BENCH_8.json (wire vs
+# HTTP/JSON) are history: `bash bench/run.sh -trace 1` re-measures them
+# as the ladder rows obs.flight_overhead_pct and ratio.http_over_wire.
 bench-json:
 	EMIT_BENCH_JSON=1 $(GO) test -run TestEmitBenchJSON .
+
+# End-to-end benchmark check: the bench module's own tests build
+# cmd/slserve from this checkout, drive every BENCHMARK.json workload
+# against it for 1 s and check the sampled answers against a reference
+# core.Router (about 45 s on 2 vCPUs). Real measurements are
+# `bash bench/run.sh`; see bench/README.md.
+bench-e2e:
+	cd bench && $(GO) test ./...
 
 # Tiny in-process load-generation run (cmd/slload driving the serving
 # engine under a churn storm); fails unless enough requests complete

@@ -12,12 +12,16 @@ import (
 	"repro/internal/topo"
 )
 
-// The differential golden tests pin the binary router's observable
-// behavior to the pre-refactor (seed) implementation: every (s, d) pair
-// of a set of Q4/Q5 fault scenarios is routed and the admission
-// condition, outcome and full path are compared line by line against a
-// snapshot generated from the seed code. Any change to levels, admission
-// order, tie-breaking or forwarding shows up as a diff.
+// The differential golden tests pin the router's observable behavior to
+// the pre-refactor (seed) implementation: every (s, d) pair of a set of
+// Q4/Q5 fault scenarios is routed and the admission condition, outcome
+// and full path are compared line by line against a snapshot generated
+// from the seed code. Any change to levels, admission order,
+// tie-breaking or forwarding shows up as a diff. The gh_* scenarios pin
+// a mixed-radix GH(3x2x4) with node and link faults under both tie
+// policies, where the spare choice keeps the lowest-coordinate safest
+// sibling of each dimension; they were generated from the candidate-list
+// router that preceded the single-pass one.
 //
 // Regenerate (only when a behavior change is intended and understood):
 //
@@ -79,13 +83,30 @@ func diffScenarios() []diffScenario {
 			}
 			return s
 		}},
+		{name: "gh_3x2x4_lowdim", tie: LowestDim, set: gh324},
+		{name: "gh_3x2x4_highdim", tie: HighestDim, set: gh324},
 	}
+}
+
+// gh324 is GH(3x2x4) (24 nodes) with three node and three link faults:
+// 21 pairs are admissible only through C3, and on four of them the two
+// tie policies take different spare hops.
+func gh324() *faults.Set {
+	s := faults.NewSet(topo.MustMixed(4, 2, 3))
+	rng := stats.NewRNG(11)
+	if err := faults.InjectUniform(s, rng, 3); err != nil {
+		panic(err)
+	}
+	if err := faults.InjectUniformLinks(s, rng, 3); err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // renderDiff routes every ordered (s, d) pair and renders one line per
 // pair in a stable text format.
 func renderDiff(set *faults.Set, tie TieBreak) []byte {
-	c := set.Cube()
+	c := set.Topology()
 	as := Compute(set, Options{})
 	rt := NewRouter(as, tie)
 	var b bytes.Buffer

@@ -95,9 +95,9 @@ func (s *Session) Step() (bool, error) {
 	if s.done {
 		return true, nil
 	}
+	nav := topo.NavIn(s.rt.as.t, s.cur, s.dest)
 	if s.pendingSpare {
-		h := s.rt.as.t.Distance(s.cur, s.dest)
-		dim, next, ok := s.rt.pickSpare(s.cur, s.dest, h)
+		dim, next, ok := s.rt.pickSpare(s.cur, nav, nav.Count())
 		s.pendingSpare = false
 		if !ok {
 			s.rt.obs.Blocked(int(s.cur))
@@ -105,7 +105,7 @@ func (s *Session) Step() (bool, error) {
 		}
 		return s.move(dim, next, true)
 	}
-	dim, next, ok := s.rt.pickPreferred(s.cur, s.dest)
+	dim, next, ok := s.rt.pickPreferred(s.cur, s.dest, nav)
 	if !ok {
 		s.rt.obs.Blocked(int(s.cur))
 		return false, ErrBlocked
@@ -150,7 +150,7 @@ func (s *Session) Reroute(as *Assignment) (Condition, Outcome) {
 	if s.done {
 		return CondC1, Optimal
 	}
-	rt := NewRouter(as, s.rt.tie).Observe(s.rt.obs)
+	rt := NewRouter(as, tieRule(s.rt.high)).Observe(s.rt.obs)
 	cond, out := rt.Feasibility(s.cur, s.dest)
 	h := as.t.Distance(s.cur, s.dest)
 	if out == Failure {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/obs"
 	"repro/internal/topo"
@@ -67,18 +68,23 @@ func (c Condition) String() string {
 }
 
 // TieBreak selects among equally-safest candidate neighbors. The paper
-// leaves the choice open ("say 1111 along dimension 0"); the policy is
-// pluggable so the ablation experiments can quantify that freedom.
-// Candidates are dimensions in ascending order; in a generalized cube
-// each dimension is represented by its lowest-coordinate safest sibling.
-type TieBreak func(dims []int) int
+// leaves the choice open ("say 1111 along dimension 0"); the ablation
+// experiments quantify that freedom with the two policies below. In a
+// generalized cube each dimension is represented by its lowest-coordinate
+// safest sibling. The zero value (nil) is LowestDim.
+type TieBreak interface{ highest() bool }
 
-// LowestDim picks the smallest candidate dimension. It is the default
-// and makes every route deterministic.
-func LowestDim(dims []int) int { return dims[0] }
+type tieRule bool
 
-// HighestDim picks the largest candidate dimension.
-func HighestDim(dims []int) int { return dims[len(dims)-1] }
+func (r tieRule) highest() bool { return bool(r) }
+
+const (
+	// LowestDim picks the smallest candidate dimension. It is the default
+	// and makes every route deterministic.
+	LowestDim tieRule = false
+	// HighestDim picks the largest candidate dimension.
+	HighestDim tieRule = true
+)
 
 // Hop records one forwarding decision of the unicast algorithm.
 type Hop struct {
@@ -121,8 +127,11 @@ func (r *Route) Len() int { return r.Path.Len() }
 
 // Router executes safety-level unicasts over one computed assignment.
 type Router struct {
-	as  *Assignment
-	tie TieBreak
+	as *Assignment
+	// high selects HighestDim over LowestDim.
+	high bool
+	// dims has one bit per dimension; dims &^ N is the spare set.
+	dims topo.NavVector
 	// maxHops guards against forwarding loops if the caller routes on a
 	// deliberately inconsistent assignment.
 	maxHops int
@@ -134,10 +143,8 @@ type Router struct {
 // NewRouter returns a Router over assignment as using tie-break policy
 // tie (nil means LowestDim).
 func NewRouter(as *Assignment, tie TieBreak) *Router {
-	if tie == nil {
-		tie = LowestDim
-	}
-	return &Router{as: as, tie: tie, maxHops: as.t.Dim() + 3}
+	n := as.t.Dim()
+	return &Router{as: as, high: tie != nil && tie.highest(), dims: 1<<uint(n) - 1, maxHops: n + 3}
 }
 
 // Assignment returns the safety-level assignment the router consults.
@@ -156,8 +163,14 @@ func (rt *Router) Observe(o *obs.RouteObserver) *Router {
 // algorithm's order C1, C2, C3, together with the outcome class it
 // implies. It does not move any message.
 func (rt *Router) Feasibility(s, d topo.NodeID) (Condition, Outcome) {
+	return rt.admit(s, d, topo.NavIn(rt.as.t, s, d))
+}
+
+// admit is Feasibility over the navigation vector nav = N(s, d): the
+// preferred dimensions are its set bits, the spare ones the rest.
+func (rt *Router) admit(s, d topo.NodeID, nav topo.NavVector) (Condition, Outcome) {
 	as, t := rt.as, rt.as.t
-	h := t.Distance(s, d)
+	h := nav.Count()
 	if h == 0 {
 		return CondC1, Optimal
 	}
@@ -170,27 +183,26 @@ func (rt *Router) Feasibility(s, d topo.NodeID) (Condition, Outcome) {
 		if as.OwnLevel(s) >= h {
 			return CondC1, Optimal
 		}
-		for i := 0; i < t.Dim(); i++ {
-			if t.Coord(s, i) != t.Coord(d, i) && rt.observed(s, t.Toward(s, d, i)) >= h-1 {
+		for v := nav; v != 0; v &= v - 1 {
+			if rt.observed(s, t.Toward(s, d, lowDim(v))) >= h-1 {
 				return CondC2, Optimal
 			}
 		}
 	}
-	var sibs []topo.NodeID
-	for i := 0; i < t.Dim(); i++ {
-		if t.Coord(s, i) != t.Coord(d, i) {
-			continue
-		}
-		// Any sibling along a spare dimension qualifies as the detour.
-		sibs = t.Siblings(s, i, sibs[:0])
-		for _, b := range sibs {
-			if rt.observed(s, b) >= h+1 {
+	// Any sibling along a spare dimension qualifies as the detour.
+	for v := rt.dims &^ nav; v != 0; v &= v - 1 {
+		i := lowDim(v)
+		for k, m := 0, t.Radix(i)-1; k < m; k++ {
+			if rt.observed(s, t.Sibling(s, i, k)) > h {
 				return CondC3, Suboptimal
 			}
 		}
 	}
 	return CondNone, Failure
 }
+
+// lowDim returns the lowest dimension set in a nonzero vector.
+func lowDim(v topo.NavVector) int { return bits.TrailingZeros32(uint32(v)) }
 
 // observed is the safety level of s's neighbor b as s observes it: the
 // public level, with one addition from Section 4.1 — a node never
@@ -216,187 +228,153 @@ func (rt *Router) UnicastID(s, d topo.NodeID, id uint64) *Route {
 // s must be nonfaulty. d may be any node: the paper delivers the final
 // hop even to a faulty or N2 destination (Theorem 2 proof, j = 1 case,
 // and footnote to Section 4.1).
+//
+// The navigation vector N is computed once and carried along the route
+// (Section 3.1): a preferred hop clears its dimension's bit, the C3
+// spare hop sets one. Theorem 2 fixes the route's length at admission,
+// so Path and Hops are each allocated once.
 func (rt *Router) Unicast(s, d topo.NodeID) *Route {
 	as, t := rt.as, rt.as.t
-	r := &Route{Source: s, Dest: d, Hamming: t.Distance(s, d)}
-	if !t.Contains(s) || !t.Contains(d) {
-		r.Outcome = Failure
-		r.Err = fmt.Errorf("core: node outside cube")
-		if rt.obs != nil {
-			rt.obs.Admit(int(s), r.Hamming, 0, CondNone.String(), Failure.String())
-		}
-		return rt.finishObs(r, int(s))
+	nav := topo.NavIn(t, s, d)
+	r := &Route{Source: s, Dest: d, Hamming: nav.Count()}
+	srcLevel := 0
+	switch {
+	case !t.Contains(s) || !t.Contains(d):
+		r.Outcome, r.Err = Failure, fmt.Errorf("core: node outside cube")
+	case as.set.NodeFaulty(s):
+		r.Outcome, r.Err = Failure, fmt.Errorf("core: source %s is faulty", t.Format(s))
+	default:
+		r.Condition, r.Outcome = rt.admit(s, d, nav)
+		srcLevel = as.OwnLevel(s)
 	}
-	if as.set.NodeFaulty(s) {
-		r.Outcome = Failure
-		r.Err = fmt.Errorf("core: source %s is faulty", t.Format(s))
-		if rt.obs != nil {
-			rt.obs.Admit(int(s), r.Hamming, 0, CondNone.String(), Failure.String())
-		}
-		return rt.finishObs(r, int(s))
-	}
-	cond, outcome := rt.Feasibility(s, d)
-	r.Condition = cond
-	r.Outcome = outcome
 	if rt.obs != nil {
-		rt.obs.Admit(int(s), r.Hamming, as.OwnLevel(s), cond.String(), outcome.String())
+		rt.obs.Admit(int(s), r.Hamming, srcLevel, r.Condition.String(), r.Outcome.String())
 	}
-	if outcome == Failure {
-		return rt.finishObs(r, int(s))
+	if r.Outcome == Failure {
+		return rt.finishObs(r, s)
 	}
-	r.Path = topo.Path{s}
+	length := r.Hamming
+	if r.Condition == CondC3 {
+		length += 2
+	}
+	r.Path = append(make(topo.Path, 0, length+1), s)
 	if s == d {
-		return rt.finishObs(r, int(s))
+		return rt.finishObs(r, s)
 	}
+	r.Hops = make([]Hop, 0, length)
 
 	cur := s
-	if cond == CondC3 {
+	if r.Condition == CondC3 {
 		// Suboptimal first hop: the spare neighbor with the highest
 		// safety level among those meeting the C3 threshold.
-		dim, next, ok := rt.pickSpare(cur, d, r.Hamming)
+		dim, next, ok := rt.pickSpare(cur, nav, r.Hamming)
 		if !ok {
-			// Unreachable when Feasibility just admitted C3 on the same
-			// oracle; kept as a guard for inconsistent ablations.
+			// Unreachable when admit just admitted C3 on the same oracle;
+			// kept as a guard for inconsistent ablations.
 			r.Err = fmt.Errorf("core: node %s has no usable spare neighbor", t.Format(cur))
 			r.Outcome = Failure
-			return rt.finishObs(r, int(cur))
+			return rt.finishObs(r, cur)
 		}
-		if rt.obs != nil {
-			rt.obs.Hop(int(cur), int(next), dim, rt.observed(cur, next), true)
-		}
-		cur = next
-		r.Hops = append(r.Hops, Hop{From: s, To: cur, Dim: dim, Nav: topo.NavIn(t, cur, d), Spare: true})
-		r.Path = append(r.Path, cur)
-	}
-	for hops := 0; cur != d; hops++ {
-		if hops > rt.maxHops {
-			r.Err = fmt.Errorf("core: forwarding exceeded %d hops (inconsistent levels?)", rt.maxHops)
-			r.Outcome = Failure
-			return rt.finishObs(r, int(cur))
-		}
-		dim, next, ok := rt.pickPreferred(cur, d)
-		if !ok {
-			r.Err = fmt.Errorf("core: node %s has no usable preferred neighbor (nav %0*b)",
-				t.Format(cur), t.Dim(), topo.NavIn(t, cur, d))
-			r.Outcome = Failure
-			return rt.finishObs(r, int(cur))
-		}
-		if rt.obs != nil {
-			rt.obs.Hop(int(cur), int(next), dim, rt.as.Level(next), false)
-		}
-		r.Hops = append(r.Hops, Hop{From: cur, To: next, Dim: dim, Nav: topo.NavIn(t, next, d)})
+		nav = nav.Flip(dim)
+		r.Hops = append(r.Hops, Hop{From: cur, To: next, Dim: dim, Nav: nav, Spare: true})
 		r.Path = append(r.Path, next)
 		cur = next
 	}
-	return rt.finishObs(r, int(cur))
+	for hops := 0; nav != 0; hops++ {
+		if hops > rt.maxHops {
+			r.Err = fmt.Errorf("core: forwarding exceeded %d hops (inconsistent levels?)", rt.maxHops)
+			r.Outcome = Failure
+			return rt.finishObs(r, cur)
+		}
+		dim, next, ok := rt.pickPreferred(cur, d, nav)
+		if !ok {
+			r.Err = fmt.Errorf("core: node %s has no usable preferred neighbor (nav %0*b)",
+				t.Format(cur), t.Dim(), nav)
+			r.Outcome = Failure
+			return rt.finishObs(r, cur)
+		}
+		nav = nav.Flip(dim)
+		r.Hops = append(r.Hops, Hop{From: cur, To: next, Dim: dim, Nav: nav})
+		r.Path = append(r.Path, next)
+		cur = next
+	}
+	return rt.finishObs(r, cur)
 }
 
-// finishObs emits the terminal observation for a completed Unicast and
-// returns the route unchanged. It is a no-op without an observer.
-func (rt *Router) finishObs(r *Route, at int) *Route {
-	if rt.obs == nil {
+// finishObs emits the route's hop and terminal observations and returns
+// the route unchanged. It is a no-op without an observer. A traced
+// observer gets one event per hop; a counter-only one, shared by every
+// concurrent unicast, gets the route's hops in a single update.
+func (rt *Router) finishObs(r *Route, at topo.NodeID) *Route {
+	o := rt.obs
+	if o == nil {
 		return r
+	}
+	if o.Trace() != nil {
+		for _, h := range r.Hops {
+			o.Hop(int(h.From), int(h.To), h.Dim, rt.as.Level(h.To), h.Spare)
+		}
+	} else if len(r.Hops) > 0 {
+		spares := 0
+		if r.Hops[0].Spare {
+			spares = 1
+		}
+		o.CountHops(len(r.Hops), spares)
 	}
 	note := ""
 	if r.Err != nil {
 		note = r.Err.Error()
 	}
-	rt.obs.Done(at, r.Condition.String(), r.Outcome.String(), r.Path.Len(), r.Hamming, 0, note)
+	o.Done(int(at), r.Condition.String(), r.Outcome.String(), r.Path.Len(), r.Hamming, 0, note)
 	return r
 }
 
-// pickPreferred chooses the preferred dimension whose candidate neighbor
-// (the sibling matching the destination's coordinate) has the highest
-// safety level, breaking ties with the router policy. At distance 1 the
-// candidate is the destination itself and is chosen unconditionally
-// (final delivery); otherwise intermediate candidates must be
-// traversable: nonfaulty and not across a faulty link.
-func (rt *Router) pickPreferred(cur, d topo.NodeID) (int, topo.NodeID, bool) {
-	t := rt.as.t
-	if t.Distance(cur, d) == 1 {
+// pickPreferred chooses, in one pass over the set bits of nav = N(cur, d),
+// the preferred dimension whose candidate neighbor (the sibling matching
+// the destination's coordinate) has the highest safety level, breaking
+// ties with the router policy. At distance 1 the candidate is the
+// destination itself and is chosen unconditionally (final delivery);
+// otherwise intermediate candidates must be traversable: nonfaulty and
+// not across a faulty link.
+func (rt *Router) pickPreferred(cur, d topo.NodeID, nav topo.NavVector) (int, topo.NodeID, bool) {
+	as, t := rt.as, rt.as.t
+	if nav&(nav-1) == 0 {
 		// Final hop: delivered even to a faulty destination, but not
 		// across a faulty link.
-		if rt.as.set.LinkFaulty(cur, d) {
-			return 0, 0, false
-		}
-		return t.LinkDim(cur, d), d, true
+		return lowDim(nav), d, !as.set.LinkFaulty(cur, d)
 	}
-	best := -1
-	var candDims []int
-	var candNodes []topo.NodeID
-	for i := 0; i < t.Dim(); i++ {
-		if t.Coord(cur, i) == t.Coord(d, i) {
-			continue
-		}
+	dim, next, best := 0, topo.NodeID(0), -1
+	for v := nav; v != 0; v &= v - 1 {
+		i := lowDim(v)
 		b := t.Toward(cur, d, i)
-		if rt.as.set.NodeFaulty(b) || rt.as.set.LinkFaulty(cur, b) {
+		if as.set.NodeFaulty(b) || as.set.LinkFaulty(cur, b) {
 			continue
 		}
-		lv := rt.as.Level(b)
-		if lv > best {
-			best = lv
-			candDims = candDims[:0]
-			candNodes = candNodes[:0]
-		} else if lv < best {
-			continue
-		}
-		candDims = append(candDims, i)
-		candNodes = append(candNodes, b)
-	}
-	if best < 0 {
-		return 0, 0, false
-	}
-	dim := rt.tie(candDims)
-	for j, i := range candDims {
-		if i == dim {
-			return dim, candNodes[j], true
+		if lv := as.Level(b); lv > best || rt.high && lv == best {
+			dim, next, best = i, b, lv
 		}
 	}
-	return 0, 0, false
+	return dim, next, best >= 0
 }
 
-// pickSpare chooses the spare dimension whose neighbor has the highest
-// safety level among those satisfying C3 (observed level >= H+1). In a
-// generalized cube each spare dimension is represented by its
-// lowest-coordinate safest sibling; ties across dimensions go to the
-// router policy. ok is false when no spare neighbor qualifies (possible
-// in a Session whose oracle changed after admission).
-func (rt *Router) pickSpare(cur, d topo.NodeID, h int) (int, topo.NodeID, bool) {
+// pickSpare chooses, in one pass over the spare dimensions (the clear
+// bits of nav), the neighbor with the highest safety level among those
+// satisfying C3 (observed level >= h+1). In a generalized cube each
+// spare dimension is represented by its lowest-coordinate safest
+// sibling; ties across dimensions go to the router policy. ok is false
+// when no spare neighbor qualifies (possible in a Session whose oracle
+// changed after admission).
+func (rt *Router) pickSpare(cur topo.NodeID, nav topo.NavVector, h int) (int, topo.NodeID, bool) {
 	t := rt.as.t
-	best := -1
-	var candDims []int
-	var candNodes []topo.NodeID
-	var sibs []topo.NodeID
-	for i := 0; i < t.Dim(); i++ {
-		if t.Coord(cur, i) != t.Coord(d, i) {
-			continue
-		}
-		sibs = t.Siblings(cur, i, sibs[:0])
-		for _, b := range sibs {
-			lv := rt.observed(cur, b)
-			if lv < h+1 {
-				continue
+	dim, next, best := 0, topo.NodeID(0), -1
+	for v := rt.dims &^ nav; v != 0; v &= v - 1 {
+		i := lowDim(v)
+		for k, m := 0, t.Radix(i)-1; k < m; k++ {
+			b := t.Sibling(cur, i, k)
+			if lv := rt.observed(cur, b); lv > h && (lv > best || rt.high && lv == best && i != dim) {
+				dim, next, best = i, b, lv
 			}
-			if lv > best {
-				best = lv
-				candDims = candDims[:0]
-				candNodes = candNodes[:0]
-			} else if lv < best || (len(candDims) > 0 && candDims[len(candDims)-1] == i) {
-				// Keep the lowest-coordinate representative per dimension.
-				continue
-			}
-			candDims = append(candDims, i)
-			candNodes = append(candNodes, b)
 		}
 	}
-	if best < 0 {
-		return 0, 0, false
-	}
-	dim := rt.tie(candDims)
-	for j, i := range candDims {
-		if i == dim {
-			return dim, candNodes[j], true
-		}
-	}
-	return 0, 0, false
+	return dim, next, best >= 0
 }

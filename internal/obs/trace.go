@@ -376,6 +376,18 @@ func (o *RouteObserver) Hop(from, to, dim, level int, spare bool) {
 	}
 }
 
+// CountHops adds one route's link crossings to the hop counters in a
+// single update: the counter-only alternative to calling Hop per hop.
+func (o *RouteObserver) CountHops(hops, spares int) {
+	if o == nil {
+		return
+	}
+	o.hops.Add(int64(hops))
+	if spares > 0 {
+		o.spares.Add(int64(spares))
+	}
+}
+
 // Blocked records a mid-flight blockage (ErrBlocked).
 func (o *RouteObserver) Blocked(at int) {
 	if o == nil {

@@ -224,10 +224,6 @@ func New(set *faults.Set, opts Options) (*Service, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	tie := opts.Tie
-	if tie == nil {
-		tie = core.LowestDim
-	}
 	s := &Service{
 		t:       set.Topology(),
 		queue:   make(chan applyMsg, depth),
@@ -235,7 +231,7 @@ func New(set *faults.Set, opts Options) (*Service, error) {
 		drained: make(chan struct{}),
 		set:     set.Clone(),
 		workers: workers,
-		tie:     tie,
+		tie:     opts.Tie,
 		copts:   opts.Compute,
 		bucket:  newTokenBucket(opts.Rate, opts.Burst),
 	}

@@ -179,16 +179,41 @@ func TestWireServerTypedRefusals(t *testing.T) {
 }
 
 func TestWireServerDeadlineBudget(t *testing.T) {
-	_, ws := newWireServer(t, Options{}, WireOptions{})
+	reg := obs.NewRegistry()
+	svc, ws := newWireServer(t, Options{}, WireOptions{Registry: reg})
 	c := dialWire(t, ws, wire.ClientOptions{})
-	// A 1µs budget expires before the worker picks the job up; the
-	// refusal must be the typed deadline frame, mirrored from HTTP 504.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
+	frames := func() int64 {
+		// A ping's answer means every frame sent before it was read.
+		if _, err := c.Ping(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Snapshot().Counters[obs.MetricWireFrames]
+	}
+	before := frames()
+	// A budget spent before the call is refused by the client itself,
+	// without sending a frame.
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	time.Sleep(time.Millisecond) // guarantee expiry at send time
-	_, err := c.Unicast(ctx, 0, 63)
-	if !errors.Is(err, wire.ErrDeadline) && !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired budget: got %v, want wire.ErrDeadline or DeadlineExceeded", err)
+	if _, err := c.Unicast(ctx, 0, 63); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired budget: got %v, want DeadlineExceeded", err)
+	}
+	if _, _, err := c.Batch(ctx, []wire.Pair{{Src: 0, Dst: 63}}, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired batch budget: got %v, want DeadlineExceeded", err)
+	}
+	if sent := frames() - before - 1; sent != 0 {
+		t.Errorf("expired calls sent %d frames", sent)
+	}
+	// A budget that runs out on the server is refused with the typed
+	// deadline frame, mirrored from HTTP 504, which the client decodes
+	// as ErrDeadline.
+	_, err := svc.RouteCtx(ctx, 0, 63)
+	code := wireErrCode(err)
+	if code != wire.CodeDeadline {
+		t.Fatalf("RouteCtx past its deadline: %v maps to %v, want CodeDeadline", err, code)
+	}
+	got, _, err := wire.ParseError(wire.AppendError(nil, code, ""))
+	if err != nil || !errors.Is(got.Err(), wire.ErrDeadline) {
+		t.Fatalf("deadline frame decodes to %v (%v), want ErrDeadline", got, err)
 	}
 }
 

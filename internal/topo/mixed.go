@@ -193,6 +193,15 @@ func (t *Mixed) Siblings(a NodeID, i int, dst []NodeID) []NodeID {
 	return dst
 }
 
+// Sibling returns the k-th neighbor of a along dimension i in ascending
+// coordinate order: coordinate k below a's own, k+1 from it upward.
+func (t *Mixed) Sibling(a NodeID, i, k int) NodeID {
+	if k >= t.Coord(a, i) {
+		k++
+	}
+	return t.WithCoord(a, i, k)
+}
+
 // Format renders a node as its digit string a_{n-1}...a_0, matching the
 // paper's Fig. 5 notation (e.g. "021" in GH(2x3x2)). Radixes above 10
 // fall back to dotted decimal.

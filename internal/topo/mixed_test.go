@@ -63,3 +63,19 @@ func TestMixedPairwiseAccessors(t *testing.T) {
 		}
 	}
 }
+
+// TestSiblingMatchesSiblings pins the allocation-free Sibling accessor
+// to the order Siblings lists a node's neighbors in.
+func TestSiblingMatchesSiblings(t *testing.T) {
+	for _, tp := range []Topology{MustCube(5), MustMixed(3, 2, 4), MustMixed(4, 3, 2, 2)} {
+		for a := 0; a < tp.Nodes(); a++ {
+			for i := 0; i < tp.Dim(); i++ {
+				for k, want := range tp.Siblings(NodeID(a), i, nil) {
+					if got := tp.Sibling(NodeID(a), i, k); got != want {
+						t.Fatalf("%v: Sibling(%s, %d, %d) = %s, want %s", tp, tp.Format(NodeID(a)), i, k, tp.Format(got), tp.Format(want))
+					}
+				}
+			}
+		}
+	}
+}

@@ -39,6 +39,10 @@ type Topology interface {
 	// coordinate order, excluding a itself) to dst and returns the
 	// extended slice.
 	Siblings(a NodeID, i int, dst []NodeID) []NodeID
+	// Sibling returns the k-th of a's Radix(i)-1 neighbors along
+	// dimension i, in the order Siblings lists them; it allocates
+	// nothing.
+	Sibling(a NodeID, i, k int) NodeID
 	// Distance returns the number of dimensions in which a and b differ,
 	// which is the graph distance in the fault-free topology.
 	Distance(a, b NodeID) int
@@ -108,6 +112,9 @@ func (c *Cube) Toward(a, d NodeID, i int) NodeID {
 func (c *Cube) Siblings(a NodeID, i int, dst []NodeID) []NodeID {
 	return append(dst, a^(1<<uint(i)))
 }
+
+// Sibling returns a's single dimension-i neighbor, a XOR e^i.
+func (c *Cube) Sibling(a NodeID, i, k int) NodeID { return a ^ (1 << uint(i)) }
 
 // Distance returns the Hamming distance between a and b.
 func (c *Cube) Distance(a, b NodeID) int { return Hamming(a, b) }

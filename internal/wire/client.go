@@ -188,8 +188,14 @@ func (cc *clientConn) readLoop() {
 
 // call sends one request frame and waits for its response. payload is
 // the encoded request body; the returned respFrame's buffer must be
-// released with PutBuf by the caller.
+// released with PutBuf by the caller. A context that is already done
+// returns its error without sending anything: its budget could only
+// reach the server as deadlineUS's 1µs floor, which the server
+// sometimes beats.
 func (cc *clientConn) call(ctx context.Context, op Op, payload []byte) (respFrame, error) {
+	if err := ctx.Err(); err != nil {
+		return respFrame{}, err
+	}
 	cc.pmu.Lock()
 	if cc.err != nil {
 		err := cc.err
