@@ -14,10 +14,13 @@ import (
 // sets, counting-sort NODE_STATUS, pooled repair scratch) to a
 // deliberately naive map-based reference implementation of GS/EGS. The
 // reference shares no code with the production path: it keeps levels in
-// map[NodeID]int, sorts neighbor levels with sort.Ints, and evaluates
-// Definition 1 positionally. Exhaustive small-cube sweeps and randomized
-// Q8/Q10 scenarios must agree bit for bit on both the public and own
-// tables, cold and after incremental repairs.
+// map[NodeID]int, sorts neighbor levels with sort.Ints, evaluates
+// Definition 1 positionally, and sweeps every live node in every round.
+// Exhaustive small-cube sweeps and randomized Q8/Q10 and mixed-radix
+// scenarios must agree bit for bit on both the public and own tables,
+// cold and after incremental repairs. Cold runs must also agree on the
+// run statistics of the synchronous algorithm: rounds, per-round
+// deltas, each node's last-change round, and the evaluation count.
 
 // refLevel is Definition 1 evaluated positionally: sort the observed
 // neighbor levels ascending and return the first index j whose level
@@ -33,11 +36,34 @@ func refLevel(neigh []int) int {
 	return len(s)
 }
 
-// refCompute runs synchronous GS/EGS rounds over map tables until the
-// fixpoint and returns the public and own level maps.
-func refCompute(set *faults.Set) (public, own map[topo.NodeID]int) {
+// refRun is the outcome of one synchronous GS/EGS run of the reference.
+type refRun struct {
+	public, own map[topo.NodeID]int
+	// rounds counts the rounds in which some level changed; deltas[r-1]
+	// is the number of nodes that changed in round r.
+	rounds int
+	deltas []int
+	// lastChange maps each node that ever changed to the last round in
+	// which it did.
+	lastChange map[topo.NodeID]int
+	// evals counts NODE_STATUS evaluations of the synchronous
+	// algorithm: every live node in every round run, plus one per N2
+	// node in EGS's final round.
+	evals int
+}
+
+// refCompute runs synchronous GS/EGS rounds over map tables until a
+// round changes nothing or maxRounds rounds have run. maxRounds <= 0
+// means the Corollary bound n-1 (at least one round).
+func refCompute(set *faults.Set, maxRounds int) refRun {
 	t := set.Topology()
 	n := t.Dim()
+	if maxRounds <= 0 {
+		maxRounds = n - 1
+		if maxRounds < 1 {
+			maxRounds = 1
+		}
+	}
 
 	// N2: nonfaulty endpoints of faulty links, frozen at public 0.
 	frozen := map[topo.NodeID]bool{}
@@ -74,9 +100,10 @@ func refCompute(set *faults.Set) (public, own map[topo.NodeID]int) {
 		return m
 	}
 
-	for {
+	run := refRun{lastChange: map[topo.NodeID]int{}}
+	for r := 1; r <= maxRounds; r++ {
 		next := map[topo.NodeID]int{}
-		changed := false
+		changed := 0
 		for a := 0; a < t.Nodes(); a++ {
 			id := topo.NodeID(a)
 			if set.NodeFaulty(id) || frozen[id] {
@@ -88,25 +115,29 @@ func refCompute(set *faults.Set) (public, own map[topo.NodeID]int) {
 				neigh[i] = dimMin(cur, id, i)
 			}
 			next[id] = refLevel(neigh)
+			run.evals++
 			if next[id] != cur[id] {
-				changed = true
+				changed++
+				run.lastChange[id] = r
 			}
 		}
 		cur = next
-		if !changed {
+		if changed == 0 {
 			break
 		}
+		run.rounds = r
+		run.deltas = append(run.deltas, changed)
 	}
 
-	public = cur
+	run.public, run.own = cur, cur
 	if len(frozen) == 0 {
-		return public, public
+		return run
 	}
 	// Final round: each N2 node evaluates once for itself, treating the
 	// far end of each faulty link as faulty.
-	own = map[topo.NodeID]int{}
-	for id, v := range public {
-		own[id] = v
+	run.own = map[topo.NodeID]int{}
+	for id, v := range run.public {
+		run.own[id] = v
 	}
 	for id := range frozen {
 		neigh := make([]int, n)
@@ -115,7 +146,7 @@ func refCompute(set *faults.Set) (public, own map[topo.NodeID]int) {
 			for _, b := range t.Siblings(id, i, nil) {
 				v := 0
 				if !set.LinkFaulty(id, b) {
-					v = public[b]
+					v = run.public[b]
 				}
 				if m < 0 || v < m {
 					m = v
@@ -123,31 +154,69 @@ func refCompute(set *faults.Set) (public, own map[topo.NodeID]int) {
 			}
 			neigh[i] = m
 		}
-		own[id] = refLevel(neigh)
+		run.own[id] = refLevel(neigh)
+		run.evals++
 	}
-	return public, own
+	return run
 }
 
 // assertMatchesReference compares the flat assignment against the map
-// reference at every node.
+// reference's fixpoint at every node.
 func assertMatchesReference(t *testing.T, name string, as *Assignment, set *faults.Set) {
 	t.Helper()
-	public, own := refCompute(set)
-	tp := set.Topology()
+	assertLevelsMatch(t, name, as, refCompute(set, 0))
+}
+
+func assertLevelsMatch(t *testing.T, name string, as *Assignment, ref refRun) {
+	t.Helper()
+	tp := as.Topology()
 	for a := 0; a < tp.Nodes(); a++ {
 		id := topo.NodeID(a)
-		if got, want := as.Level(id), public[id]; got != want {
+		if got, want := as.Level(id), ref.public[id]; got != want {
 			t.Fatalf("%s: public level of node %d = %d, reference %d", name, a, got, want)
 		}
-		if got, want := as.OwnLevel(id), own[id]; got != want {
+		if got, want := as.OwnLevel(id), ref.own[id]; got != want {
 			t.Fatalf("%s: own level of node %d = %d, reference %d", name, a, got, want)
 		}
 	}
 }
 
+// assertColdMatchesReference runs Compute(set, opts) and checks its
+// levels and every run statistic against the reference under the same
+// round cap.
+func assertColdMatchesReference(t *testing.T, name string, set *faults.Set, opts Options) {
+	t.Helper()
+	as := Compute(set, opts)
+	ref := refCompute(set, opts.MaxRounds)
+	assertLevelsMatch(t, name, as, ref)
+	if as.Rounds() != ref.rounds {
+		t.Fatalf("%s: rounds %d, reference %d", name, as.Rounds(), ref.rounds)
+	}
+	if got := as.Deltas(); fmt.Sprint(got) != fmt.Sprint(ref.deltas) {
+		t.Fatalf("%s: deltas %v, reference %v", name, got, ref.deltas)
+	}
+	for a := 0; a < set.Topology().Nodes(); a++ {
+		id := topo.NodeID(a)
+		if got, want := as.StableRound(id), ref.lastChange[id]; got != want {
+			t.Fatalf("%s: node %d stable round %d, reference %d", name, a, got, want)
+		}
+	}
+	if as.Evals() != ref.evals {
+		t.Fatalf("%s: evals %d, reference %d", name, as.Evals(), ref.evals)
+	}
+	if as.Repaired() || as.DirtyNodes() != 0 {
+		t.Fatalf("%s: cold run reports repaired=%v dirty=%d", name, as.Repaired(), as.DirtyNodes())
+	}
+}
+
+// roundCaps are the MaxRounds values every cold scenario runs under:
+// the Corollary default and two truncations (the paper's D).
+var roundCaps = []int{0, 1, 2}
+
 // TestFlatMatchesReferenceExhaustiveQ3 sweeps every node-fault subset of
 // size <= 2 crossed with every single link fault on Q3: 481 scenarios
-// covering GS, EGS, frozen N2 corners, and faulty link endpoints.
+// covering GS, EGS, frozen N2 corners, and faulty link endpoints, each
+// under every round cap.
 func TestFlatMatchesReferenceExhaustiveQ3(t *testing.T) {
 	tp := topo.MustCube(3)
 	var nodeSets [][]topo.NodeID
@@ -185,14 +254,17 @@ func TestFlatMatchesReferenceExhaustiveQ3(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			name := fmt.Sprintf("nodes=%d link=%d", ni, li)
-			assertMatchesReference(t, name, Compute(set, Options{}), set)
+			for _, d := range roundCaps {
+				name := fmt.Sprintf("nodes=%d link=%d D=%d", ni, li, d)
+				assertColdMatchesReference(t, name, set, Options{MaxRounds: d})
+			}
 		}
 	}
 }
 
 // TestFlatMatchesReferenceExhaustiveQ4 sweeps every single and double
-// node-fault subset of Q4, sequential and sharded.
+// node-fault subset of Q4, sequential and sharded, under every round
+// cap.
 func TestFlatMatchesReferenceExhaustiveQ4(t *testing.T) {
 	tp := topo.MustCube(4)
 	for a := 0; a < tp.Nodes(); a++ {
@@ -206,16 +278,19 @@ func TestFlatMatchesReferenceExhaustiveQ4(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			name := fmt.Sprintf("faults={%d,%d}", a, b)
-			assertMatchesReference(t, name, Compute(set, Options{}), set)
-			assertMatchesReference(t, name+"/sharded", Compute(set, Options{Workers: -1}), set)
+			for _, d := range roundCaps {
+				name := fmt.Sprintf("faults={%d,%d} D=%d", a, b, d)
+				assertColdMatchesReference(t, name, set, Options{MaxRounds: d})
+				assertColdMatchesReference(t, name+"/sharded", set, Options{MaxRounds: d, Workers: -1})
+			}
 		}
 	}
 }
 
 // TestFlatMatchesReferenceRandomized drives randomized mixed-fault
-// scenarios on Q5, Q8 and Q10 (and a mixed-radix shape) through the flat
-// core, sequential and sharded, against the map reference.
+// scenarios on Q5, Q8 and Q10 and on mixed-radix shapes through the flat
+// core, sequential and sharded, under every round cap, against the map
+// reference.
 func TestFlatMatchesReferenceRandomized(t *testing.T) {
 	cases := []struct {
 		tp           topo.Topology
@@ -226,6 +301,9 @@ func TestFlatMatchesReferenceRandomized(t *testing.T) {
 		{topo.MustCube(8), 8, 20, 6},
 		{topo.MustCube(10), 3, 40, 10},
 		{topo.MustMixed(3, 3, 3), 10, 5, 3},
+		{topo.MustMixed(3, 2, 4), 10, 4, 3},
+		{topo.MustMixed(2, 3, 2), 10, 2, 2},
+		{topo.MustMixed(4, 4, 2), 10, 6, 4},
 	}
 	for ci, c := range cases {
 		for trial := 0; trial < c.trials; trial++ {
@@ -237,10 +315,12 @@ func TestFlatMatchesReferenceRandomized(t *testing.T) {
 			if err := faults.InjectUniformLinks(set, rng, c.links); err != nil {
 				t.Fatal(err)
 			}
-			name := fmt.Sprintf("case%d/trial%d", ci, trial)
-			assertMatchesReference(t, name, Compute(set, Options{}), set)
-			if trial%2 == 0 {
-				assertMatchesReference(t, name+"/sharded", Compute(set, Options{Workers: -1}), set)
+			for _, d := range roundCaps {
+				name := fmt.Sprintf("case%d/trial%d D=%d", ci, trial, d)
+				assertColdMatchesReference(t, name, set, Options{MaxRounds: d})
+				if trial%2 == 0 {
+					assertColdMatchesReference(t, name+"/sharded", set, Options{MaxRounds: d, Workers: -1})
+				}
 			}
 		}
 	}
