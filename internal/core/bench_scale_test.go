@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/faults"
@@ -13,19 +14,50 @@ import (
 // regex), so regressions in ns/op or allocs/op on the large-cube paths
 // fail the bench-gate job.
 
-// BenchmarkGSColdQ16 runs a cold GLOBAL_STATUS sweep over Q16 (65,536
-// nodes, 40 faults) with the parallel sweep at GOMAXPROCS — the
-// serving engine's cold-start path on a large cube.
-func BenchmarkGSColdQ16(b *testing.B) {
-	c := topo.MustCube(16)
-	s := faults.NewSet(c)
+// coldQ16Set is the cold-run workload: Q16 (65,536 nodes), 40 faults.
+func coldQ16Set(tb testing.TB) *faults.Set {
+	s := faults.NewSet(topo.MustCube(16))
 	if err := faults.InjectUniform(s, stats.NewRNG(7), 40); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return s
+}
+
+// BenchmarkGSColdQ16 runs a cold GLOBAL_STATUS run over Q16 with the
+// parallel rounds at GOMAXPROCS — the serving engine's cold-start path
+// on a large cube.
+func BenchmarkGSColdQ16(b *testing.B) {
+	s := coldQ16Set(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Compute(s, Options{Workers: -1})
+	}
+}
+
+// TestGSColdQ16Bytes ratchets the bytes a cold run allocates on the
+// BenchmarkGSColdQ16 workload: the one-byte-per-node level table plus
+// the few nodes the faults perturb, at most 2 bytes per node. A sweep
+// over every node paid about 6: a second round buffer and a 4-byte
+// stability entry per node on top of the table.
+func TestGSColdQ16Bytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := coldQ16Set(t)
+	for _, opts := range []Options{{}, {Workers: -1}} {
+		Compute(s, opts) // fill the scratch pool
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			Compute(s, opts)
+		}
+		runtime.ReadMemStats(&after)
+		perNode := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(s.Topology().Nodes())
+		if perNode > 2 {
+			t.Errorf("workers=%d: cold Compute allocates %.2f bytes per node, want <= 2", opts.Workers, perNode)
+		}
 	}
 }
 

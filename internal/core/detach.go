@@ -14,8 +14,8 @@ package core
 //
 // With the flat SoA layout the copy is a handful of memcpys — the
 // []uint8 level tables, the fault bitset and sorted link slice, the
-// stability arrays — so copy-on-publish cost is linear in bytes, not
-// in entries of a rebuilt map (~1 MiB per table at Q20).
+// sparse stability entries — so copy-on-publish cost is linear in
+// bytes, not in entries of a rebuilt map (~1 MiB per table at Q20).
 //
 // The detached copy cannot seed RepairLevels (repair requires set
 // identity with the live oracle); keep the original as the repair seed
@@ -28,7 +28,6 @@ func (as *Assignment) Detach() *Assignment {
 		public:       append([]uint8(nil), as.public...),
 		rounds:       as.rounds,
 		deltas:       append([]int(nil), as.deltas...),
-		stableAt:     append([]int32(nil), as.stableAt...),
 		stableSparse: append([]stableEntry(nil), as.stableSparse...),
 		evals:        as.evals,
 		repaired:     as.repaired,

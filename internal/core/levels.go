@@ -2,11 +2,8 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
-	"repro/internal/bitset"
 	"repro/internal/faults"
 	"repro/internal/topo"
 )
@@ -82,8 +79,8 @@ func levelFromCounts(cnt []int) int {
 	return i
 }
 
-// stableEntry records one repaired node's final-change round in the
-// sparse stability table (sorted by node after finalize).
+// stableEntry records one node's final-change round in the sparse
+// stability table (sorted by node after finalize).
 type stableEntry struct {
 	node  int32
 	round int32
@@ -114,29 +111,24 @@ type Assignment struct {
 	// len(deltas) == rounds. The observability layer exports it as the
 	// per-round convergence profile of a GS run.
 	deltas []int
-	// stableAt[a] is the first round after which node a's level never
-	// changes again (0 = the initial value was already final). Used to
-	// validate Property 1: a k-safe node stabilizes by round k. Cold
-	// runs fill the dense table; repairs, which touch few nodes, record
-	// stability sparsely in stableSparse instead and leave this nil.
-	stableAt []int32
-	// stableSparse holds (node, final round) pairs for the nodes a
-	// repair changed, sorted by node; nodes absent stabilized at round 0.
-	// Only one of stableAt/stableSparse is non-nil.
+	// stableSparse holds (node, final round) pairs for the nodes the
+	// run changed, sorted by node: the first round after which the
+	// node's level never changes again. Nodes absent stabilized at round
+	// 0 (the initial value was already final). Used to validate
+	// Property 1: a k-safe node stabilizes by round k.
 	stableSparse []stableEntry
-	// evals counts NODE_STATUS evaluations performed to reach this
-	// assignment — the node-update work a distributed execution would
-	// pay in messages. A cold run evaluates every live node every round;
-	// an incremental repair evaluates only its dirty frontier, and the
-	// ratio of the two is the repair payoff quantified in BENCH_3.json.
+	// evals counts NODE_STATUS evaluations (see Evals): for a cold run
+	// the synchronous algorithm's work, for a repair the frontier it
+	// actually evaluated. Their ratio is the repair payoff quantified in
+	// BENCH_3.json.
 	evals int
 	// repaired marks assignments produced by RepairLevels (seeded from a
 	// previous fixpoint) rather than a cold sweep. For repaired
 	// assignments Rounds/Deltas/StableRound describe the repair
 	// iteration, not a from-scratch GS run.
 	repaired bool
-	// dirty is the total number of dirty-frontier slots processed during
-	// repair (0 for cold runs).
+	// dirty is the total number of frontier slots a repair evaluated (0
+	// for cold runs).
 	dirty int
 }
 
@@ -177,10 +169,6 @@ func (as *Assignment) Deltas() []int { return append([]int(nil), as.deltas...) }
 // StableRound returns the first round after which node a's level is
 // final.
 func (as *Assignment) StableRound(a topo.NodeID) int {
-	if as.stableAt != nil {
-		return int(as.stableAt[a])
-	}
-	// Repaired assignment: sparse table, absent nodes never changed.
 	i := sort.Search(len(as.stableSparse), func(i int) bool {
 		return as.stableSparse[i].node >= int32(a)
 	})
@@ -190,8 +178,15 @@ func (as *Assignment) StableRound(a topo.NodeID) int {
 	return 0
 }
 
-// Evals returns the number of NODE_STATUS evaluations performed to
-// reach this assignment — the per-node update work of the run, and the
+// Evals returns the number of NODE_STATUS evaluations of the run. For a
+// cold run it is the work of the paper's synchronous algorithm, where
+// every live node outside N2 evaluates in every round until a round
+// changes nothing or the round cap is reached, plus one own-level
+// evaluation per N2 node in EGS's final round: live × min(Rounds+1,
+// cap) + |N2|. A distributed execution pays that in messages; the
+// simulator evaluates only the nodes whose inputs changed and no longer
+// pays it. For a repaired assignment it is the evaluations the repair
+// actually made (DirtyNodes, plus the N2 own-level round) — the
 // quantity incremental repair minimizes.
 func (as *Assignment) Evals() int { return as.evals }
 
@@ -200,8 +195,8 @@ func (as *Assignment) Evals() int { return as.evals }
 // the same unique fixpoint; only the round/work statistics differ.
 func (as *Assignment) Repaired() bool { return as.repaired }
 
-// DirtyNodes returns the total dirty-frontier slots processed during
-// repair (0 for cold runs).
+// DirtyNodes returns the total frontier slots a repair evaluated (0 for
+// cold runs, whose Evals count the synchronous algorithm's work).
 func (as *Assignment) DirtyNodes() int { return as.dirty }
 
 // TableBytes returns the bytes held by the level tables (public + own,
@@ -247,24 +242,61 @@ type Options struct {
 	// smaller cap deliberately truncates convergence; the ablation
 	// experiments use it to show what an under-provisioned D costs.
 	MaxRounds int
-	// Workers selects the parallel sweep: each synchronous round is
-	// split into contiguous node chunks updated by a worker pool. Since
-	// every round reads only the previous round's levels, the result is
-	// bit-identical to the sequential sweep. 0 or 1 means sequential;
-	// negative means GOMAXPROCS.
+	// Workers parallelizes each synchronous round: the round's frontier
+	// (the nodes whose inputs changed) is split into contiguous chunks
+	// evaluated by a worker pool. Since every round reads only the
+	// previous round's levels and changes apply after the round's
+	// barrier, the result is bit-identical to the sequential run. 0 or
+	// 1 means sequential; negative means GOMAXPROCS.
 	Workers int
 }
 
-// Compute runs GS (or EGS when the fault set contains link faults) and
+// Compute runs GS (EGS when the fault set contains link faults) and
 // returns the stabilized assignment. The computation is the synchronous
 // version of the paper's algorithm: every node updates simultaneously
 // from its neighbors' previous-round levels, starting from the
-// all-nonfaulty-nodes-are-n-safe initialization.
+// all-nonfaulty-nodes-are-n-safe initialization, for at most
+// Options.MaxRounds rounds (the Corollary bound n-1 when zero).
+//
+// Faulty nodes and the N2 nodes of EGS (nonfaulty endpoints of faulty
+// links, Section 4.1) are clamped at public level 0 throughout. Every
+// other node starts at n and can only change once a neighbor has, so
+// the run starts from the frontier of the clamped nodes' unclamped
+// siblings and evaluates, each round, only the siblings of the nodes the
+// previous round changed (frontier.run). In the final round each N2
+// node computes its own level once, treating the far end of each of its
+// faulty links as faulty but using its other neighbors' public levels.
 func Compute(set *faults.Set, opts Options) *Assignment {
-	if set.HasLinkFaults() {
-		return computeEGS(set, opts)
+	t := set.Topology()
+	n := uint8(t.Dim())
+	cur := make([]uint8, t.Nodes())
+	for a := range cur {
+		cur[a] = n
 	}
-	return computeGS(set, opts)
+	sc := getScratch(t)
+	defer putScratch(sc)
+	f := &frontier{t: t, set: set, cur: cur, sc: sc}
+	sc.fillN2(set)
+	for _, a := range set.FaultyNodes() {
+		cur[a] = 0
+		f.touch(a)
+	}
+	sc.n2.ForEach(func(a int) {
+		cur[a] = 0
+		f.touch(topo.NodeID(a))
+	})
+
+	as := &Assignment{t: t, set: set}
+	roundCap := maxRounds(t, opts)
+	f.run(as, opts.Workers, roundCap)
+	// Evals reports the synchronous algorithm's work, not the frontier's.
+	sweeps := as.rounds + 1
+	if sweeps > roundCap {
+		sweeps = roundCap
+	}
+	as.evals = (t.Nodes() - set.NodeFaults() - sc.n2.Count()) * sweeps
+	f.finish(as)
+	return as
 }
 
 func maxRounds(t topo.Topology, opts Options) int {
@@ -278,53 +310,21 @@ func maxRounds(t topo.Topology, opts Options) int {
 	return d
 }
 
-// computeGS implements Algorithm GLOBAL_STATUS for node faults only.
-func computeGS(set *faults.Set, opts Options) *Assignment {
-	t := set.Topology()
-	n := uint8(t.Dim())
-	nodes := t.Nodes()
-	cur := make([]uint8, nodes)
-	for a := range cur {
-		cur[a] = n
-	}
-	for _, f := range set.FaultyNodes() {
-		cur[f] = 0
-	}
-	as := &Assignment{
-		t:        t,
-		set:      set,
-		stableAt: make([]int32, nodes),
-	}
-	as.rounds, as.deltas, as.evals = iterate(t, set, cur, as.stableAt, maxRounds(t, opts), nil, opts.Workers)
-	as.public = cur
-	as.own = cur
-	return as
-}
-
-// sweeper holds the per-goroutine scratch state of one NODE_STATUS
-// sweep. The binary cube keeps its bit-twiddling fast path (one XOR per
-// neighbor); generalized topologies reduce each dimension to the minimum
-// sibling level first (Definition 4). Neighbor levels are folded into a
-// counting histogram over the bounded level domain [0, dim] — no sort,
-// no per-eval allocation.
+// sweeper holds the per-goroutine scratch state of NODE_STATUS
+// evaluation. The binary cube keeps its bit-twiddling fast path (one XOR
+// per neighbor); generalized topologies reduce each dimension to the
+// minimum sibling level first (Definition 4). Neighbor levels are folded
+// into a counting histogram over the bounded level domain [0, dim] — no
+// sort, no per-eval allocation.
 type sweeper struct {
-	t      topo.Topology
-	bin    *topo.Cube // non-nil: binary fast path
-	set    *faults.Set
-	frozen bitset.Set
-	cnt    []int
-	sibs   []topo.NodeID
-	// evals counts NODE_STATUS evaluations this sweeper performed.
-	evals int
+	t    topo.Topology
+	bin  *topo.Cube // non-nil: binary fast path
+	cnt  []int
+	sibs []topo.NodeID
 }
 
-func newSweeper(t topo.Topology, set *faults.Set, frozen bitset.Set) *sweeper {
-	sw := &sweeper{
-		t:      t,
-		set:    set,
-		frozen: frozen,
-		cnt:    make([]int, t.Dim()+1),
-	}
+func newSweeper(t topo.Topology) *sweeper {
+	sw := &sweeper{t: t, cnt: make([]int, t.Dim()+1)}
 	if c, ok := t.(*topo.Cube); ok {
 		sw.bin = c
 	}
@@ -338,7 +338,6 @@ func newSweeper(t topo.Topology, set *faults.Set, frozen bitset.Set) *sweeper {
 // evaluates it via levelFromCounts.
 func (sw *sweeper) eval(cur []uint8, id topo.NodeID) int {
 	n := sw.t.Dim()
-	sw.evals++
 	cnt := sw.cnt
 	for i := range cnt {
 		cnt[i] = 0
@@ -362,106 +361,6 @@ func (sw *sweeper) eval(cur []uint8, id topo.NodeID) int {
 	return levelFromCounts(cnt)
 }
 
-// sweep updates next[lo:hi] from cur, records first-change rounds in
-// stableAt, and returns the number of nodes whose level changed. It only
-// reads cur and only writes indexes in [lo, hi), so disjoint ranges can
-// run concurrently.
-func (sw *sweeper) sweep(cur, next []uint8, stableAt []int32, lo, hi, r int) int {
-	delta := 0
-	for a := lo; a < hi; a++ {
-		id := topo.NodeID(a)
-		if sw.set.NodeFaulty(id) || (sw.frozen != nil && sw.frozen.Test(a)) {
-			next[a] = cur[a]
-			continue
-		}
-		v := uint8(sw.eval(cur, id))
-		next[a] = v
-		if v != cur[a] {
-			delta++
-			if stableAt != nil {
-				stableAt[a] = int32(r)
-			}
-		}
-	}
-	return delta
-}
-
-// iterate runs synchronous NODE_STATUS rounds in place over cur until no
-// level changes or the round cap is hit, and returns the number of rounds
-// executed before stability together with the per-round change counts
-// and the total NODE_STATUS evaluations performed. frozen, if non-nil,
-// marks nodes whose level never updates (EGS freezes the N2 nodes at 0
-// during the N1 phase). workers > 1 splits every round into contiguous
-// chunks; each chunk writes a disjoint range of next and stableAt and
-// per-worker deltas are summed after the round barrier, so the parallel
-// sweep is deterministic and identical to the sequential one.
-func iterate(t topo.Topology, set *faults.Set, cur []uint8, stableAt []int32, cap int, frozen bitset.Set, workers int) (int, []int, int) {
-	nodes := t.Nodes()
-	next := make([]uint8, nodes)
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nodes {
-		workers = nodes
-	}
-	rounds := 0
-	var deltas []int
-	if workers <= 1 {
-		sw := newSweeper(t, set, frozen)
-		for r := 1; r <= cap; r++ {
-			delta := sw.sweep(cur, next, stableAt, 0, nodes, r)
-			if delta == 0 {
-				break
-			}
-			rounds = r
-			deltas = append(deltas, delta)
-			copy(cur, next)
-		}
-		return rounds, deltas, sw.evals
-	}
-	sws := make([]*sweeper, workers)
-	for w := range sws {
-		sws[w] = newSweeper(t, set, frozen)
-	}
-	chunk := (nodes + workers - 1) / workers
-	partial := make([]int, workers)
-	for r := 1; r <= cap; r++ {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > nodes {
-				hi = nodes
-			}
-			if lo >= hi {
-				partial[w] = 0
-				continue
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				partial[w] = sws[w].sweep(cur, next, stableAt, lo, hi, r)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		delta := 0
-		for _, d := range partial {
-			delta += d
-		}
-		if delta == 0 {
-			break
-		}
-		rounds = r
-		deltas = append(deltas, delta)
-		copy(cur, next)
-	}
-	evals := 0
-	for _, sw := range sws {
-		evals += sw.evals
-	}
-	return rounds, deltas, evals
-}
-
 // reduceObserved returns the dimension-i level node id observes: the
 // minimum public level among its dimension-i siblings, with the far end
 // of a faulty link counted as 0 (Section 4.1). For a binary cube this is
@@ -479,66 +378,6 @@ func reduceObserved(t topo.Topology, set *faults.Set, cur []uint8, id topo.NodeI
 		}
 	}
 	return m, sibs
-}
-
-// computeEGS implements Algorithm EXTENDED_GLOBAL_STATUS (Section 4.1).
-// Nodes in N2 (nonfaulty, with at least one adjacent faulty link) start
-// at level 0 and stay frozen through the N1 rounds — every other node
-// treats them as faulty. In the final round each N2 node runs
-// NODE_STATUS once for itself, treating the far end of each of its
-// faulty links as faulty but using its other neighbors' public levels.
-func computeEGS(set *faults.Set, opts Options) *Assignment {
-	t := set.Topology()
-	n := uint8(t.Dim())
-	nodes := t.Nodes()
-	cur := make([]uint8, nodes)
-	for a := range cur {
-		cur[a] = n
-	}
-	for _, f := range set.FaultyNodes() {
-		cur[f] = 0
-	}
-	// N2 membership comes straight from the faulty-link list — O(link
-	// faults), not a per-node adjacency scan over the whole cube.
-	frozen := bitset.New(nodes)
-	for _, l := range set.FaultyLinks() {
-		if !set.NodeFaulty(l.A) {
-			frozen.Add(int(l.A))
-			cur[l.A] = 0
-		}
-		if !set.NodeFaulty(l.B) {
-			frozen.Add(int(l.B))
-			cur[l.B] = 0
-		}
-	}
-	as := &Assignment{
-		t:        t,
-		set:      set,
-		stableAt: make([]int32, nodes),
-	}
-	as.rounds, as.deltas, as.evals = iterate(t, set, cur, as.stableAt, maxRounds(t, opts), frozen, opts.Workers)
-	as.public = cur
-
-	// Final round: each N2 node computes its own level once.
-	if !frozen.Any() {
-		as.own = cur
-		return as
-	}
-	own := append([]uint8(nil), cur...)
-	dim := t.Dim()
-	neigh := make([]int, dim)
-	scratch := make([]int, dim+1)
-	var sibs []topo.NodeID
-	frozen.ForEach(func(a int) {
-		id := topo.NodeID(a)
-		for i := 0; i < dim; i++ {
-			neigh[i], sibs = reduceObserved(t, set, cur, id, i, sibs)
-		}
-		own[a] = uint8(LevelFromNeighbors(neigh, scratch))
-		as.evals++
-	})
-	as.own = own
-	return as
 }
 
 // Verify checks that the assignment satisfies the paper's fixpoint

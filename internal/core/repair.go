@@ -1,11 +1,8 @@
 package core
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
-	"repro/internal/bitset"
 	"repro/internal/faults"
 	"repro/internal/topo"
 )
@@ -44,22 +41,13 @@ import (
 //	nodes contributed 0 either way. Iteration ascends pointwise to the
 //	unique fixpoint for S_new.
 //
-// Both phases recompute a node only when one of its inputs changed in
-// the previous round (the dirty frontier); a skipped node's equation
-// held after the last round it was evaluated and none of its inputs
-// moved since, so frontier sweeping is bit-identical to full
-// synchronous rounds. Each phase moves every node monotonically through
-// at most n+1 values, so termination is unconditional. The result is
-// therefore bit-for-bit the assignment a cold Compute would produce —
-// the property the differential, fuzz and chaos suites enforce at every
-// churn step.
-//
-// The working state lives in a pooled repairScratch: word-addressed
-// bitsets for the N2/released/affected/toggle/dirty-mark sets and
-// preallocated frontier and update buffers, reused across repairs of
-// the same topology size. A steady churn stream therefore allocates
-// only what each repair's Assignment must retain (its level tables and
-// sparse stability entries), not per-round sets.
+// Both phases run on the synchronous frontier engine of a cold run
+// (frontier.go), so each recomputes a node only when one of its inputs
+// changed in the previous round. Each phase moves every node
+// monotonically through at most n+1 values, so termination is
+// unconditional. The result is therefore bit-for-bit the assignment a
+// cold Compute would produce — the property the differential, fuzz and
+// chaos suites enforce at every churn step.
 
 // RepairLevels patches the previous stable assignment prev to the
 // current state of set, given the journal deltas (faults.Set.Since)
@@ -99,10 +87,10 @@ func RepairLevels(prev *Assignment, set *faults.Set, delta []faults.Delta, opts 
 		}, true
 	}
 
-	sc := getRepairScratch(t)
-	defer putRepairScratch(sc)
-	st := newRepairState(prev, set, delta, sc)
-	if st == nil {
+	sc := getScratch(t)
+	defer putScratch(sc)
+	f := newRepairState(prev, set, delta, sc)
+	if f == nil {
 		return nil, false
 	}
 	as := &Assignment{
@@ -110,180 +98,39 @@ func RepairLevels(prev *Assignment, set *faults.Set, delta []faults.Delta, opts 
 		repaired: true,
 	}
 
-	// Phase 1: descend under the union clamp set.
-	if !st.run(as, opts, true) {
-		return nil, false
-	}
-	// Phase 2: release U and ascend.
-	st.release()
-	if !st.run(as, opts, false) {
-		return nil, false
-	}
-	as.public = st.cur
-	as.stableSparse = finalizeStable(as.stableSparse)
-
-	// Own levels: identical to the EGS final round — every N2 node runs
-	// NODE_STATUS once against the settled public levels, with the far
-	// ends of its faulty links counted as faulty.
-	as.own = as.public
-	if sc.n2.Any() {
-		own := append([]uint8(nil), as.public...)
-		n := t.Dim()
-		if cap(sc.neigh) < n+1 {
-			sc.neigh = make([]int, n+1)
-			sc.lvlCnt = make([]int, n+1)
+	// Phase 1 descends under the union clamp set; phase 2 releases U
+	// and ascends.
+	roundCap := repairRoundCap(t)
+	for phase := 1; phase <= 2; phase++ {
+		if phase == 2 {
+			f.release()
 		}
-		neigh, scratch := sc.neigh[:n], sc.lvlCnt[:n+1]
-		sc.n2.ForEach(func(a int) {
-			id := topo.NodeID(a)
-			for i := 0; i < n; i++ {
-				neigh[i], sc.sibs = reduceObserved(t, set, as.public, id, i, sc.sibs)
-			}
-			own[a] = uint8(LevelFromNeighbors(neigh, scratch))
-			as.evals++
-		})
-		as.own = own
+		evals, converged := f.run(as, opts.Workers, roundCap)
+		if !converged {
+			return nil, false
+		}
+		as.dirty += evals
+		as.evals += evals
 	}
+	// Own levels: the EGS final round against the settled public levels.
+	f.finish(as)
 	return as, true
 }
 
-// repairUpdate is one deferred level change of a frontier round; changes
-// are collected during the round and applied after its barrier, keeping
-// the synchronous-round semantics of the cold sweep.
-type repairUpdate struct {
-	node  int32
-	level uint8
-}
-
-// repairScratch holds every reusable buffer of one repair: the
-// membership bitsets, the frontier/update slices, and the sweepers.
-// Instances recycle through repairPool so steady-state churn repairs
-// allocate nothing here; buffers are sized for one topology and
-// reallocated only when a repair arrives for a different node count.
-type repairScratch struct {
-	nodes int
-	// n2 is the new N2 set (nonfaulty endpoints of faulty links); n2 ∪
-	// faulty is the phase-2 clamp set.
-	n2 bitset.Set
-	// inU marks U: nodes clamped under the old set but not the new one.
-	inU bitset.Set
-	// affected marks nodes named by the delta journal; nodeTog holds the
-	// per-node toggle parity of the journal entries.
-	affected bitset.Set
-	nodeTog  bitset.Set
-	// mark accumulates each round's next frontier; DrainInto empties it
-	// into dirty in ascending node order.
-	mark      bitset.Set
-	dirty     []int32
-	released  []int32
-	seedDirty []int32
-	updates   []repairUpdate
-	linkAll   []faults.Link
-	sibs      []topo.NodeID
-	neigh     []int
-	lvlCnt    []int
-	sw        *sweeper
-	// Per-worker state for evalParallel.
-	sws   []*sweeper
-	parts [][]repairUpdate
-	wEval []int
-}
-
-var repairPool = sync.Pool{New: func() interface{} { return &repairScratch{} }}
-
-func getRepairScratch(t topo.Topology) *repairScratch {
-	sc := repairPool.Get().(*repairScratch)
-	nodes := t.Nodes()
-	if sc.nodes != nodes {
-		sc.nodes = nodes
-		sc.n2 = bitset.New(nodes)
-		sc.inU = bitset.New(nodes)
-		sc.affected = bitset.New(nodes)
-		sc.nodeTog = bitset.New(nodes)
-		sc.mark = bitset.New(nodes)
-		sc.sw = nil
-		sc.sws = nil
-	}
-	return sc
-}
-
-func putRepairScratch(sc *repairScratch) {
-	sc.n2.Reset()
-	sc.inU.Reset()
-	sc.affected.Reset()
-	sc.nodeTog.Reset()
-	sc.mark.Reset()
-	repairPool.Put(sc)
-}
-
-// sweeperFor returns the scratch's sequential sweeper rebound to the
-// current topology/set (pool entries outlive any one fault set).
-func (sc *repairScratch) sweeperFor(t topo.Topology, set *faults.Set) *sweeper {
-	if sc.sw == nil || sc.sw.t != t {
-		sc.sw = newSweeper(t, set, nil)
-	} else {
-		sc.sw.set = set
-		sc.sw.evals = 0
-	}
-	return sc.sw
-}
-
-// finalizeStable sorts the appended (node, round) stability entries by
-// node and keeps each node's last-written round — the first round after
-// which the node's level never changed again.
-func finalizeStable(entries []stableEntry) []stableEntry {
-	if len(entries) == 0 {
-		return nil
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].node != entries[j].node {
-			return entries[i].node < entries[j].node
-		}
-		return entries[i].round < entries[j].round
-	})
-	w := 0
-	for i := range entries {
-		if i+1 < len(entries) && entries[i+1].node == entries[i].node {
-			continue
-		}
-		entries[w] = entries[i]
-		w++
-	}
-	return entries[:w]
-}
-
-// repairState carries the frontier iteration of one repair.
-type repairState struct {
-	t   topo.Topology
-	set *faults.Set
-	cur []uint8
-	sc  *repairScratch
-	// seedDirty is the next phase's initial frontier, ascending.
-	seedDirty []int32
-}
-
-// newRepairState classifies the delta into seed values and the two
-// frontier sets. It returns nil when the delta journal is malformed
-// (unknown kind or nodes outside the topology — impossible through the
-// Set mutators, but the journal crosses a package boundary).
-func newRepairState(prev *Assignment, set *faults.Set, delta []faults.Delta, sc *repairScratch) *repairState {
+// newRepairState classifies the delta into seed values, the released
+// set U and the phase-1 frontier, which it leaves marked in sc.mark. It
+// returns nil when the delta journal is malformed (unknown kind or nodes
+// outside the topology — impossible through the Set mutators, but the
+// journal crosses a package boundary).
+func newRepairState(prev *Assignment, set *faults.Set, delta []faults.Delta, sc *scratch) *frontier {
 	t := set.Topology()
-	st := &repairState{
+	f := &frontier{
 		t:   t,
 		set: set,
-		cur: make([]uint8, t.Nodes()),
+		cur: append([]uint8(nil), prev.public...),
 		sc:  sc,
 	}
-	copy(st.cur, prev.public)
-	// New N2 membership from the current faulty-link list.
-	for _, l := range set.FaultyLinks() {
-		if !set.NodeFaulty(l.A) {
-			sc.n2.Add(int(l.A))
-		}
-		if !set.NodeFaulty(l.B) {
-			sc.n2.Add(int(l.B))
-		}
-	}
+	sc.fillN2(set)
 
 	// Toggle parities per touched node and link reconstruct the old
 	// status of exactly the affected elements without cloning the whole
@@ -363,48 +210,40 @@ func newRepairState(prev *Assignment, set *faults.Set, delta []faults.Delta, sc 
 		return false
 	}
 
-	// Classify affected nodes into D (newly clamped) and U (released),
-	// seed D with 0 and collect the phase-1 frontier. The bitsets
-	// iterate and drain in ascending node order, for determinism.
-	sc.released = sc.released[:0]
+	// Classify affected nodes into D (newly clamped) and U (released)
+	// and seed D with 0. The bitsets iterate in ascending node order,
+	// for determinism.
+	sc.released, sc.dropped = sc.released[:0], sc.dropped[:0]
 	sc.affected.ForEach(func(a int) {
 		newC := set.NodeFaulty(topo.NodeID(a)) || sc.n2.Test(a)
 		oldC := oldClamped(a)
 		switch {
 		case newC && !oldC: // D: newly clamped
-			if st.cur[a] != 0 {
-				st.cur[a] = 0
-				// The drop is visible to every neighbor.
-				for i := 0; i < t.Dim(); i++ {
-					sc.sibs = t.Siblings(topo.NodeID(a), i, sc.sibs[:0])
-					for _, b := range sc.sibs {
-						sc.mark.Add(int(b))
-					}
-				}
+			if f.cur[a] != 0 {
+				f.cur[a] = 0
+				sc.dropped = append(sc.dropped, int32(a))
 			}
 		case oldC && !newC: // U: released (rises in phase 2)
 			sc.inU.Add(a)
 			sc.released = append(sc.released, int32(a))
 		}
 	})
-	sc.seedDirty = sc.mark.DrainInto(sc.seedDirty[:0])
-	st.seedDirty = sc.seedDirty
-	return st
-}
-
-// clamped reports whether node a is frozen at 0 in the given phase.
-func (st *repairState) clamped(a int, phase1 bool) bool {
-	if st.set.NodeFaulty(topo.NodeID(a)) || st.sc.n2.Test(a) {
-		return true
+	// Each drop is visible to every neighbor outside the union clamp
+	// set, now that U is complete.
+	for _, a := range sc.dropped {
+		f.touch(topo.NodeID(a))
 	}
-	return phase1 && st.sc.inU.Test(a)
+	return f
 }
 
-// release ends phase 1: the released nodes become phase 2's frontier
-// (their own equations are the only ones the phase-1 fixpoint may
-// violate). released was filled in ascending order.
-func (st *repairState) release() {
-	st.seedDirty = st.sc.released
+// release ends phase 1: U is unclamped and becomes phase 2's frontier
+// (the released nodes' own equations are the only ones the phase-1
+// fixpoint may violate).
+func (f *frontier) release() {
+	for _, a := range f.sc.released {
+		f.sc.inU.Remove(int(a))
+		f.sc.mark.Add(int(a))
+	}
 }
 
 // repairRoundCap bounds repair rounds defensively. Every counted round
@@ -413,135 +252,3 @@ func (st *repairState) release() {
 // hitting it means the monotonicity invariant was violated and the
 // caller must recompute cold.
 func repairRoundCap(t topo.Topology) int { return t.Nodes()*(t.Dim()+1) + 2 }
-
-// run executes one monotone frontier phase, folding round/delta/eval
-// accounting into as. It returns false only if the defensive round cap
-// is exceeded.
-func (st *repairState) run(as *Assignment, opts Options, phase1 bool) bool {
-	t := st.t
-	sc := st.sc
-	workers := opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// The next round's frontier is collected as marks on a dense bitset
-	// and drained in ascending node order, so sequential and parallel
-	// runs walk identical work lists.
-	mark := sc.mark
-	for _, a := range st.seedDirty {
-		if !st.clamped(int(a), phase1) {
-			mark.Add(int(a))
-		}
-	}
-	dirty := mark.DrainInto(sc.dirty[:0])
-
-	updates := sc.updates[:0]
-	roundCap := repairRoundCap(t)
-	sw := sc.sweeperFor(t, st.set)
-	for round := 0; len(dirty) > 0; round++ {
-		if round >= roundCap {
-			sc.dirty = dirty
-			return false
-		}
-		// Evaluate the frontier against the previous round's table.
-		updates = updates[:0]
-		if workers > 1 && len(dirty) >= 2*workers {
-			updates = st.evalParallel(sw, dirty, workers, updates)
-		} else {
-			for _, a := range dirty {
-				if v := uint8(sw.eval(st.cur, topo.NodeID(a))); v != st.cur[a] {
-					updates = append(updates, repairUpdate{a, v})
-				}
-			}
-		}
-		as.dirty += len(dirty)
-
-		// Apply after the barrier; the changed nodes' neighborhoods form
-		// the next frontier.
-		if len(updates) == 0 {
-			dirty = dirty[:0]
-			break
-		}
-		as.rounds++
-		as.deltas = append(as.deltas, len(updates))
-		for _, u := range updates {
-			st.cur[u.node] = u.level
-			as.stableSparse = append(as.stableSparse, stableEntry{node: u.node, round: int32(as.rounds)})
-			for i := 0; i < t.Dim(); i++ {
-				sc.sibs = t.Siblings(topo.NodeID(u.node), i, sc.sibs[:0])
-				for _, b := range sc.sibs {
-					if !st.clamped(int(b), phase1) {
-						mark.Add(int(b))
-					}
-				}
-			}
-		}
-		dirty = mark.DrainInto(dirty[:0])
-	}
-	as.evals += sw.evals
-	sw.evals = 0
-	sc.dirty = dirty
-	sc.updates = updates
-	st.seedDirty = nil
-	return true
-}
-
-// evalParallel fans one round's frontier across a worker pool. Workers
-// only read the shared level table (writes wait for the round barrier)
-// and collect changes for contiguous frontier chunks; chunks are
-// concatenated in order, making the update list identical to the
-// sequential one. Worker sweepers and chunk buffers live in the scratch
-// and are reused round over round.
-func (st *repairState) evalParallel(sw *sweeper, dirty []int32, workers int, out []repairUpdate) []repairUpdate {
-	if workers > len(dirty) {
-		workers = len(dirty)
-	}
-	sc := st.sc
-	for len(sc.sws) < workers {
-		sc.sws = append(sc.sws, newSweeper(st.t, st.set, nil))
-	}
-	for len(sc.parts) < workers {
-		sc.parts = append(sc.parts, nil)
-	}
-	for len(sc.wEval) < workers {
-		sc.wEval = append(sc.wEval, 0)
-	}
-	chunk := (len(dirty) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(dirty) {
-			hi = len(dirty)
-		}
-		sc.parts[w] = sc.parts[w][:0]
-		sc.wEval[w] = 0
-		if lo >= hi {
-			continue
-		}
-		wsw := sc.sws[w]
-		if wsw.t != st.t {
-			wsw = newSweeper(st.t, st.set, nil)
-			sc.sws[w] = wsw
-		}
-		wsw.set = st.set
-		wsw.evals = 0
-		wg.Add(1)
-		go func(w, lo, hi int, wsw *sweeper) {
-			defer wg.Done()
-			for _, a := range dirty[lo:hi] {
-				if v := uint8(wsw.eval(st.cur, topo.NodeID(a))); v != st.cur[a] {
-					sc.parts[w] = append(sc.parts[w], repairUpdate{a, v})
-				}
-			}
-			sc.wEval[w] = wsw.evals
-		}(w, lo, hi, wsw)
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		out = append(out, sc.parts[w]...)
-		sw.evals += sc.wEval[w]
-	}
-	return out
-}
