@@ -10,12 +10,14 @@
 // per-dimension neighbor is a single XOR away, while on a generalized
 // hypercube (Section 4.2, Definition 4) each dimension first reduces to
 // the minimum level among its m_i - 1 siblings. Since Definition 4
-// collapses to Definition 1 when every radix is 2, one sweep serves both.
+// collapses to Definition 1 when every radix is 2, one evaluator serves
+// both. Cold runs (Compute) and the incremental RepairLevels used by the
+// serving layer share one synchronous engine that evaluates, each round,
+// only the nodes whose inputs changed in the previous one.
 //
 // Key invariant (Theorem 1): the GS iteration is monotonically
 // non-increasing from the all-n start and its fixpoint is unique, so
-// Compute, the parallel sweep, and the incremental RepairLevels used by
-// the serving layer must all land on the same assignment for the same
-// fault set — the property every differential suite in this repository
-// leans on.
+// Compute, its parallel rounds, and RepairLevels must all land on the
+// same assignment for the same fault set — the property every
+// differential suite in this repository leans on.
 package core

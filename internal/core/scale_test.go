@@ -10,12 +10,14 @@ import (
 	"repro/internal/topo"
 )
 
-// TestScaleSmokeQ20 is the `make scale-smoke` gate: a cold GS sweep
-// over the full Q20 cube (1,048,576 nodes, 64 random faults) followed
-// by one incremental repair, inside a wall-clock budget. The flat SoA
-// core keeps the whole working state in three contiguous byte/word
-// tables (~3 MiB at Q20), which is what makes a million-node sweep a
-// sub-second operation instead of a map-walking crawl.
+// TestScaleSmokeQ20 is the `make scale-smoke` gate: a cold GS run over
+// the full Q20 cube (1,048,576 nodes, 64 random faults) followed by one
+// incremental repair, inside a wall-clock budget. The flat SoA core
+// keeps its working state in one byte-per-node level table (1 MiB at
+// Q20), a few 128 KiB bitsets and a sparse stability entry per node
+// that changes, and each round evaluates only the nodes whose inputs
+// changed — which is what makes a million-node run a sub-second
+// operation instead of a map-walking crawl.
 //
 // Gated behind SCALE_SMOKE=1 so the ordinary `go test ./...` tier stays
 // fast; the budget is generous (CI hardware varies) — the point is
