@@ -23,6 +23,7 @@
 //
 //	/route?src=ADDR&dst=ADDR    one unicast against the current snapshot
 //	/batch?pairs=A-B,C-D,...    many unicasts pinned to ONE snapshot
+//	                            (at most 4096 pairs; 413 above)
 //	/routeall?src=ADDR          fan-out from src to every other node
 //	/fault?op=OP&a=ADDR[&b=ADDR]  enqueue churn: op is fail-node,
 //	                            recover-node, fail-link or recover-link
@@ -49,8 +50,10 @@
 //
 // The query endpoints accept an optional deadline=DURATION parameter,
 // clamped to the -deadline flag. Status codes on the query endpoints:
-// 200 served, 400 bad request, 429 shed by admission control (-rate),
-// 503 draining after a shutdown signal, 504 deadline exceeded.
+// 200 served, 400 bad request, 413 batch over the pair limit, 429 shed
+// by admission control (-rate), 503 draining after a shutdown signal,
+// 504 deadline exceeded. The listener closes a connection whose request
+// header is not complete within 10 s, or that sits idle for 2 minutes.
 //
 // Addresses use the topology's own notation: n-bit binary strings for
 // a cube ("0110"), per-dimension digit strings for a generalized
@@ -324,7 +327,7 @@ func run(args []string, out io.Writer) (int, error) {
 		diagSeed: *diagSeed,
 		diagAdv:  adv,
 	})
-	httpSrv := &http.Server{Addr: *listen, Handler: mux}
+	httpSrv := newHTTPServer(*listen, mux)
 	if wireSrv != nil {
 		fmt.Fprintf(out, "# %s; serving routes on %s, wire on %s\n", header, *listen, wireSrv.Addr())
 	} else {
@@ -372,6 +375,26 @@ func run(args []string, out io.Writer) (int, error) {
 		}
 		fmt.Fprintln(out, "# drained cleanly")
 		return 0, nil
+	}
+}
+
+// Timeouts of the HTTP listener. A client has httpReadHeaderTimeout to
+// send its request header, and a keep-alive connection left idle for
+// httpIdleTimeout is closed, so a client that stalls mid-request or
+// walks away does not hold a connection goroutine for ever.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the HTTP server for handler h on addr, with the
+// listener timeouts above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		IdleTimeout:       httpIdleTimeout,
 	}
 }
 
@@ -507,8 +530,14 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 			httpErr(w, http.StatusBadRequest, errors.New(`missing "pairs" parameter (want "SRC-DST,SRC-DST,...")`))
 			return
 		}
-		var pairs []safecube.TrafficPair
-		for _, item := range splitList(raw) {
+		items := splitList(raw)
+		if len(items) > safecube.MaxBatchPairs {
+			httpErr(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("batch of %d pairs exceeds limit %d", len(items), safecube.MaxBatchPairs))
+			return
+		}
+		pairs := make([]safecube.TrafficPair, 0, len(items))
+		for _, item := range items {
 			ab := strings.SplitN(item, "-", 2)
 			if len(ab) != 2 {
 				httpErr(w, http.StatusBadRequest, fmt.Errorf("bad pair %q, want SRC-DST", item))

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -98,6 +101,107 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 	getJSON(t, ts.URL+"/batch?pairs=0000+1111", http.StatusBadRequest)
 	getJSON(t, ts.URL+"/batch", http.StatusBadRequest)
+}
+
+// TestBatchEndpointLimit checks that /batch shares the wire surface's
+// pair limit: MaxBatchPairs pairs are served, one more is refused with
+// 413 before any routing.
+func TestBatchEndpointLimit(t *testing.T) {
+	ts, _ := testServer(t)
+	pairs := func(k int) string {
+		return strings.TrimSuffix(strings.Repeat("0000-1111,", k), ",")
+	}
+	v := getJSON(t, ts.URL+"/batch?pairs="+pairs(safecube.MaxBatchPairs), http.StatusOK)
+	if got := len(v["routes"].([]any)); got != safecube.MaxBatchPairs {
+		t.Fatalf("batch of %d pairs returned %d routes", safecube.MaxBatchPairs, got)
+	}
+	getJSON(t, ts.URL+"/batch?pairs="+pairs(safecube.MaxBatchPairs+1), http.StatusRequestEntityTooLarge)
+}
+
+// TestHTTPListenerTimeouts checks the listener hardening on a :0 port:
+// a client that sends part of a request line and stalls is disconnected
+// once the header timeout passes, a keep-alive connection left idle is
+// closed after the idle timeout, and the server's goroutine count
+// returns to its baseline. The server is slserve's own (newHTTPServer);
+// only its two timeouts are shortened, so the test takes well under a
+// second instead of minutes.
+func TestHTTPListenerTimeouts(t *testing.T) {
+	c := safecube.MustNew(4)
+	reg := safecube.NewRegistry()
+	srv, err := c.Serve(safecube.ServeOptions{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	hs := newHTTPServer("", newHandler(srv, c, reg, handlerOpts{queueCap: 8}))
+	if hs.ReadHeaderTimeout != httpReadHeaderTimeout || hs.IdleTimeout != httpIdleTimeout {
+		t.Fatalf("listener timeouts %v/%v, want %v/%v",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, httpReadHeaderTimeout, httpIdleTimeout)
+	}
+	const short = 200 * time.Millisecond
+	hs.ReadHeaderTimeout, hs.IdleTimeout = short, short
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	t.Cleanup(func() {
+		hs.Close()
+		<-served
+	})
+	base := runtime.NumGoroutine()
+
+	// waitClosed reads until the server hangs up, failing if it has not
+	// within a generous multiple of the timeout.
+	waitClosed := func(what string, conn net.Conn, r io.Reader) {
+		t.Helper()
+		start := time.Now()
+		conn.SetReadDeadline(start.Add(20 * short))
+		if _, err := io.Copy(io.Discard, r); err != nil {
+			t.Fatalf("%s: connection still open after %v: %v", what, time.Since(start), err)
+		}
+		if d := time.Since(start); d < short/2 {
+			t.Fatalf("%s: closed after %v, before the %v timeout", what, d, short)
+		}
+	}
+
+	stalled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := stalled.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	waitClosed("partial request line", stalled, stalled)
+
+	idle, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if _, err := idle.Write([]byte("GET /healthz HTTP/1.1\r\nHost: slserve\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(idle)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d", resp.StatusCode)
+	}
+	waitClosed("idle keep-alive connection", idle, br)
+
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 func TestRouteAllEndpoint(t *testing.T) {

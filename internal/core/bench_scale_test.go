@@ -61,6 +61,64 @@ func TestGSColdQ16Bytes(t *testing.T) {
 	}
 }
 
+// TestRepairPublishQ16Bytes ratchets the bytes one published fault
+// costs on the BenchmarkGSColdQ16 workload: a fail or recover on a
+// random nonfaulty node, repaired by RepairLevels and detached for
+// publishing as the serving applier does, allocates at most 0.5 bytes
+// per node. Copying the level table in the repair and again in Detach
+// cost about 2.1; with shared pages what remains is the fault-set clone
+// Detach makes (0.125) and the few pages the repair writes.
+func TestRepairPublishQ16Bytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	set := coldQ16Set(t)
+	nodes := set.Topology().Nodes()
+	rng := stats.NewRNG(11)
+	as := Compute(set, Options{})
+	event := func(v topo.NodeID, recover bool) {
+		gen := set.Generation()
+		var err error
+		if recover {
+			err = set.RecoverNode(v)
+		} else {
+			err = set.FailNode(v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, ok := set.Since(gen)
+		if !ok {
+			t.Fatal("journal gap")
+		}
+		rep, ok := RepairLevels(as, set, delta, Options{})
+		if !ok {
+			t.Fatal("repair refused")
+		}
+		rep.Detach()
+		as = rep
+	}
+	event(0, false) // fill the scratch pool
+	event(0, true)
+	const events = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < events/2; i++ {
+		v := topo.NodeID(rng.Intn(nodes))
+		for set.NodeFaulty(v) {
+			v = topo.NodeID(rng.Intn(nodes))
+		}
+		event(v, false)
+		event(v, true)
+	}
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / events / float64(nodes)
+	t.Logf("%.3f bytes per node per published event", perNode)
+	if perNode > 0.5 {
+		t.Errorf("a repaired and detached event allocates %.2f bytes per node, want <= 0.5", perNode)
+	}
+}
+
 // BenchmarkRepairQ16 measures single-event incremental repair on Q16:
 // fail or recover one node, replay the journal delta through
 // RepairLevels. The dominant per-op cost should be the retained level

@@ -1,6 +1,6 @@
 package core
 
-// Detach returns a deep copy of the assignment bound to an independent,
+// Detach returns a copy of the assignment bound to an independent,
 // journal-free clone of its fault set (faults.Set.CloneState).
 //
 // An Assignment from Compute or RepairLevels shares its fault set with
@@ -12,10 +12,11 @@ package core
 // the moment of the call and never changes again, which makes it safe
 // to publish behind an atomic pointer and read without locks.
 //
-// With the flat SoA layout the copy is a handful of memcpys — the
-// []uint8 level tables, the fault bitset and sorted link slice, the
-// sparse stability entries — so copy-on-publish cost is linear in
-// bytes, not in entries of a rebuilt map (~1 MiB per table at Q20).
+// The level tables are shared, not copied: their pages never change
+// once the run that wrote them returned, and a later repair copies a
+// page before its first write (pages.go). Detach therefore costs the
+// fault-state clone (the node bitset and sorted link slice) plus the
+// small statistics slices, not the 2^n bytes of a table.
 //
 // The detached copy cannot seed RepairLevels (repair requires set
 // identity with the live oracle); keep the original as the repair seed
@@ -25,20 +26,14 @@ func (as *Assignment) Detach() *Assignment {
 	cp := &Assignment{
 		t:            as.t,
 		set:          as.set.CloneState(),
-		public:       append([]uint8(nil), as.public...),
+		public:       as.public,
+		own:          as.own,
 		rounds:       as.rounds,
-		deltas:       append([]int(nil), as.deltas...),
 		stableSparse: append([]stableEntry(nil), as.stableSparse...),
 		evals:        as.evals,
 		repaired:     as.repaired,
 		dirty:        as.dirty,
 	}
-	// public and own alias each other whenever there are no N2 nodes;
-	// preserve the aliasing so the copy costs one slice, not two.
-	if len(as.own) > 0 && &as.own[0] == &as.public[0] {
-		cp.own = cp.public
-	} else {
-		cp.own = append([]uint8(nil), as.own...)
-	}
+	cp.deltas = append(cp.deltaBuf[:0], as.deltas...)
 	return cp
 }

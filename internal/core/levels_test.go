@@ -445,12 +445,12 @@ func TestComputeDim1(t *testing.T) {
 func TestVerifyCatchesCorruption(t *testing.T) {
 	_, s := fig1(t)
 	as := Compute(s, Options{})
-	as.public[5] = 3 // corrupt
+	as.public[0][5] = 3 // corrupt
 	if err := as.Verify(); err == nil {
 		t.Error("Verify should catch a corrupted level")
 	}
 	as2 := Compute(s, Options{})
-	as2.public[3] = 1 // faulty node with nonzero level
+	as2.public[0][3] = 1 // faulty node with nonzero level
 	if err := as2.Verify(); err == nil {
 		t.Error("Verify should catch nonzero faulty level")
 	}

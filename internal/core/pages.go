@@ -1,0 +1,70 @@
+package core
+
+import "slices"
+
+// Level tables are stored as directories of fixed-size pages. A page
+// never changes once the run that wrote it has returned, so assignments
+// share pages freely: a repair forks its predecessor's directory and
+// copies a page only on its first write to it, and Detach shares both
+// tables outright. Publishing a repaired assignment therefore costs the
+// pages the repair touched, not the 2^n-byte table.
+
+const (
+	// pageShift sets the page size: 4096 nodes, one byte each. A page
+	// spans the low 12 dimensions of a binary cube, so NODE_STATUS reads
+	// those neighbors from the node's own page.
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// levelTable holds one byte per node: node a's level is
+// t[a>>pageShift][a&pageMask]. Every page holds pageSize nodes, except
+// that a table smaller than one page is a single page of its own size
+// and the last page of a generalized hypercube may be short.
+type levelTable [][]uint8
+
+// pageCount returns the number of pages of a table over nodes nodes.
+func pageCount(nodes int) int { return (nodes + pageMask) >> pageShift }
+
+// at returns node a's level.
+func (t levelTable) at(a int) uint8 { return t[a>>pageShift][a&pageMask] }
+
+// cutPages returns a table whose pages are cut from buf and alias it:
+// one contiguous allocation backs a cold run's whole table.
+func cutPages(buf []uint8) levelTable {
+	t := make(levelTable, pageCount(len(buf)))
+	for p := range t {
+		lo := p << pageShift
+		hi := min(lo+pageSize, len(buf))
+		t[p] = buf[lo:hi:hi]
+	}
+	return t
+}
+
+// uniformTable returns a table of nodes entries, all v, whose directory
+// points every slot at one shared page.
+func uniformTable(nodes int, v uint8) levelTable {
+	page := make([]uint8, min(nodes, pageSize))
+	for i := range page {
+		page[i] = v
+	}
+	t := make(levelTable, pageCount(nodes))
+	for p := range t {
+		t[p] = page[:min(nodes-p<<pageShift, pageSize)]
+	}
+	return t
+}
+
+// write sets node a's level to v in a table one run is building.
+// owned[p] reports whether the run holds a private copy of page p; the
+// first write to any other page copies it, so the table the run forked
+// from never changes.
+func (t levelTable) write(owned []bool, a int, v uint8) {
+	p := a >> pageShift
+	if !owned[p] {
+		t[p] = slices.Clone(t[p])
+		owned[p] = true
+	}
+	t[p][a&pageMask] = v
+}

@@ -335,7 +335,9 @@ func (rt *Router) finishObs(r *Route, at topo.NodeID) *Route {
 // ties with the router policy. At distance 1 the candidate is the
 // destination itself and is chosen unconditionally (final delivery);
 // otherwise intermediate candidates must be traversable: nonfaulty and
-// not across a faulty link.
+// not across a faulty link. A candidate's level is read first and only
+// a candidate that would win pays the traversability test; a skipped
+// candidate never moves best, so the choice is the same either way.
 func (rt *Router) pickPreferred(cur, d topo.NodeID, nav topo.NavVector) (int, topo.NodeID, bool) {
 	as, t := rt.as, rt.as.t
 	if nav&(nav-1) == 0 {
@@ -347,10 +349,8 @@ func (rt *Router) pickPreferred(cur, d topo.NodeID, nav topo.NavVector) (int, to
 	for v := nav; v != 0; v &= v - 1 {
 		i := lowDim(v)
 		b := t.Toward(cur, d, i)
-		if as.set.NodeFaulty(b) || as.set.LinkFaulty(cur, b) {
-			continue
-		}
-		if lv := as.Level(b); lv > best || rt.high && lv == best {
+		if lv := as.Level(b); (lv > best || rt.high && lv == best) &&
+			!as.set.NodeFaulty(b) && !as.set.LinkFaulty(cur, b) {
 			dim, next, best = i, b, lv
 		}
 	}

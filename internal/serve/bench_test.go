@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,6 +164,43 @@ func BenchmarkServeSwap(b *testing.B) {
 			ev = faults.ChurnEvent{Kind: faults.DeltaRecoverNode, A: 777}
 		}
 		if err := s.Apply(ev); err != nil {
+			b.Fatal(err)
+		}
+		s.Flush()
+	}
+}
+
+// BenchmarkServeApplyVisibleQ20 measures the control plane at scale:
+// one fail or recover event on a Q20 service with 2000 faults, from
+// TryApply until Flush returns with the repaired snapshot published.
+// The repair itself touches a few dozen nodes, so a publish that copied
+// or scanned the 1 MiB level table would dominate this number.
+func BenchmarkServeApplyVisibleQ20(b *testing.B) {
+	tp := topo.MustCube(20)
+	set := faults.NewSet(tp)
+	rng := stats.NewRNG(7)
+	if err := faults.InjectUniform(set, rng, 2000); err != nil {
+		b.Fatal(err)
+	}
+	victims := make([]topo.NodeID, 0, 64)
+	for len(victims) < cap(victims) {
+		if v := topo.NodeID(rng.Intn(tp.Nodes())); !set.NodeFaulty(v) && !slices.Contains(victims, v) {
+			victims = append(victims, v)
+		}
+	}
+	s, err := New(set, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := faults.ChurnEvent{Kind: faults.DeltaFailNode, A: victims[i/2%len(victims)]}
+		if i%2 == 1 {
+			ev.Kind = faults.DeltaRecoverNode
+		}
+		if err := s.TryApply(ev); err != nil {
 			b.Fatal(err)
 		}
 		s.Flush()

@@ -119,6 +119,45 @@ func TestServeSnapshotPinning(t *testing.T) {
 	}
 }
 
+// TestServeSnapshotsFrozenUnderChurn pins snapshot immutability across
+// many publishes on a cube of several level pages. A 200-event churn
+// schedule with link faults runs on Q14 (four pages), one event per
+// swap, and every published snapshot is kept. Afterwards each must still
+// hold the public and own levels a cold run computes from its own fault
+// view: published snapshots share level pages with the live assignment,
+// so a repair that wrote into a shared page instead of a copy would
+// rewrite history here.
+func TestServeSnapshotsFrozenUnderChurn(t *testing.T) {
+	tp := topo.MustCube(14)
+	s := newService(t, tp, Options{})
+	events := faults.ChurnSchedule(tp, 23, 200, faults.ChurnOptions{Links: true})
+	snaps := []*Snapshot{s.Current()}
+	for i, ev := range events {
+		if err := s.Apply(ev); err != nil {
+			t.Fatalf("event %d (%v): %v", i, ev, err)
+		}
+		s.Flush()
+		snaps = append(snaps, s.Current())
+	}
+	for i, sn := range snaps {
+		as := sn.Assignment()
+		cold := core.Compute(sn.Faults(), core.Options{})
+		for a := 0; a < tp.Nodes(); a++ {
+			id := topo.NodeID(a)
+			if as.Level(id) != cold.Level(id) || as.OwnLevel(id) != cold.OwnLevel(id) {
+				t.Fatalf("snapshot %d (generation %d): node %d levels (%d, %d), cold (%d, %d)",
+					i, sn.Generation(), a, as.Level(id), as.OwnLevel(id), cold.Level(id), cold.OwnLevel(id))
+			}
+		}
+		if !reflect.DeepEqual(as.Levels(), cold.Levels()) {
+			t.Fatalf("snapshot %d: Levels() differs from the cold run", i)
+		}
+		if err := as.Verify(); err != nil {
+			t.Fatalf("snapshot %d (generation %d): %v", i, sn.Generation(), err)
+		}
+	}
+}
+
 // TestServeBackpressure checks the bounded-queue contract: TryApply
 // refuses with ErrBacklog when the queue is full, and Apply blocks but
 // eventually lands once the applier drains.

@@ -41,6 +41,13 @@ import (
 // the semantics are refused — which is the clean-degrade contract the
 // cross-version compat tests pin.
 
+// MaxBatchPairs is the default limit on the pairs of one batch request,
+// shared by both serving surfaces: the wire server refuses a larger
+// OpBatch frame with CodeTooLarge unless WireOptions.MaxBatch says
+// otherwise, and slserve's HTTP /batch answers 413 Request Entity Too
+// Large.
+const MaxBatchPairs = 4096
+
 // WireOptions tune a WireServer. The zero value serves with
 // min(GOMAXPROCS, 4) workers and 128 queued frames per connection.
 type WireOptions struct {
@@ -54,7 +61,7 @@ type WireOptions struct {
 	// wire.DefaultMaxPayload).
 	MaxPayload int
 	// MaxBatch bounds the pair count of one OpBatch frame (<= 0 means
-	// 4096); larger batches are refused with CodeTooLarge.
+	// MaxBatchPairs); larger batches are refused with CodeTooLarge.
 	MaxBatch int
 	// RequireMinor refuses clients whose header minor version is below
 	// it, and is what the server "advertises" in ping responses when it
@@ -102,7 +109,7 @@ func NewWireServer(svc *Service, ln net.Listener, opts WireOptions) *WireServer 
 		opts.MaxPayload = wire.DefaultMaxPayload
 	}
 	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 4096
+		opts.MaxBatch = MaxBatchPairs
 	}
 	ws := &WireServer{
 		svc:   svc,

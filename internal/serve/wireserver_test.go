@@ -138,6 +138,30 @@ func TestWireServerFlightIDThreaded(t *testing.T) {
 	}
 }
 
+// TestWireBatchLimit checks the default OpBatch limit the HTTP /batch
+// endpoint shares: MaxBatchPairs pairs are answered on one snapshot,
+// one more is refused with the typed too-large error and the
+// connection survives.
+func TestWireBatchLimit(t *testing.T) {
+	_, ws := newWireServer(t, Options{}, WireOptions{})
+	c := dialWire(t, ws, wire.ClientOptions{})
+	ctx := context.Background()
+	pairs := make([]wire.Pair, MaxBatchPairs+1)
+	for i := range pairs {
+		pairs[i] = wire.Pair{Src: uint32(i % 64), Dst: uint32(63 - i%64)}
+	}
+	_, routes, err := c.Batch(ctx, pairs[:MaxBatchPairs], nil)
+	if err != nil || len(routes) != MaxBatchPairs {
+		t.Fatalf("batch of %d pairs: %d routes, %v", MaxBatchPairs, len(routes), err)
+	}
+	if _, _, err := c.Batch(ctx, pairs, nil); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("batch of %d pairs: got %v, want ErrTooLarge", len(pairs), err)
+	}
+	if _, err := c.Ping(ctx); err != nil {
+		t.Fatalf("connection unusable after the refusal: %v", err)
+	}
+}
+
 func TestWireServerTypedRefusals(t *testing.T) {
 	// Rate 1e-9 admits essentially nothing after the first token.
 	_, ws := newWireServer(t, Options{Rate: 1e-9, Burst: 1}, WireOptions{MaxBatch: 4})

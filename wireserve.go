@@ -11,6 +11,11 @@ import (
 // See docs/OPERATIONS.md ("The binary wire protocol") for the frame
 // layout, the opcode table and the error taxonomy.
 
+// MaxBatchPairs is the largest batch either serving surface accepts by
+// default: the wire listener's MaxBatch default and the limit of
+// slserve's HTTP /batch endpoint.
+const MaxBatchPairs = serve.MaxBatchPairs
+
 // WireOptions tune a wire listener. The zero value serves with
 // min(GOMAXPROCS, 4) workers per connection and 128 queued frames.
 type WireOptions struct {
@@ -22,7 +27,7 @@ type WireOptions struct {
 	// stream instead of buffering server memory.
 	QueueDepth int
 	// MaxBatch bounds the pair count of one batch frame (<= 0 means
-	// 4096).
+	// MaxBatchPairs).
 	MaxBatch int
 	// Registry receives the wire_* metrics (nil disables).
 	Registry *Registry
