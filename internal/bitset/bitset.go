@@ -4,7 +4,9 @@
 // instead of map[int]bool. A set over Q20's 1,048,576 nodes costs 128
 // KiB of contiguous memory, clones with one copy, and iterates in
 // ascending index order by construction — the property the
-// deterministic sweep and repair schedules depend on.
+// deterministic sweep and repair schedules depend on. Tracked adds a
+// summary of the nonzero words, for sets that are cleared and scanned
+// far more often than they are filled.
 package bitset
 
 import "math/bits"
@@ -89,10 +91,10 @@ func (s Set) ForEach(fn func(i int)) {
 }
 
 // DrainInto appends the members in ascending order to dst, clears the
-// set, and returns the extended slice — the frontier hand-off primitive
-// of the repair loop: the dirty marks accumulated during one round
-// become the next round's work list in one pass, leaving the mark set
-// empty for reuse.
+// set, and returns the extended slice: marks accumulated during one
+// round become the next round's work list in one pass, leaving the set
+// empty for reuse. Tracked.DrainInto does the same in time proportional
+// to the words touched.
 func (s Set) DrainInto(dst []int32) []int32 {
 	for wi, w := range s {
 		if w == 0 {

@@ -345,8 +345,14 @@ func (s *Set) LinkFaults() int { return len(s.links) }
 // FaultyNodes returns the faulty node IDs in ascending order.
 func (s *Set) FaultyNodes() []topo.NodeID {
 	out := make([]topo.NodeID, 0, s.nodeCount)
-	s.node.ForEach(func(a int) { out = append(out, topo.NodeID(a)) })
+	s.ForEachFaultyNode(func(a topo.NodeID) { out = append(out, a) })
 	return out
+}
+
+// ForEachFaultyNode calls fn for every faulty node in ascending order,
+// without building the slice FaultyNodes returns.
+func (s *Set) ForEachFaultyNode(fn func(a topo.NodeID)) {
+	s.node.ForEach(func(a int) { fn(topo.NodeID(a)) })
 }
 
 // FaultyLinks returns the faulty links, normalized, in deterministic

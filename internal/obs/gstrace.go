@@ -45,9 +45,10 @@ type GSTrace struct {
 	// spent converging back to the fixpoint.
 	DirtyNodes int `json:"dirty_nodes,omitempty"`
 	Evals      int `json:"evals,omitempty"`
-	// TableBytes is the memory footprint of the run's retained level
-	// tables (core.Assignment.TableBytes: one byte per node per distinct
-	// table) — the per-snapshot copy cost of the flat SoA layout.
+	// TableBytes is the logical size of the run's level tables
+	// (core.Assignment.TableBytes: one byte per node per distinct
+	// table). Snapshots share the tables' pages, so it is not what a
+	// publish copies.
 	TableBytes int `json:"table_bytes,omitempty"`
 }
 
