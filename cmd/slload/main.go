@@ -15,7 +15,7 @@
 //	-wire ADDR    drive a slserve wire-protocol listener (host:port, the
 //	              server's -wire-addr) over the binary protocol instead of
 //	              HTTP; overrides -target. -n must match the server
-//	-wire-conns K wire client connection pool size (0 = max(1, workers/4))
+//	-wire-conns K wire client connection pool size (0 = one per worker)
 //	-coalesce N   merge concurrent route calls into wire batches of up to
 //	              N pairs (0 disables client-side coalescing)
 //	-n DIM        hypercube dimension (default 8); without -target this
@@ -101,7 +101,7 @@ func run(argv []string, stdout, stderr *os.File) int {
 	var (
 		target   = fs.String("target", "", "slserve base URL; empty runs an in-process engine")
 		wireAddr = fs.String("wire", "", "slserve wire-protocol address (host:port); overrides -target")
-		conns    = fs.Int("wire-conns", 0, "wire client connection pool size (0 means max(1, workers/4))")
+		conns    = fs.Int("wire-conns", 0, "wire client connection pool size (0 means one per worker)")
 		coalesce = fs.Int("coalesce", 0, "coalesce concurrent route calls into wire batches of up to N pairs (0 disables)")
 		dim      = fs.Int("n", 8, "hypercube dimension")
 		nFaults  = fs.Int("faults", 0, "pre-failed random nodes (in-process only)")
@@ -195,9 +195,11 @@ func run(argv []string, stdout, stderr *os.File) int {
 	var tgt loadgen.Target
 	var localSvc *serve.Service
 	if *wireAddr != "" {
+		// The server runs one connection's frames one at a time, so
+		// the default gives each worker its own connection.
 		nc := *conns
 		if nc <= 0 {
-			nc = max(1, *workers/4)
+			nc = max(1, *workers)
 		}
 		cl, err := wire.Dial(*wireAddr, wire.ClientOptions{Conns: nc})
 		if err != nil {

@@ -148,7 +148,6 @@ func run(args []string, out io.Writer) (int, error) {
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof and /debug/vars")
 	listen := fs.String("listen", ":8080", "HTTP listen address")
 	wireAddr := fs.String("wire-addr", "", "binary wire-protocol listen address (empty disables)")
-	wireWorkers := fs.Int("wire-workers", 0, "wire per-connection worker count (0 means min(GOMAXPROCS, 4))")
 	noFlight := fs.Bool("no-flight", false, "disable the always-on flight recorder")
 	monTarget := fs.String("monitor-target", "", "upstream slserve base URL to health-probe; declares its down nodes into this server's fault set")
 	monEvery := fs.Duration("monitor-every", time.Second, "monitor probe sweep interval")
@@ -304,10 +303,7 @@ func run(args []string, out io.Writer) (int, error) {
 
 	var wireSrv *safecube.WireServer
 	if *wireAddr != "" {
-		wireSrv, err = srv.ServeWire(*wireAddr, safecube.WireOptions{
-			Workers:  *wireWorkers,
-			Registry: reg,
-		})
+		wireSrv, err = srv.ServeWire(*wireAddr, safecube.WireOptions{Registry: reg})
 		if err != nil {
 			return 2, err
 		}
@@ -362,7 +358,7 @@ func run(args []string, out io.Writer) (int, error) {
 		defer cancel()
 		if wireSrv != nil {
 			// Close the wire surface before the engine drains: Close
-			// waits out the per-connection pipelines, so no wire request
+			// waits for every connection's goroutine, so no wire request
 			// is in flight when srv.Shutdown starts.
 			_ = wireSrv.Close()
 		}

@@ -494,3 +494,11 @@ func TestSplitList(t *testing.T) {
 		t.Fatal("splitList(\"\") != nil")
 	}
 }
+
+// TestRunRejectsWireWorkers pins that the removed -wire-workers flag is
+// refused like any unknown flag, with exit code 2.
+func TestRunRejectsWireWorkers(t *testing.T) {
+	if code, err := run([]string{"-wire-workers", "4"}, io.Discard); code != 2 || err == nil {
+		t.Fatalf("run -wire-workers 4: exit %d, err %v; want 2 and an error", code, err)
+	}
+}

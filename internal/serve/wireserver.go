@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
@@ -17,21 +16,25 @@ import (
 	"repro/internal/wire"
 )
 
-// The binary data plane. Each accepted connection runs the pipelined
-// loop the protocol was designed for:
+// The binary data plane. Each accepted connection is served by one
+// goroutine, which loops: read a frame through a bufio.Reader, execute
+// it, append the answer to a bufio.Writer, and flush unless the whole
+// next frame is already buffered, so a pipelining client costs one
+// read and one write syscall per burst rather than per frame.
+// Execution routes against the lock-free snapshot with the same
+// RouteCtx/BatchUnicastCtx hardening the HTTP handlers use — deadline
+// budgets re-armed from the frame, GCRA admission, drain awareness.
 //
-//	reader ──frames──▶ bounded jobs chan ──▶ N workers ──▶ results chan ──▶ writer
-//
-// One goroutine reads frames off the socket and tags each with an
-// arrival sequence number; the workers decode, route against the
-// lock-free snapshot (the same RouteCtx/BatchUnicastCtx hardening the
-// HTTP handlers use — deadline budgets re-armed from the frame, GCRA
-// admission, drain awareness), and encode the response into a pooled
-// buffer; a single writer reorders completed responses by sequence
-// number so the client observes strict request order per connection,
-// no matter how the workers interleave. The jobs channel is bounded:
-// a client that pipelines faster than the workers drain blocks in the
-// kernel, not in server memory.
+// Answers leave in request order because frames run one at a time, and
+// a client that pipelines faster than the server routes is held back
+// by the kernel. The price is head-of-line blocking inside one
+// connection: a 4096-pair batch at Q20 holds up the frames behind it
+// for about 3 ms, so callers that want frames run side by side open
+// more connections, as the pooling client and the coalescer do. Before
+// each frame's header is read the connection's deadline is set
+// wireIdleTimeout ahead; it bounds both that frame's arrival and the
+// write of its answer, so a client that goes silent, stalls mid-frame
+// or stops reading is disconnected.
 //
 // Refusals map to typed error frames one-to-one with the HTTP status
 // taxonomy: ErrOverload→CodeOverload(429), ErrBacklog→CodeBacklog,
@@ -48,15 +51,13 @@ import (
 // Large.
 const MaxBatchPairs = 4096
 
-// WireOptions tune a WireServer. The zero value serves with
-// min(GOMAXPROCS, 4) workers and 128 queued frames per connection.
+// wireIdleTimeout is how long a connection may take to deliver one
+// frame and take its answer; it equals slserve's HTTP idle timeout.
+const wireIdleTimeout = 2 * time.Minute
+
+// WireOptions tune a WireServer. The zero value serves frames of up to
+// wire.DefaultMaxPayload bytes and batches of up to MaxBatchPairs.
 type WireOptions struct {
-	// Workers is the per-connection routing worker count (<= 0 means
-	// min(GOMAXPROCS, 4)).
-	Workers int
-	// QueueDepth bounds the per-connection in-flight frame queue
-	// (<= 0 means 128). A full queue exerts TCP backpressure.
-	QueueDepth int
 	// MaxPayload bounds accepted request payloads (<= 0 means
 	// wire.DefaultMaxPayload).
 	MaxPayload int
@@ -81,6 +82,7 @@ type WireServer struct {
 	svc  *Service
 	ln   net.Listener
 	opts WireOptions
+	idle time.Duration
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -96,15 +98,12 @@ type WireServer struct {
 // NewWireServer starts serving the binary protocol on ln. It returns
 // immediately; Close (or closing ln) stops it.
 func NewWireServer(svc *Service, ln net.Listener, opts WireOptions) *WireServer {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-		if opts.Workers > 4 {
-			opts.Workers = 4
-		}
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 128
-	}
+	return serveWire(svc, ln, opts, wireIdleTimeout)
+}
+
+// serveWire is NewWireServer with the per-frame connection deadline as
+// a parameter, so tests can shorten it.
+func serveWire(svc *Service, ln net.Listener, opts WireOptions, idle time.Duration) *WireServer {
 	if opts.MaxPayload <= 0 {
 		opts.MaxPayload = wire.DefaultMaxPayload
 	}
@@ -115,6 +114,7 @@ func NewWireServer(svc *Service, ln net.Listener, opts WireOptions) *WireServer 
 		svc:   svc,
 		ln:    ln,
 		opts:  opts,
+		idle:  idle,
 		conns: map[net.Conn]struct{}{},
 	}
 	r := opts.Registry
@@ -141,7 +141,8 @@ func ListenWire(svc *Service, addr string, opts WireOptions) (*WireServer, error
 func (ws *WireServer) Addr() string { return ws.ln.Addr().String() }
 
 // Close stops accepting, closes every live connection, and waits for
-// the per-connection pipelines to exit. Idempotent.
+// each connection's goroutine to exit. A frame being executed finishes
+// first; its answer is lost with the connection. Idempotent.
 func (ws *WireServer) Close() error {
 	ws.mu.Lock()
 	if ws.closed {
@@ -185,24 +186,8 @@ func (ws *WireServer) acceptLoop() {
 	}
 }
 
-// wireJob is one framed request traveling reader→worker: seq is the
-// arrival order the writer restores, refuse short-circuits execution
-// with a typed error frame (version/size refusals decided at read
-// time must still flow through the writer to keep ordering).
-type wireJob struct {
-	seq     uint64
-	hdr     wire.Header
-	payload []byte // pooled; worker releases
-	refuse  wire.ErrCode
-	detail  string
-}
-
-// wireResult is one encoded response frame traveling worker→writer.
-type wireResult struct {
-	seq   uint64
-	frame []byte // pooled; writer releases after write
-}
-
+// serveConn reads, executes and answers nc's frames one at a time
+// until the client leaves, breaks framing or misses a deadline.
 func (ws *WireServer) serveConn(nc net.Conn) {
 	defer ws.wg.Done()
 	defer func() {
@@ -215,95 +200,68 @@ func (ws *WireServer) serveConn(nc net.Conn) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-
-	jobs := make(chan wireJob, ws.opts.QueueDepth)
-	results := make(chan wireResult, ws.opts.QueueDepth)
-
-	// Workers: decode, execute against the snapshot engine, encode.
-	var workerWg sync.WaitGroup
-	for w := 0; w < ws.opts.Workers; w++ {
-		workerWg.Add(1)
-		go func() {
-			defer workerWg.Done()
-			ws.worker(jobs, results)
-		}()
-	}
-	// Close results once every worker is done, so the writer drains
-	// fully and exits.
-	go func() {
-		workerWg.Wait()
-		close(results)
-	}()
-
-	// Writer: restore arrival order by sequence number. hold parks
-	// responses that completed ahead of an earlier in-flight request.
-	var writerWg sync.WaitGroup
-	writerWg.Add(1)
-	go func() {
-		defer writerWg.Done()
-		bw := bufio.NewWriterSize(nc, 32<<10)
-		hold := map[uint64][]byte{}
-		next := uint64(0)
-		for res := range results {
-			hold[res.seq] = res.frame
-			for {
-				frame, ok := hold[next]
-				if !ok {
-					break
-				}
-				delete(hold, next)
-				next++
-				if _, err := bw.Write(frame); err != nil {
-					wire.PutBuf(frame)
-					// The socket is gone; keep draining so workers
-					// never block on the results channel.
-					continue
-				}
-				wire.PutBuf(frame)
-			}
-			if len(results) == 0 {
-				// No response immediately behind this one: flush the
-				// batch to the wire rather than waiting for more.
-				_ = bw.Flush()
-			}
-		}
-		_ = bw.Flush()
-		for _, frame := range hold {
-			wire.PutBuf(frame)
-		}
-	}()
-
-	// Reader: frames → jobs, in arrival order.
-	var seq uint64
-	var buf []byte
+	br := bufio.NewReaderSize(nc, 32<<10)
+	bw := bufio.NewWriterSize(nc, 32<<10)
+	// buf holds the frame being executed; the batch scratch slices
+	// amortize decode and encode across the connection's lifetime.
+	var (
+		buf    []byte
+		pairs  []wire.Pair
+		routes []wire.RouteInfo
+		reqs   []Request
+	)
 	for {
-		hdr, payload, nbuf, err := wire.ReadFrame(nc, buf, ws.opts.MaxPayload)
+		// SetDeadline fails only on a closed connection, which the
+		// read below reports.
+		_ = nc.SetDeadline(time.Now().Add(ws.idle))
+		hdr, payload, nbuf, err := wire.ReadFrame(br, buf, ws.opts.MaxPayload)
 		buf = nbuf
 		if err != nil {
 			if errors.Is(err, wire.ErrTooLarge) {
 				// Framing itself is intact but the payload was refused
 				// unread; the stream position is lost, so answer and
-				// drop the connection.
-				jobs <- wireJob{seq: seq, hdr: hdr, refuse: wire.CodeTooLarge, detail: err.Error()}
-				seq++
+				// drop the connection. It closes either way, so write
+				// errors change nothing.
+				ws.mErrors.Inc()
+				frame := errFrame(hdr.ReqID, wire.CodeTooLarge, err.Error())
+				_, _ = bw.Write(frame)
+				wire.PutBuf(frame)
+				_ = bw.Flush()
 			}
-			break
+			return
 		}
 		ws.mFrames.Inc()
-		job := wireJob{seq: seq, hdr: hdr}
-		seq++
+		var frame []byte
 		switch {
 		case hdr.Major != wire.Major, hdr.Minor < ws.opts.RequireMinor, hdr.Minor > ws.advertisedMinor():
-			job.refuse = wire.CodeVersion
-			job.detail = fmt.Sprintf("server speaks v%d.%d", wire.Major, ws.advertisedMinor())
+			ws.mErrors.Inc()
+			frame = errFrame(hdr.ReqID, wire.CodeVersion, fmt.Sprintf("server speaks v%d.%d", wire.Major, ws.advertisedMinor()))
 		default:
-			job.payload = append(wire.GetBuf(), payload...)
+			frame = ws.execute(hdr, payload, &pairs, &routes, &reqs)
 		}
-		jobs <- job
+		_, err = bw.Write(frame)
+		wire.PutBuf(frame)
+		if err != nil {
+			return
+		}
+		if !nextFrameBuffered(br) && bw.Flush() != nil {
+			return
+		}
 	}
-	close(jobs)
-	workerWg.Wait()
-	writerWg.Wait()
+}
+
+// nextFrameBuffered reports whether br already holds the whole next
+// frame, in which case the answers written so far can wait for its
+// answer and leave in one write. A partial frame, a bad header or an
+// empty buffer means the client may be waiting on those answers.
+func nextFrameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < wire.HeaderSize {
+		return false
+	}
+	b, _ := br.Peek(wire.HeaderSize)
+	h, err := wire.ParseHeader(b)
+	return err == nil && int64(h.Len) <= int64(n-wire.HeaderSize)
 }
 
 // advertisedMinor is the minor version the server claims: its own, or
@@ -313,20 +271,6 @@ func (ws *WireServer) advertisedMinor() uint8 {
 		return ws.opts.RequireMinor
 	}
 	return wire.Minor
-}
-
-// worker executes jobs and emits encoded response frames.
-func (ws *WireServer) worker(jobs <-chan wireJob, results chan<- wireResult) {
-	var pairs []wire.Pair
-	var routes []wire.RouteInfo
-	reqs := make([]Request, 0, 64)
-	for job := range jobs {
-		frame := ws.execute(&job, &pairs, &routes, &reqs)
-		if job.payload != nil {
-			wire.PutBuf(job.payload)
-		}
-		results <- wireResult{seq: job.seq, frame: frame}
-	}
 }
 
 // errFrame encodes a typed error response.
@@ -364,16 +308,14 @@ func budgetCtx(deadlineUS uint32) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), time.Duration(deadlineUS)*time.Microsecond)
 }
 
-// execute runs one job and returns its encoded response frame. The
-// scratch slices amortize batch decode/encode across a connection's
-// lifetime.
-func (ws *WireServer) execute(job *wireJob, pairs *[]wire.Pair, routes *[]wire.RouteInfo, reqs *[]Request) []byte {
-	id := job.hdr.ReqID
-	if job.refuse != 0 {
-		ws.mErrors.Inc()
-		return errFrame(id, job.refuse, job.detail)
-	}
-	switch job.hdr.Op {
+// execute runs one request frame and returns its encoded response
+// frame, taken from the wire buffer pool. body is the request payload;
+// it may alias the read buffer, and nothing here keeps it past the
+// call. The scratch slices
+// amortize batch decode/encode across a connection's lifetime.
+func (ws *WireServer) execute(hdr wire.Header, body []byte, pairs *[]wire.Pair, routes *[]wire.RouteInfo, reqs *[]Request) []byte {
+	id := hdr.ReqID
+	switch hdr.Op {
 	case wire.OpPing:
 		payload := wire.AppendPingResp(wire.GetBuf(), wire.PingResp{Major: wire.Major, Minor: ws.advertisedMinor()})
 		frame := wire.AppendFrame(wire.GetBuf(), wire.OpPing, wire.FlagResponse, id, payload)
@@ -381,7 +323,7 @@ func (ws *WireServer) execute(job *wireJob, pairs *[]wire.Pair, routes *[]wire.R
 		return frame
 
 	case wire.OpUnicast:
-		req, err := wire.ParseUnicastReq(job.payload)
+		req, err := wire.ParseUnicastReq(body)
 		if err != nil {
 			ws.mErrors.Inc()
 			return errFrame(id, wire.CodeBadRequest, err.Error())
@@ -407,7 +349,7 @@ func (ws *WireServer) execute(job *wireJob, pairs *[]wire.Pair, routes *[]wire.R
 		return frame
 
 	case wire.OpBatch:
-		deadline, ps, err := wire.ParseBatchReq(job.payload, (*pairs)[:0])
+		deadline, ps, err := wire.ParseBatchReq(body, (*pairs)[:0])
 		*pairs = ps
 		if err != nil {
 			ws.mErrors.Inc()
@@ -445,7 +387,7 @@ func (ws *WireServer) execute(job *wireJob, pairs *[]wire.Pair, routes *[]wire.R
 		return frame
 
 	case wire.OpFeasibility:
-		req, err := wire.ParseFeasReq(job.payload)
+		req, err := wire.ParseFeasReq(body)
 		if err != nil {
 			ws.mErrors.Inc()
 			return errFrame(id, wire.CodeBadRequest, err.Error())
@@ -461,7 +403,7 @@ func (ws *WireServer) execute(job *wireJob, pairs *[]wire.Pair, routes *[]wire.R
 		return frame
 
 	case wire.OpFaultDelta:
-		req, err := wire.ParseFaultReq(job.payload)
+		req, err := wire.ParseFaultReq(body)
 		if err != nil {
 			ws.mErrors.Inc()
 			return errFrame(id, wire.CodeBadRequest, err.Error())
@@ -489,7 +431,7 @@ func (ws *WireServer) execute(job *wireJob, pairs *[]wire.Pair, routes *[]wire.R
 
 	default:
 		ws.mErrors.Inc()
-		return errFrame(id, wire.CodeUnknownOp, job.hdr.Op.String())
+		return errFrame(id, wire.CodeUnknownOp, hdr.Op.String())
 	}
 }
 

@@ -257,12 +257,11 @@ func TestWireServerDraining(t *testing.T) {
 	}
 }
 
-// TestWireServerResponseOrder pins the writer's reorder contract: a
-// client that pipelines N requests on one connection reads the N
-// responses back in exactly the order it sent them, even though the
-// worker pool completes them in arbitrary order.
+// TestWireServerResponseOrder pins the per-connection order contract: a
+// client that pipelines N mixed requests on one connection reads the N
+// responses back in exactly the order it sent them.
 func TestWireServerResponseOrder(t *testing.T) {
-	_, ws := newWireServer(t, Options{}, WireOptions{Workers: 4})
+	_, ws := newWireServer(t, Options{}, WireOptions{})
 	nc, err := net.Dial("tcp", ws.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -516,11 +515,12 @@ func TestWireServerCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestWireServerQueueBackpressure floods one connection far past the
-// job queue depth and checks every request is still answered exactly
-// once in order — backpressure must stall the reader, never drop work.
+// TestWireServerQueueBackpressure floods one connection with pipelined
+// requests and checks every request is still answered exactly once in
+// order — backpressure must stall the client in the kernel, never drop
+// work.
 func TestWireServerQueueBackpressure(t *testing.T) {
-	_, ws := newWireServer(t, Options{}, WireOptions{Workers: 2, QueueDepth: 4})
+	_, ws := newWireServer(t, Options{}, WireOptions{})
 	nc, err := net.Dial("tcp", ws.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -11,24 +11,15 @@ import (
 // See docs/OPERATIONS.md ("The binary wire protocol") for the frame
 // layout, the opcode table and the error taxonomy.
 
-// MaxBatchPairs is the largest batch either serving surface accepts by
-// default: the wire listener's MaxBatch default and the limit of
-// slserve's HTTP /batch endpoint.
+// MaxBatchPairs is the largest batch either serving surface accepts:
+// the wire listener's batch limit and the limit of slserve's HTTP
+// /batch endpoint.
 const MaxBatchPairs = serve.MaxBatchPairs
 
-// WireOptions tune a wire listener. The zero value serves with
-// min(GOMAXPROCS, 4) workers per connection and 128 queued frames.
+// WireOptions configure a wire listener. Every connection is served on
+// one goroutine, in request order, with the MaxBatchPairs batch limit;
+// a caller that wants frames run side by side opens more connections.
 type WireOptions struct {
-	// Workers is the per-connection routing worker count (<= 0 means
-	// min(GOMAXPROCS, 4)).
-	Workers int
-	// QueueDepth bounds the per-connection in-flight frame queue
-	// (<= 0 means 128); a full queue pushes back on the client's TCP
-	// stream instead of buffering server memory.
-	QueueDepth int
-	// MaxBatch bounds the pair count of one batch frame (<= 0 means
-	// MaxBatchPairs).
-	MaxBatch int
 	// Registry receives the wire_* metrics (nil disables).
 	Registry *Registry
 }
@@ -42,12 +33,7 @@ type WireServer struct {
 // use ":0" to let the kernel pick and Addr to discover it). Close the
 // returned WireServer before closing the Server.
 func (s *Server) ServeWire(addr string, opts WireOptions) (*WireServer, error) {
-	ws, err := serve.ListenWire(s.svc, addr, serve.WireOptions{
-		Workers:    opts.Workers,
-		QueueDepth: opts.QueueDepth,
-		MaxBatch:   opts.MaxBatch,
-		Registry:   opts.Registry,
-	})
+	ws, err := serve.ListenWire(s.svc, addr, serve.WireOptions{Registry: opts.Registry})
 	if err != nil {
 		return nil, err
 	}
@@ -58,5 +44,5 @@ func (s *Server) ServeWire(addr string, opts WireOptions) (*WireServer, error) {
 func (w *WireServer) Addr() string { return w.ws.Addr() }
 
 // Close stops accepting, closes every live connection and waits for
-// the per-connection pipelines to drain. Idempotent.
+// each connection's goroutine to exit. Idempotent.
 func (w *WireServer) Close() error { return w.ws.Close() }
