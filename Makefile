@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt build vet test race fuzz bench-smoke bench-hot bench-json bench-e2e load-smoke flight-smoke scenario-smoke wire-smoke diagnose-smoke scale-smoke cover staticcheck ci
+.PHONY: all fmt build vet test race fuzz bench-smoke bench-hot bench-json bench-e2e load-smoke scenario-smoke diagnose-smoke scale-smoke cover staticcheck ci
 
 all: ci
 
@@ -79,21 +79,6 @@ load-smoke:
 		-mix route:8,batch:1,routeall:1 -churn 2ms -victims 4 \
 		-deadline 1s -min-ok 500 -o /dev/null
 
-# End-to-end flight-recorder smoke: start slserve, drive it briefly
-# over HTTP with slload, then assert /debug/flight returns at least one
-# parseable trace (internal/ci/flightcheck). Uses a fixed localhost
-# port; override FLIGHT_ADDR if it clashes.
-FLIGHT_ADDR ?= 127.0.0.1:18080
-flight-smoke:
-	@$(GO) build -o /tmp/slserve-smoke ./cmd/slserve
-	@/tmp/slserve-smoke -n 6 -random 4 -listen $(FLIGHT_ADDR) & \
-	pid=$$!; trap 'kill $$pid 2>/dev/null' EXIT; \
-	sleep 1; \
-	$(GO) run ./cmd/slload -target http://$(FLIGHT_ADDR) -n 6 \
-		-workers 2 -duration 1s -warmup 100ms -min-ok 50 \
-		-flight -o /dev/null && \
-	$(GO) run ./internal/ci/flightcheck http://$(FLIGHT_ADDR)/debug/flight
-
 # Correlated-fault scenario smoke: one short seeded slload pass per
 # scenario profile against the in-process engine (the schedule replays
 # through the same Target.ApplyEvent surface an HTTP run uses), then
@@ -107,28 +92,6 @@ scenario-smoke:
 			|| exit 1; \
 	done
 	$(GO) test -run 'TestScenario|TestRunScenario|TestScheduleReplay' ./...
-
-# End-to-end binary data-plane smoke: start slserve with both surfaces
-# up, replay a seeded slload run over the wire protocol (coalesced
-# batches + a correlated-fault scenario streamed as OpFaultDelta
-# frames), and require an only-OK digest — every request answered,
-# every answer a typed success, no overload/deadline/draining/error
-# classes at all. Uses a fixed localhost port; override WIRE_ADDR if it
-# clashes.
-WIRE_ADDR ?= 127.0.0.1:18090
-wire-smoke:
-	@$(GO) build -o /tmp/slserve-wire-smoke ./cmd/slserve
-	@/tmp/slserve-wire-smoke -n 6 -random 4 -listen 127.0.0.1:18091 -wire-addr $(WIRE_ADDR) & \
-	pid=$$!; trap 'kill $$pid 2>/dev/null' EXIT; \
-	sleep 1; \
-	echo "# wire-smoke: plain seeded run" && \
-	$(GO) run ./cmd/slload -wire $(WIRE_ADDR) -n 6 -seed 7 \
-		-workers 4 -duration 1s -warmup 100ms -mix route:8,batch:1,routeall:1 \
-		-deadline 2s -min-ok 500 -only-ok -o /dev/null && \
-	echo "# wire-smoke: coalesced run with scenario churn" && \
-	$(GO) run ./cmd/slload -wire $(WIRE_ADDR) -n 6 -seed 7 -coalesce 4 \
-		-workers 4 -duration 1s -warmup 100ms -scenario flap \
-		-deadline 2s -min-ok 500 -only-ok -o /dev/null
 
 # Syndrome-diagnosis smoke: close the test→diagnose→journal→route loop
 # end to end. First a seeded scenario run where the churn schedule is

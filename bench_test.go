@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/faults"
-	"repro/internal/ghcube"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -179,11 +178,12 @@ func BenchmarkFig4LinkFaults(b *testing.B) {
 // BenchmarkFig5Generalized (E9): Definition 4 fixpoint plus the worked
 // route in GH(2x3x2).
 func BenchmarkFig5Generalized(b *testing.B) {
-	g := expt.Fig5Graph()
-	src, dst := g.MustParse("010"), g.MustParse("101")
+	s := expt.Fig5Set()
+	m := s.Topology().(*topo.Mixed)
+	src, dst := m.MustParse("010"), m.MustParse("101")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rt := ghcube.NewRouter(ghcube.Compute(g))
+		rt := core.NewRouter(core.Compute(s, core.Options{}), nil)
 		if r := rt.Unicast(src, dst); r.Outcome != core.Optimal {
 			b.Fatal("route should be optimal")
 		}
@@ -491,14 +491,14 @@ func BenchmarkGHByShape(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			rng := stats.NewRNG(99)
-			g := ghcube.MustNew(shape...)
-			if err := g.InjectUniform(rng, 5); err != nil {
+			s := faults.NewSet(topo.MustMixed(shape...))
+			if err := faults.InjectUniform(s, rng, 5); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ghcube.Compute(g)
+				core.Compute(s, core.Options{})
 			}
 		})
 	}

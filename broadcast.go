@@ -37,6 +37,10 @@ func (r *BroadcastResult) Covered() bool {
 // delivered by individual safety-level unicasts, so the combined
 // operation covers every reachable node whenever unicast admission
 // holds — always, below n faults.
+//
+// Broadcast runs on binary cubes only: the binomial tree is defined
+// over Q_n, and it panics on a generalized cube. Distributed.Broadcast
+// runs on both lattices.
 func (c *Cube) Broadcast(s NodeID) *BroadcastResult {
 	lv := c.ComputeLevels()
 	res := broadcast.New(lv.as, true).Broadcast(s)

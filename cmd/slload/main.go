@@ -63,7 +63,7 @@
 //	-min-ok N     exit 1 unless at least N requests completed OK
 //	              (the CI smoke gate)
 //	-only-ok      exit 1 if ANY request finished in a non-OK class
-//	              (the wire-smoke digest gate)
+//	              (the only-OK digest gate)
 //	-flight       after the run, print the target's flight-recorder
 //	              summary (records and incidents) to stderr; against a
 //	              -target it scrapes /debug/flight and /debug/incidents

@@ -153,10 +153,10 @@ func TestRunScenarioDiagnosed(t *testing.T) {
 	}
 }
 
-// TestRunWire drives a real wire server over loopback: a plain seeded
-// run with the full mix under -only-ok, then a coalesced run replaying
-// a correlated-fault scenario as OpFaultDelta frames — the same two
-// passes `make wire-smoke` gates in CI, shrunk to test budget.
+// TestRunWire drives a real wire server on a :0 loopback listener: a
+// plain seeded run with the full mix under -only-ok, then a coalesced
+// run replaying a correlated-fault scenario as OpFaultDelta frames, both
+// gated on an only-OK digest.
 func TestRunWire(t *testing.T) {
 	c, err := safecube.New(6)
 	if err != nil {

@@ -8,17 +8,14 @@
 //
 //	slmetrics -n 7 -random 12 -seed 3 -pairs 128 -format prom
 //	slmetrics -n 6 -random 6 -pairs 64 -format json
-//	slmetrics -n 8 -random 20 -pairs 256 -listen :8080
 //	slmetrics -radix 2x3x2 -faults 011,100,111,121 -pairs 32 -format prom
 //
 // With -radix the sweep runs over a generalized hypercube (Section 4.2)
 // instead of a binary cube; the same GS, batch-unicast and sequential
 // phases run through the topology-generic engine and facade.
 //
-// Without -listen the registry is dumped to stdout in the chosen format
-// ("prom", "json" or "both"). With -listen the process keeps routing the
-// sweep in a loop and serves /metrics (Prometheus text), /vars
-// (expvar-style JSON) and /debug/vars (stdlib expvar) until killed.
+// The registry is dumped to stdout in the chosen format ("prom", "json"
+// or "both"). A running system's metrics come from slserve's /metrics.
 // Exit status: 0 ok, 2 usage error.
 package main
 
@@ -26,10 +23,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	safecube "repro"
 	"repro/internal/stats"
@@ -59,7 +54,6 @@ func run(args []string, out io.Writer) (int, error) {
 	traced := fs.Int("traced", 4, "record full decision traces for this many requests")
 	format := fs.String("format", "both", "dump format: prom, json or both")
 	digest := fs.Bool("digest", false, "also print the latency/size quantile digest table")
-	listen := fs.String("listen", "", "serve metrics over HTTP on this address instead of dumping")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
@@ -72,76 +66,28 @@ func run(args []string, out io.Writer) (int, error) {
 	reg := safecube.NewRegistry()
 	reg.KeepTraces(*traced)
 
-	// Both topologies expose the same sweep entry point: -radix swaps the
-	// binary cube for a generalized hypercube over the same generic core.
-	var (
-		sweep  func(seed uint64, traced int) error
-		header string
-	)
-	if *radix != "" {
-		rx, err := safecube.ParseRadix(*radix)
-		if err != nil {
-			return 2, err
-		}
-		g, err := safecube.NewGeneralized(rx...)
-		if err != nil {
-			return 2, err
-		}
-		g.Instrument(reg)
-		if *faultList != "" {
-			if err := g.FailNamed(splitList(*faultList)...); err != nil {
-				return 2, err
-			}
-		}
-		if *random > 0 {
-			if err := g.InjectRandomFaults(*seed, *random); err != nil {
-				return 2, err
-			}
-		}
-		sweep = func(seed uint64, traced int) error { return runSweepGH(g, seed, *pairs, traced) }
-		header = fmt.Sprintf("GH(%s), %d nodes, %d node faults", *radix, g.Nodes(), g.NodeFaults())
-	} else {
-		c, err := safecube.New(*n)
-		if err != nil {
-			return 2, err
-		}
-		c.Instrument(reg)
-		if *faultList != "" {
-			if err := c.FailNamed(splitList(*faultList)...); err != nil {
-				return 2, err
-			}
-		}
-		if *random > 0 {
-			if err := c.InjectRandomFaults(*seed, *random); err != nil {
-				return 2, err
-			}
-		}
-		sweep = func(seed uint64, traced int) error { return runSweep(c, seed, *pairs, traced) }
-		header = c.String()
-	}
-
-	if err := sweep(*seed, *traced); err != nil {
+	c, err := newCube(*n, *radix)
+	if err != nil {
 		return 2, err
 	}
-	fmt.Fprintf(out, "# %s; swept %d pairs\n", header, *pairs)
-	if gs := reg.LastGS(); gs != nil {
-		fmt.Fprintf(out, "# %s\n", gs.Summary())
+	c.Instrument(reg)
+	if *faultList != "" {
+		if err := c.FailNamed(splitList(*faultList)...); err != nil {
+			return 2, err
+		}
+	}
+	if *random > 0 {
+		if err := c.InjectRandomFaults(*seed, *random); err != nil {
+			return 2, err
+		}
 	}
 
-	if *listen != "" {
-		go func() {
-			for i := uint64(2); ; i++ {
-				if err := sweep(*seed*i, 0); err != nil {
-					return
-				}
-				time.Sleep(time.Second)
-			}
-		}()
-		mux := reg.Mux()
-		reg.Publish("safecube")
-		mux.Handle("/debug/vars", http.DefaultServeMux)
-		fmt.Fprintf(out, "# serving /metrics and /vars on %s\n", *listen)
-		return 0, http.ListenAndServe(*listen, mux)
+	if err := runSweep(c, *seed, *pairs, *traced); err != nil {
+		return 2, err
+	}
+	fmt.Fprintf(out, "# %s; swept %d pairs\n", c, *pairs)
+	if gs := reg.LastGS(); gs != nil {
+		fmt.Fprintf(out, "# %s\n", gs.Summary())
 	}
 
 	if *format == "json" || *format == "both" {
@@ -179,7 +125,7 @@ func runSweep(c *safecube.Cube, seed uint64, pairs, traced int) error {
 		reqs = append(reqs, safecube.TrafficPair{Src: src, Dst: dst})
 	}
 	if len(reqs) == 0 {
-		return fmt.Errorf("no routable pairs in Q%d with %d faults", c.Dim(), c.NodeFaults())
+		return fmt.Errorf("no routable pairs in %s", c)
 	}
 
 	// Warm the sequential level cache first so the distributed GS trace
@@ -208,48 +154,17 @@ func runSweep(c *safecube.Cube, seed uint64, pairs, traced int) error {
 	return nil
 }
 
-// runSweepGH is runSweep over a generalized hypercube: same phases
-// (distributed GS, batched distributed unicasts, sequential router),
-// driven through the Generalized facade and its GDistributed engine.
-func runSweepGH(g *safecube.Generalized, seed uint64, pairs, traced int) error {
-	rng := stats.NewRNG(seed * 7919)
-	var reqs []safecube.TrafficPair
-	for tries := 0; len(reqs) < pairs && tries < pairs*100; tries++ {
-		src := safecube.GNodeID(rng.Intn(g.Nodes()))
-		dst := safecube.GNodeID(rng.Intn(g.Nodes()))
-		if src == dst || g.NodeFaulty(src) || g.NodeFaulty(dst) {
-			continue
-		}
-		reqs = append(reqs, safecube.TrafficPair{Src: src, Dst: dst})
+// newCube builds the cube the flags describe: GH(shape) when shape is
+// set, else Q_n.
+func newCube(n int, shape string) (*safecube.Cube, error) {
+	if shape == "" {
+		return safecube.New(n)
 	}
-	if len(reqs) == 0 {
-		return fmt.Errorf("no routable pairs in the GH with %d faults", g.NodeFaults())
+	radix, err := safecube.ParseRadix(shape)
+	if err != nil {
+		return nil, err
 	}
-
-	// Warm the sequential level cache first so the distributed GS trace
-	// is the registry's LastGS.
-	g.ComputeLevels()
-	d := g.Distributed()
-	defer d.Close()
-	d.RunGS()
-	for lo := 0; lo < len(reqs); lo += d.MaxBatch() {
-		hi := lo + d.MaxBatch()
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		if _, err := d.UnicastBatch(reqs[lo:hi]); err != nil {
-			return err
-		}
-	}
-
-	for i, p := range reqs {
-		if i < traced {
-			g.UnicastTraced(p.Src, p.Dst)
-		} else {
-			g.Unicast(p.Src, p.Dst)
-		}
-	}
-	return nil
+	return safecube.NewGeneralized(radix...)
 }
 
 // splitList splits a comma-separated flag value, trimming blanks.

@@ -157,4 +157,7 @@ func TestBadFlags(t *testing.T) {
 	if _, code := runCLI(t, "-radix", "1x2"); code != 2 {
 		t.Errorf("bad radix: exit %d, want 2", code)
 	}
+	if _, code := runCLI(t, "-listen", "127.0.0.1:0"); code != 2 {
+		t.Errorf("-listen is not a flag: exit %d, want 2", code)
+	}
 }

@@ -46,29 +46,15 @@ func run(args []string, out io.Writer) (int, error) {
 	linkList := fs.String("links", "", "comma-separated faulty links, each as addr-addr")
 	random := fs.Int("random", 0, "inject this many uniform random faults")
 	seed := fs.Uint64("seed", 1, "seed for -random")
-	from := fs.String("from", "", "source address (binary)")
-	to := fs.String("to", "", "destination address (binary)")
+	from := fs.String("from", "", "source address")
+	to := fs.String("to", "", "destination address")
 	levels := fs.Bool("levels", false, "print the full safety-level table")
 	trace := fs.Bool("trace", false, "print the per-hop decision trace of the unicast")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
 
-	if *radix != "" {
-		return runGeneralized(out, ghOptions{
-			shape:     *radix,
-			faultList: *faultList,
-			linkList:  *linkList,
-			random:    *random,
-			seed:      *seed,
-			from:      *from,
-			to:        *to,
-			levels:    *levels,
-			trace:     *trace,
-		})
-	}
-
-	c, err := safecube.New(*n)
+	c, err := newCube(*n, *radix)
 	if err != nil {
 		return 2, err
 	}
@@ -156,106 +142,17 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 }
 
-// ghOptions carries the flag set into the generalized path; every
-// binary-cube flag works with -radix too.
-type ghOptions struct {
-	shape, faultList, linkList string
-	random                     int
-	seed                       uint64
-	from, to                   string
-	levels, trace              bool
-}
-
-// runGeneralized handles the Section 4.2 topology: parse the shape,
-// apply node/link/random faults, and route — with the same -levels and
-// -trace features as the binary path (the generic core serves both).
-func runGeneralized(out io.Writer, o ghOptions) (int, error) {
-	radix, err := safecube.ParseRadix(o.shape)
+// newCube builds the cube the flags describe: GH(shape) when shape is
+// set, else Q_n.
+func newCube(n int, shape string) (*safecube.Cube, error) {
+	if shape == "" {
+		return safecube.New(n)
+	}
+	radix, err := safecube.ParseRadix(shape)
 	if err != nil {
-		return 2, err
+		return nil, err
 	}
-	g, err := safecube.NewGeneralized(radix...)
-	if err != nil {
-		return 2, err
-	}
-	if o.faultList != "" {
-		if err := g.FailNamed(splitList(o.faultList)...); err != nil {
-			return 2, err
-		}
-	}
-	for _, l := range splitList(o.linkList) {
-		ends := strings.SplitN(l, "-", 2)
-		if len(ends) != 2 {
-			return 2, fmt.Errorf("bad link %q, want addr-addr", l)
-		}
-		a, err := g.Parse(ends[0])
-		if err != nil {
-			return 2, err
-		}
-		b, err := g.Parse(ends[1])
-		if err != nil {
-			return 2, err
-		}
-		if err := g.FailLink(a, b); err != nil {
-			return 2, err
-		}
-	}
-	if o.random > 0 {
-		if err := g.InjectRandomFaults(o.seed, o.random); err != nil {
-			return 2, err
-		}
-	}
-	lv := g.ComputeLevels()
-	fmt.Fprintf(out, "GH(%s), %d nodes, levels stabilized in %d rounds, connected: %v\n",
-		o.shape, g.Nodes(), lv.Rounds(), g.Connected())
-	if o.levels {
-		for a := 0; a < g.Nodes(); a++ {
-			id := safecube.GNodeID(a)
-			mark := ""
-			if g.NodeFaulty(id) {
-				mark = " (faulty)"
-			} else if lv.Safe(id) {
-				mark = " (safe)"
-			}
-			own := ""
-			if lv.OwnLevel(id) != lv.Level(id) {
-				own = fmt.Sprintf(" own=%d", lv.OwnLevel(id))
-			}
-			fmt.Fprintf(out, "  S(%s) = %d%s%s\n", g.Format(id), lv.Level(id), own, mark)
-		}
-	}
-	if o.from == "" || o.to == "" {
-		return 0, nil
-	}
-	src, err := g.Parse(o.from)
-	if err != nil {
-		return 2, err
-	}
-	dst, err := g.Parse(o.to)
-	if err != nil {
-		return 2, err
-	}
-	var r *safecube.GRoute
-	if o.trace {
-		var tr *safecube.RouteTrace
-		r, tr = g.UnicastTraced(src, dst)
-		fmt.Fprint(out, tr.Format(func(a int) string { return g.Format(safecube.GNodeID(a)) }))
-	} else {
-		r = g.Unicast(src, dst)
-	}
-	fmt.Fprintf(out, "unicast %s -> %s: distance %d, condition %s, outcome %s\n",
-		o.from, o.to, r.Distance, r.Condition, r.Outcome)
-	switch {
-	case r.Err != nil:
-		fmt.Fprintf(out, "  error: %v\n", r.Err)
-		return 1, nil
-	case r.Outcome == safecube.Failure:
-		fmt.Fprintln(out, "  aborted at the source: no admission condition held")
-		return 1, nil
-	default:
-		fmt.Fprintf(out, "  path (%d hops): %s\n", r.Hops(), r.PathString(g))
-		return 0, nil
-	}
+	return safecube.NewGeneralized(radix...)
 }
 
 func splitList(s string) []string {

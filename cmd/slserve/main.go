@@ -121,15 +121,6 @@ func main() {
 	os.Exit(code)
 }
 
-// naming is the slice of both facades the handler needs: address
-// parsing and formatting over a shared NodeID space (NodeID and
-// GNodeID are the same type).
-type naming interface {
-	Parse(addr string) (safecube.NodeID, error)
-	Format(a safecube.NodeID) string
-	Nodes() int
-}
-
 // run executes one invocation; split from main so the CLI is testable.
 func run(args []string, out io.Writer) (int, error) {
 	fs := flag.NewFlagSet("slserve", flag.ContinueOnError)
@@ -175,13 +166,21 @@ func run(args []string, out io.Writer) (int, error) {
 			Registry:    reg,
 		})
 	}
-	var (
-		nm     naming
-		srv    *safecube.Server
-		header string
-		err    error
-	)
-	opts := safecube.ServeOptions{
+	c, err := newCube(*n, *radix)
+	if err != nil {
+		return 2, err
+	}
+	if *faultList != "" {
+		if err := c.FailNamed(splitList(*faultList)...); err != nil {
+			return 2, err
+		}
+	}
+	if *random > 0 {
+		if err := c.InjectRandomFaults(*seed, *random); err != nil {
+			return 2, err
+		}
+	}
+	srv, err := c.Serve(safecube.ServeOptions{
 		QueueDepth: *queue,
 		Workers:    *workers,
 		Rate:       *rate,
@@ -189,48 +188,7 @@ func run(args []string, out io.Writer) (int, error) {
 		Registry:   reg,
 		Flight:     flight,
 		NoFlight:   *noFlight,
-	}
-	if *radix != "" {
-		rx, rerr := safecube.ParseRadix(*radix)
-		if rerr != nil {
-			return 2, rerr
-		}
-		g, gerr := safecube.NewGeneralized(rx...)
-		if gerr != nil {
-			return 2, gerr
-		}
-		if *faultList != "" {
-			if err := g.FailNamed(splitList(*faultList)...); err != nil {
-				return 2, err
-			}
-		}
-		if *random > 0 {
-			if err := g.InjectRandomFaults(*seed, *random); err != nil {
-				return 2, err
-			}
-		}
-		srv, err = g.Serve(opts)
-		nm = g
-		header = fmt.Sprintf("GH(%s), %d nodes, %d node faults", *radix, g.Nodes(), g.NodeFaults())
-	} else {
-		c, cerr := safecube.New(*n)
-		if cerr != nil {
-			return 2, cerr
-		}
-		if *faultList != "" {
-			if err := c.FailNamed(splitList(*faultList)...); err != nil {
-				return 2, err
-			}
-		}
-		if *random > 0 {
-			if err := c.InjectRandomFaults(*seed, *random); err != nil {
-				return 2, err
-			}
-		}
-		srv, err = c.Serve(opts)
-		nm = c
-		header = c.String()
-	}
+	})
 	if err != nil {
 		return 2, err
 	}
@@ -257,11 +215,11 @@ func run(args []string, out io.Writer) (int, error) {
 		base := strings.TrimRight(*monTarget, "/")
 		mon, err = monitor.New(
 			monitor.HTTPProber{URL: func(node int) string {
-				return base + "/probe?node=" + url.QueryEscape(nm.Format(safecube.NodeID(node)))
+				return base + "/probe?node=" + url.QueryEscape(c.Format(safecube.NodeID(node)))
 			}},
 			dedup,
 			monitor.Options{
-				Nodes:    nm.Nodes(),
+				Nodes:    c.Nodes(),
 				FailK:    *monK,
 				RecoverK: *monRecover,
 				Interval: *monEvery,
@@ -314,7 +272,7 @@ func run(args []string, out io.Writer) (int, error) {
 	if queueCap <= 0 {
 		queueCap = 64
 	}
-	mux := newHandler(srv, nm, reg, handlerOpts{
+	mux := newHandler(srv, c, reg, handlerOpts{
 		queueCap: queueCap,
 		deadline: *deadline,
 		pprof:    *pprofOn,
@@ -325,9 +283,9 @@ func run(args []string, out io.Writer) (int, error) {
 	})
 	httpSrv := newHTTPServer(*listen, mux)
 	if wireSrv != nil {
-		fmt.Fprintf(out, "# %s; serving routes on %s, wire on %s\n", header, *listen, wireSrv.Addr())
+		fmt.Fprintf(out, "# %s; serving routes on %s, wire on %s\n", c, *listen, wireSrv.Addr())
 	} else {
-		fmt.Fprintf(out, "# %s; serving routes on %s\n", header, *listen)
+		fmt.Fprintf(out, "# %s; serving routes on %s\n", c, *listen)
 	}
 
 	errCh := make(chan error, 1)
@@ -406,17 +364,17 @@ type routeJSON struct {
 	Err       string   `json:"err,omitempty"`
 }
 
-func routeWire(r *safecube.Route, nm naming) routeJSON {
+func routeWire(r *safecube.Route, cube *safecube.Cube) routeJSON {
 	out := routeJSON{
-		Src:       nm.Format(r.Source),
-		Dst:       nm.Format(r.Dest),
+		Src:       cube.Format(r.Source),
+		Dst:       cube.Format(r.Dest),
 		Outcome:   r.Outcome.String(),
 		Condition: r.Condition.String(),
 		Distance:  r.Hamming,
 		Hops:      r.Hops(),
 	}
 	for _, a := range r.Path {
-		out.Path = append(out.Path, nm.Format(a))
+		out.Path = append(out.Path, cube.Format(a))
 	}
 	if r.Err != nil {
 		out.Err = r.Err.Error()
@@ -445,7 +403,7 @@ type handlerOpts struct {
 
 // newHandler builds the serving mux on top of the registry's /metrics
 // and /vars exposition.
-func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts handlerOpts) http.Handler {
+func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registry, opts handlerOpts) http.Handler {
 	mux := reg.Mux()
 
 	node := func(w http.ResponseWriter, r *http.Request, key string) (safecube.NodeID, bool) {
@@ -454,7 +412,7 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 			httpErr(w, http.StatusBadRequest, fmt.Errorf("missing %q parameter", key))
 			return 0, false
 		}
-		a, err := nm.Parse(v)
+		a, err := cube.Parse(v)
 		if err != nil {
 			httpErr(w, http.StatusBadRequest, err)
 			return 0, false
@@ -516,7 +474,7 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 		writeJSON(w, http.StatusOK, map[string]any{
 			"generation": srv.Generation(),
 			"request_id": rt.RequestID,
-			"route":      routeWire(rt, nm),
+			"route":      routeWire(rt, cube),
 		})
 	}))
 
@@ -539,12 +497,12 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 				httpErr(w, http.StatusBadRequest, fmt.Errorf("bad pair %q, want SRC-DST", item))
 				return
 			}
-			src, err := nm.Parse(ab[0])
+			src, err := cube.Parse(ab[0])
 			if err != nil {
 				httpErr(w, http.StatusBadRequest, err)
 				return
 			}
-			dst, err := nm.Parse(ab[1])
+			dst, err := cube.Parse(ab[1])
 			if err != nil {
 				httpErr(w, http.StatusBadRequest, err)
 				return
@@ -563,7 +521,7 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 		}
 		wire := make([]routeJSON, len(routes))
 		for i, rt := range routes {
-			wire[i] = routeWire(rt, nm)
+			wire[i] = routeWire(rt, cube)
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"generation": srv.Generation(),
@@ -595,7 +553,7 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 			if rt.Outcome != safecube.Failure {
 				delivered++
 			}
-			wire = append(wire, routeWire(rt, nm))
+			wire = append(wire, routeWire(rt, cube))
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"generation": srv.Generation(),
@@ -656,12 +614,12 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 		// monitor.HTTPProber) reads it as a miss without parsing JSON.
 		if srv.NodeFaulty(a) {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"node": nm.Format(a), "faulty": true,
+				"node": cube.Format(a), "faulty": true,
 			})
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"node": nm.Format(a), "faulty": false, "level": srv.Level(a),
+			"node": cube.Format(a), "faulty": false, "level": srv.Level(a),
 		})
 	}))
 
@@ -714,7 +672,7 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 			"queue_depth": srv.QueueDepth(),
 			"queue_cap":   opts.queueCap,
 			"inflight":    srv.Inflight(),
-			"nodes":       nm.Nodes(),
+			"nodes":       cube.Nodes(),
 		})
 	}))
 
@@ -745,7 +703,7 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 		if r.URL.Query().Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			_ = obs.WriteIncidentsText(w, snap, func(a int) string {
-				return nm.Format(safecube.NodeID(a))
+				return cube.Format(safecube.NodeID(a))
 			})
 			return
 		}
@@ -793,6 +751,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func httpErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// newCube builds the cube the flags describe: GH(shape) when shape is
+// set, else Q_n.
+func newCube(n int, shape string) (*safecube.Cube, error) {
+	if shape == "" {
+		return safecube.New(n)
+	}
+	radix, err := safecube.ParseRadix(shape)
+	if err != nil {
+		return nil, err
+	}
+	return safecube.NewGeneralized(radix...)
 }
 
 // splitList splits a comma-separated value, trimming blanks.

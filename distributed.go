@@ -1,7 +1,6 @@
 package safecube
 
 import (
-	"repro/internal/core"
 	"repro/internal/simnet"
 )
 
@@ -9,7 +8,8 @@ import (
 // every nonfaulty node is a goroutine, links are channels, and the GS
 // and unicasting algorithms run by real message exchange. Use it to
 // measure protocol cost (rounds, per-link messages) or to script
-// fail-stop events between protocol phases.
+// fail-stop events between protocol phases. The engine is
+// topology-generic, so it runs binary and generalized cubes alike.
 //
 // A Distributed instance must be Closed when done. Methods must be
 // called from a single goroutine: the engine serializes protocol phases.
@@ -21,10 +21,12 @@ type Distributed struct {
 // Distributed starts the goroutine-per-node engine over the cube's
 // current fault set. Later mutations of the Cube are not reflected;
 // inject failures through KillNode instead. An instrumented cube's
-// registry is inherited: GS phases record rounds and per-link message
-// counts, unicast phases record message totals.
+// registry is inherited: GS phases record rounds and message counts,
+// unicast phases record message totals. (Per-link GS message counts
+// are a binary-cube metric: a GH dimension spans several links, so
+// they are not recorded there.)
 func (c *Cube) Distributed() *Distributed {
-	eng := simnet.New(c.internalSet())
+	eng := simnet.New(c.set)
 	eng.SetObs(c.reg)
 	return &Distributed{eng: eng, cube: c}
 }
@@ -61,19 +63,23 @@ func (d *Distributed) StableRound() int { return d.eng.StableRound() }
 // MessagesSent returns the total messages sent so far by all nodes.
 func (d *Distributed) MessagesSent() int { return d.eng.MessagesSent() }
 
-// Unicast routes a message hop by hop through the node goroutines and
-// blocks until it resolves. Run RunGS first.
-func (d *Distributed) Unicast(s, dst NodeID) *Route {
-	res := d.eng.Unicast(s, dst)
+// route wraps one engine result in the facade's form.
+func (d *Distributed) route(s, dst NodeID, res simnet.UnicastResult) *Route {
 	return &Route{
 		Source:    s,
 		Dest:      dst,
-		Hamming:   Hamming(s, dst),
+		Hamming:   d.cube.Distance(s, dst),
 		Outcome:   res.Outcome,
 		Condition: res.Condition,
 		Path:      append([]NodeID(nil), res.Path...),
 		Err:       res.Err,
 	}
+}
+
+// Unicast routes a message hop by hop through the node goroutines and
+// blocks until it resolves. Run RunGS first.
+func (d *Distributed) Unicast(s, dst NodeID) *Route {
+	return d.route(s, dst, d.eng.Unicast(s, dst))
 }
 
 // KillNode fail-stops a node between phases. The paper's
@@ -86,9 +92,6 @@ func (d *Distributed) KillNode(a NodeID) error {
 
 // Close stops all node goroutines.
 func (d *Distributed) Close() { d.eng.Close() }
-
-// ensure interface-ish consistency between the two route producers.
-var _ = core.Optimal
 
 // TrafficPair is one request of a concurrent unicast batch.
 type TrafficPair struct {
@@ -130,24 +133,18 @@ func (d *Distributed) UnicastBatch(pairs []TrafficPair) (*TrafficStats, error) {
 		MaxNodeTransit: st.MaxTransit,
 	}
 	for i, res := range st.Results {
-		out.Routes[i] = &Route{
-			Source:    pairs[i].Src,
-			Dest:      pairs[i].Dst,
-			Hamming:   Hamming(pairs[i].Src, pairs[i].Dst),
-			Outcome:   res.Outcome,
-			Condition: res.Condition,
-			Path:      append([]NodeID(nil), res.Path...),
-			Err:       res.Err,
-		}
+		out.Routes[i] = d.route(pairs[i].Src, pairs[i].Dst, res.UnicastResult)
 	}
 	return out, nil
 }
 
-// DistributedBroadcast floods a message from src through the node
-// goroutines using the level-ranked spanning-binomial-tree algorithm
-// (see Cube.Broadcast for the sequential model and the guarantee
-// discussion). Run RunGS first. Unlike Cube.Broadcast there is no
-// unicast repair pass: the result reports exactly what the tree did.
+// Broadcast floods a message from src through the node goroutines
+// using the level-ranked spanning-tree algorithm (see Cube.Broadcast
+// for the sequential model and the guarantee discussion); in a GH the
+// dimensions are ranked by observed level and each forward covers all
+// m_i - 1 siblings of a dimension. Run RunGS first. Unlike
+// Cube.Broadcast there is no unicast repair pass: the result reports
+// exactly what the tree did.
 func (d *Distributed) Broadcast(src NodeID) (*BroadcastResult, error) {
 	run, err := d.eng.Broadcast(src)
 	if err != nil {

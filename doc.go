@@ -16,17 +16,18 @@
 //   - otherwise the unicast fails, detectably, at the source — which
 //     makes the scheme usable even in disconnected hypercubes.
 //
-// The package offers four execution styles:
+// A Cube is either the binary n-cube (New) or the Section 4.2
+// mixed-radix generalized hypercube GH(m_{n-1} x ... x m_0)
+// (NewGeneralized); every method works on both. The package offers
+// three execution styles:
 //
 //   - Cube: sequential model — compute levels, route, inspect paths.
 //   - Distributed: goroutine-per-node execution with real message
 //     passing (one channel per node), for protocol-cost experiments.
-//   - Generalized: the Section 4.2 extension to mixed-radix generalized
-//     hypercubes GH(m_{n-1} x ... x m_0).
-//   - Server (Cube.Serve / Generalized.Serve): a concurrent serving
-//     engine with lock-free snapshot reads, asynchronous churn repair,
-//     per-request deadlines, admission control, and graceful drain —
-//     see docs/OPERATIONS.md for running it in production.
+//   - Server (Cube.Serve): a concurrent serving engine with lock-free
+//     snapshot reads, asynchronous churn repair, per-request deadlines,
+//     admission control, and graceful drain — see docs/OPERATIONS.md
+//     for running it in production.
 //
 // Faulty links (Section 4.1) are supported on all styles: the two end
 // nodes of a faulty link expose safety level 0 to the rest of the cube

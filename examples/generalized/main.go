@@ -24,7 +24,7 @@ func main() {
 	fmt.Printf("GH(2x3x2), %d nodes, levels stabilized in %d rounds\n",
 		gh.Nodes(), levels.Rounds())
 	for a := 0; a < gh.Nodes(); a++ {
-		id := safecube.GNodeID(a)
+		id := safecube.NodeID(a)
 		mark := ""
 		if gh.NodeFaulty(id) {
 			mark = " (faulty)"
@@ -41,8 +41,8 @@ func main() {
 	// candidate 000 carries the route.
 	src, dst := gh.MustParse("010"), gh.MustParse("101")
 	r := gh.Unicast(src, dst)
-	fmt.Printf("unicast %s -> %s (distance %d): %s via %s\n",
-		gh.Format(src), gh.Format(dst), r.Distance, r.Outcome, r.Condition)
+	fmt.Printf("unicast %s -> %s (H = %d): %s via %s\n",
+		gh.Format(src), gh.Format(dst), r.Hamming, r.Outcome, r.Condition)
 	fmt.Printf("path: %s\n", r.PathString(gh))
 	fmt.Println("(paper: 010 -> 000 -> 001 -> 101)")
 
@@ -50,7 +50,7 @@ func main() {
 	for _, s := range levels.SafeSet() {
 		worst := 0
 		for d := 0; d < gh.Nodes(); d++ {
-			did := safecube.GNodeID(d)
+			did := safecube.NodeID(d)
 			if gh.NodeFaulty(did) {
 				continue
 			}

@@ -167,7 +167,7 @@ func TestGHSessionReroute(t *testing.T) {
 	at := sess.At()
 	for i := 0; i < g.Dim(); i++ {
 		if ci, di := g.t.Coord(at, i), g.t.Coord(d, i); ci != di {
-			if next := g.t.WithCoord(at, i, di); next != d {
+			if next := g.t.Toward(at, d, i); next != d {
 				if err := g.FailNode(next); err != nil {
 					t.Fatal(err)
 				}

@@ -17,14 +17,19 @@ import (
 // n-cube and calls fn with a reusable Set.
 func forEachFaultSet(t *testing.T, n, k int, fn func(*faults.Set)) {
 	t.Helper()
-	c := topo.MustCube(n)
-	nodes := c.Nodes()
+	forEachFaultSetIn(t, topo.MustCube(n), k, fn)
+}
+
+// forEachFaultSetIn is forEachFaultSet over any topology.
+func forEachFaultSetIn(t *testing.T, tp topo.Topology, k int, fn func(*faults.Set)) {
+	t.Helper()
+	nodes := tp.Nodes()
 	idx := make([]int, k)
 	for i := range idx {
 		idx[i] = i
 	}
 	for {
-		s := faults.NewSet(c)
+		s := faults.NewSet(tp)
 		for _, v := range idx {
 			if err := s.FailNode(topo.NodeID(v)); err != nil {
 				t.Fatal(err)

@@ -285,23 +285,32 @@ func TestUniquenessFromBelow(t *testing.T) {
 	}
 }
 
-// computeFromBelow iterates Definition 1 starting from the all-zero
-// initialization until a fixpoint, mirroring the constructive proof of
-// Theorem 1 (round k assigns the k-safe nodes from the bottom up).
-func computeFromBelow(c *topo.Cube, s *faults.Set) []int {
-	n := c.Dim()
-	cur := make([]int, c.Nodes())
-	next := make([]int, c.Nodes())
+// computeFromBelow iterates Definition 1 (Definition 4 in a GH)
+// starting from the all-zero initialization until a fixpoint, mirroring
+// the constructive proof of Theorem 1 (round k assigns the k-safe nodes
+// from the bottom up). Each dimension contributes the minimum level of
+// its siblings; a binary dimension has exactly one.
+func computeFromBelow(tp topo.Topology, s *faults.Set) []int {
+	n := tp.Dim()
+	cur := make([]int, tp.Nodes())
+	next := make([]int, tp.Nodes())
 	neigh := make([]int, n)
-	for iter := 0; iter < c.Nodes()+n; iter++ {
+	var sibs []topo.NodeID
+	for iter := 0; iter < tp.Nodes()+n; iter++ {
 		changed := false
-		for a := 0; a < c.Nodes(); a++ {
+		for a := 0; a < tp.Nodes(); a++ {
 			if s.NodeFaulty(topo.NodeID(a)) {
 				next[a] = 0
 				continue
 			}
 			for i := 0; i < n; i++ {
-				neigh[i] = cur[c.Neighbor(topo.NodeID(a), i)]
+				neigh[i] = n
+				sibs = tp.Siblings(topo.NodeID(a), i, sibs[:0])
+				for _, b := range sibs {
+					if cur[b] < neigh[i] {
+						neigh[i] = cur[b]
+					}
+				}
 			}
 			next[a] = LevelFromNeighbors(neigh, nil)
 			if next[a] != cur[a] {

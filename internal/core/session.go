@@ -44,18 +44,19 @@ var ErrBlocked = fmt.Errorf("core: route blocked; recompute levels and reroute")
 func (rt *Router) Start(s, d topo.NodeID) (*Session, Condition, Outcome) {
 	h := rt.as.t.Distance(s, d)
 	cond, out := rt.Feasibility(s, d)
-	if out == Failure || rt.as.set.NodeFaulty(s) {
-		if rt.as.set.NodeFaulty(s) {
-			cond, out = CondNone, Failure
+	if rt.obs != nil {
+		// Like Unicast, report level 0 for a source outside the topology.
+		srcLevel := 0
+		if rt.as.t.Contains(s) {
+			srcLevel = rt.as.OwnLevel(s)
 		}
+		rt.obs.Admit(int(s), h, srcLevel, cond.String(), out.String())
+	}
+	if out == Failure {
 		if rt.obs != nil {
-			rt.obs.Admit(int(s), h, rt.as.OwnLevel(s), cond.String(), Failure.String())
-			rt.obs.Done(int(s), cond.String(), Failure.String(), 0, h, 0, "")
+			rt.obs.Done(int(s), cond.String(), out.String(), 0, h, 0, "")
 		}
 		return nil, cond, out
-	}
-	if rt.obs != nil {
-		rt.obs.Admit(int(s), h, rt.as.OwnLevel(s), cond.String(), out.String())
 	}
 	sess := &Session{
 		rt:           rt,

@@ -161,9 +161,15 @@ func (rt *Router) Observe(o *obs.RouteObserver) *Router {
 // Feasibility evaluates the source-side admission test for a unicast
 // from s to d and returns the first condition that holds, in the
 // algorithm's order C1, C2, C3, together with the outcome class it
-// implies. It does not move any message.
+// implies. It does not move any message. It agrees with Unicast on
+// every input: an endpoint outside the topology or a faulty source
+// answers (CondNone, Failure).
 func (rt *Router) Feasibility(s, d topo.NodeID) (Condition, Outcome) {
-	return rt.admit(s, d, topo.NavIn(rt.as.t, s, d))
+	t := rt.as.t
+	if !t.Contains(s) || !t.Contains(d) || rt.as.set.NodeFaulty(s) {
+		return CondNone, Failure
+	}
+	return rt.admit(s, d, topo.NavIn(t, s, d))
 }
 
 // admit is Feasibility over the navigation vector nav = N(s, d): the

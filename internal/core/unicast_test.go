@@ -395,3 +395,34 @@ func TestRouterOnTruncatedAssignmentFailsSafely(t *testing.T) {
 		}
 	}
 }
+
+// TestFeasibilityMatchesUnicastQnAndGH is the differential behind the
+// source-side answer: for every pair, faulty and out-of-range endpoints
+// included, Feasibility reports the condition and outcome Unicast
+// reaches, on binary and generalized cubes with random node and link
+// faults.
+func TestFeasibilityMatchesUnicastQnAndGH(t *testing.T) {
+	rng := stats.NewRNG(2718)
+	for _, tp := range []topo.Topology{topo.MustCube(4), topo.MustCube(6), topo.MustMixed(2, 3, 2), topo.MustMixed(2, 3, 3)} {
+		for trial := 0; trial < 8; trial++ {
+			s := faults.NewSet(tp)
+			if err := faults.InjectUniform(s, rng, rng.Intn(tp.Nodes()/3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := faults.InjectUniformLinks(s, rng, rng.Intn(3)); err != nil {
+				t.Fatal(err)
+			}
+			rt := router(t, s)
+			for src := 0; src < tp.Nodes()+2; src++ {
+				for dst := 0; dst < tp.Nodes()+2; dst++ {
+					a, b := topo.NodeID(src), topo.NodeID(dst)
+					cond, out := rt.Feasibility(a, b)
+					if r := rt.Unicast(a, b); cond != r.Condition || out != r.Outcome {
+						t.Fatalf("%v with faults %s: %d -> %d: Feasibility %v/%v, Unicast %v/%v",
+							tp, s, src, dst, cond, out, r.Condition, r.Outcome)
+					}
+				}
+			}
+		}
+	}
+}

@@ -368,8 +368,8 @@ func TestScenarioConstructors(t *testing.T) {
 	if s4.NodeFaults() != 4 || s4.LinkFaults() != 1 {
 		t.Error("Fig4Set should have 4 node faults and 1 link fault")
 	}
-	if Fig5Graph().NodeFaults() != 4 {
-		t.Error("Fig5Graph should have 4 faults")
+	if Fig5Set().NodeFaults() != 4 {
+		t.Error("Fig5Set should have 4 faults")
 	}
 	if Section23Set().NodeFaults() != 3 || Property2Set().NodeFaults() != 3 {
 		t.Error("Section 2.3 / Property 2 sets should have 3 faults")

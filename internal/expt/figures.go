@@ -4,7 +4,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/ghcube"
 	"repro/internal/topo"
 )
 
@@ -145,28 +144,28 @@ func Fig4() *Table {
 // Fig5 (E9) regenerates the generalized-hypercube walkthrough of
 // Section 4.2.
 func Fig5() *Table {
-	g := Fig5Graph()
-	as := ghcube.Compute(g)
+	s := Fig5Set()
+	m := s.Topology().(*topo.Mixed)
+	as := core.Compute(s, core.Options{})
 
 	t := &Table{
 		ID:     "E9",
 		Title:  "Fig. 5 — GH(2x3x2) with faults {011, 100, 111, 121}",
 		Header: []string{"node", "level", "status"},
 	}
-	for a := 0; a < g.Nodes(); a++ {
-		id := ghcube.NodeID(a)
+	for a := 0; a < m.Nodes(); a++ {
+		id := topo.NodeID(a)
 		status := "nonfaulty"
-		if g.NodeFaulty(id) {
+		if s.NodeFaulty(id) {
 			status = "faulty"
-		} else if as.Level(id) == g.Dim() {
+		} else if as.Level(id) == m.Dim() {
 			status = "safe"
 		}
-		t.AddRow(g.Format(id), as.Level(id), status)
+		t.AddRow(m.Format(id), as.Level(id), status)
 	}
-	rt := ghcube.NewRouter(as)
-	r := rt.Unicast(g.MustParse("010"), g.MustParse("101"))
+	r := core.NewRouter(as, nil).Unicast(m.MustParse("010"), m.MustParse("101"))
 	t.Note("safe nodes: %d (paper: four)", len(as.SafeSet()))
 	t.Note("unicast 010 -> 101 (distance 3): %s via %s, path %s (paper: 010 -> 000 -> 001 -> 101)",
-		r.Outcome, r.Condition, r.Path.FormatWith(g))
+		r.Outcome, r.Condition, r.Path.FormatWith(m))
 	return t
 }

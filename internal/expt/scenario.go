@@ -2,7 +2,6 @@ package expt
 
 import (
 	"repro/internal/faults"
-	"repro/internal/ghcube"
 	"repro/internal/topo"
 )
 
@@ -40,29 +39,16 @@ func Fig4Set() *faults.Set {
 	return s
 }
 
-// Fig5Graph returns the Section 4.2 generalized hypercube GH(2x3x2) with
-// faults 011, 100, 111, 121 — the fault set consistent with the figure's
-// stated facts (four safe nodes, S(110) = 1, the worked route).
-func Fig5Graph() *ghcube.Graph {
-	g := ghcube.MustNew(2, 3, 2)
-	if err := g.FailNodes(g.MustParseAll("011", "100", "111", "121")...); err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// Fig5Set returns the Fig. 5 scenario as a bare topology + fault set —
-// the form the generic core, the distributed engine and the GH sweeps
-// consume directly.
-func Fig5Set() (*topo.Mixed, *faults.Set) {
+// Fig5Set returns the Section 4.2 generalized hypercube GH(2x3x2) with
+// faults 011, 100, 111, 121 — the fault set consistent with the
+// figure's stated facts (four safe nodes, S(110) = 1, the worked route).
+func Fig5Set() *faults.Set {
 	m := topo.MustMixed(2, 3, 2)
 	s := faults.NewSet(m)
-	for _, a := range []string{"011", "100", "111", "121"} {
-		if err := s.FailNode(m.MustParse(a)); err != nil {
-			panic(err)
-		}
+	if err := s.FailNodes(m.MustParseAll("011", "100", "111", "121")...); err != nil {
+		panic(err)
 	}
-	return m, s
+	return s
 }
 
 // Section23Set returns the Section 2.3 comparison cube: Q4 with faults

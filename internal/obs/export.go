@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -249,12 +248,4 @@ func WriteIncidentsText(w io.Writer, s *IncidentSnapshot, fmtNode func(int) stri
 		}
 	}
 	return nil
-}
-
-// Publish registers the snapshot under name in the process-global expvar
-// namespace, so the registry also appears on the standard /debug/vars
-// endpoint. Publishing the same name twice panics (an expvar invariant);
-// call once per process.
-func (r *Registry) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

@@ -28,7 +28,20 @@ func listenWireIdle(t *testing.T, svc *Service, idle time.Duration, opts WireOpt
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := serveWire(svc, ln, opts, idle)
+	ws := serveWire(svc, ln, opts, idle, wireMaxConns)
+	t.Cleanup(func() { ws.Close() })
+	return ws
+}
+
+// listenWireCapped serves svc on a loopback :0 listener that serves at
+// most maxConns connections at once.
+func listenWireCapped(t *testing.T, svc *Service, maxConns int) *WireServer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := serveWire(svc, ln, WireOptions{}, wireIdleTimeout, maxConns)
 	t.Cleanup(func() { ws.Close() })
 	return ws
 }
@@ -339,6 +352,58 @@ func TestWireAbuseRecovery(t *testing.T) {
 			c.abuse(t, ws, svc)
 			requireRecovered(t, ws, svc, base)
 		})
+	}
+
+	// With the connection cap at 2 and two connections held, a third
+	// client waits in the listen backlog: its ping stays unanswered and
+	// no third connection goroutine starts until one of the two closes.
+	t.Run("connections beyond the cap wait", func(t *testing.T) {
+		fl := obs.NewFlightRecorder(obs.FlightOptions{Records: 256})
+		svc := newService(t, topo.MustCube(6), Options{Flight: fl})
+		ws := listenWireCapped(t, svc, 2)
+		base, before := runtime.NumGoroutine(), connGoroutines()
+		held := []net.Conn{dialRaw(t, ws), dialRaw(t, ws)}
+		if !waitFor(5*time.Second, func() bool { return trackedConns(ws) == len(held) }) {
+			t.Fatalf("server tracks %d of %d connections", trackedConns(ws), len(held))
+		}
+		third := dialRaw(t, ws)
+		if _, err := third.Write(wire.AppendFrame(nil, wire.OpPing, 0, 7, nil)); err != nil {
+			t.Fatal(err)
+		}
+		third.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+		var ne net.Error
+		if h, _, _, err := wire.ReadFrame(third, nil, 0); !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("ping beyond the cap: %+v, %v; want no answer", h, err)
+		}
+		if n := connGoroutines() - before; n > len(held) {
+			t.Fatalf("%d connection goroutines under a cap of %d", n, len(held))
+		}
+		held[0].Close()
+		third.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if h, _, _, err := wire.ReadFrame(third, nil, 0); err != nil || h.Op != wire.OpPing || h.ReqID != 7 {
+			t.Fatalf("ping after a slot freed: %+v, %v", h, err)
+		}
+		held[1].Close()
+		third.Close()
+		requireRecovered(t, ws, svc, base)
+	})
+}
+
+// TestWireCloseAtCap checks that Close returns while the accept loop
+// waits for a free connection slot.
+func TestWireCloseAtCap(t *testing.T) {
+	svc := newService(t, topo.MustCube(6), Options{})
+	ws := listenWireCapped(t, svc, 1)
+	dialRaw(t, ws)
+	if !waitFor(5*time.Second, func() bool { return trackedConns(ws) == 1 }) {
+		t.Fatalf("server tracks %d connections, want 1", trackedConns(ws))
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- ws.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked with the accept loop waiting for a slot")
 	}
 }
 

@@ -34,7 +34,8 @@ import (
 // each frame's header is read the connection's deadline is set
 // wireIdleTimeout ahead; it bounds both that frame's arrival and the
 // write of its answer, so a client that goes silent, stalls mid-frame
-// or stops reading is disconnected.
+// or stops reading is disconnected. At most wireMaxConns connections
+// are served at once.
 //
 // Refusals map to typed error frames one-to-one with the HTTP status
 // taxonomy: ErrOverload→CodeOverload(429), ErrBacklog→CodeBacklog,
@@ -54,6 +55,12 @@ const MaxBatchPairs = 4096
 // wireIdleTimeout is how long a connection may take to deliver one
 // frame and take its answer; it equals slserve's HTTP idle timeout.
 const wireIdleTimeout = 2 * time.Minute
+
+// wireMaxConns caps the connections a WireServer serves at once. Each
+// holds 64 KiB of bufio buffers, so the cap bounds them at 64 MiB. The
+// accept loop takes a slot before it accepts, so clients beyond the cap
+// wait in the kernel's listen backlog, not in server memory.
+const wireMaxConns = 1024
 
 // WireOptions tune a WireServer. The zero value serves frames of up to
 // wire.DefaultMaxPayload bytes and batches of up to MaxBatchPairs.
@@ -88,6 +95,10 @@ type WireServer struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
+	// slots holds one token per connection being served; done is
+	// closed by Close to release an accept loop waiting for a slot.
+	slots chan struct{}
+	done  chan struct{}
 
 	mConns    *obs.Gauge
 	mAccepted *obs.Counter
@@ -98,12 +109,12 @@ type WireServer struct {
 // NewWireServer starts serving the binary protocol on ln. It returns
 // immediately; Close (or closing ln) stops it.
 func NewWireServer(svc *Service, ln net.Listener, opts WireOptions) *WireServer {
-	return serveWire(svc, ln, opts, wireIdleTimeout)
+	return serveWire(svc, ln, opts, wireIdleTimeout, wireMaxConns)
 }
 
-// serveWire is NewWireServer with the per-frame connection deadline as
-// a parameter, so tests can shorten it.
-func serveWire(svc *Service, ln net.Listener, opts WireOptions, idle time.Duration) *WireServer {
+// serveWire is NewWireServer with the per-frame connection deadline and
+// the connection cap as parameters, so tests can shrink them.
+func serveWire(svc *Service, ln net.Listener, opts WireOptions, idle time.Duration, maxConns int) *WireServer {
 	if opts.MaxPayload <= 0 {
 		opts.MaxPayload = wire.DefaultMaxPayload
 	}
@@ -116,6 +127,8 @@ func serveWire(svc *Service, ln net.Listener, opts WireOptions, idle time.Durati
 		opts:  opts,
 		idle:  idle,
 		conns: map[net.Conn]struct{}{},
+		slots: make(chan struct{}, maxConns),
+		done:  make(chan struct{}),
 	}
 	r := opts.Registry
 	ws.mConns = r.Gauge(obs.MetricWireConns)
@@ -151,6 +164,7 @@ func (ws *WireServer) Close() error {
 		return nil
 	}
 	ws.closed = true
+	close(ws.done)
 	conns := make([]net.Conn, 0, len(ws.conns))
 	for c := range ws.conns {
 		conns = append(conns, c)
@@ -167,6 +181,11 @@ func (ws *WireServer) Close() error {
 func (ws *WireServer) acceptLoop() {
 	defer ws.wg.Done()
 	for {
+		select {
+		case ws.slots <- struct{}{}:
+		case <-ws.done:
+			return
+		}
 		nc, err := ws.ln.Accept()
 		if err != nil {
 			return
@@ -196,6 +215,7 @@ func (ws *WireServer) serveConn(nc net.Conn) {
 		ws.mu.Unlock()
 		ws.mConns.Add(-1)
 		_ = nc.Close()
+		<-ws.slots
 	}()
 	if tc, ok := nc.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/topo"
@@ -105,6 +106,26 @@ func TestWireServerEndToEnd(t *testing.T) {
 	want := svc.Route(9, 0)
 	if r.Route.Outcome != uint8(want.Outcome) {
 		t.Fatalf("post-fault route: wire outcome %d, engine %v", r.Route.Outcome, want.Outcome)
+	}
+}
+
+// TestWireFeasibilityFaultySource checks that OpFeasibility answers a
+// faulty source with failure, as OpUnicast does for the same pair.
+func TestWireFeasibilityFaultySource(t *testing.T) {
+	_, ws := newWireServer(t, Options{}, WireOptions{}, 3)
+	c := dialWire(t, ws, wire.ClientOptions{})
+	ctx := context.Background()
+	fr, err := c.Feasibility(ctx, 3, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ur, err := c.Unicast(ctx, 3, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Outcome != uint8(core.Failure) || fr.Cond != uint8(core.CondNone) ||
+		fr.Outcome != ur.Route.Outcome || fr.Cond != ur.Route.Cond {
+		t.Fatalf("faulty source: OpFeasibility %+v, OpUnicast %+v", fr, ur.Route)
 	}
 }
 

@@ -3,7 +3,6 @@ package safecube
 import (
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/topo"
 )
 
 // Observability surface of the public API. A Registry collects
@@ -14,9 +13,10 @@ import (
 // level deltas, per-link message counts). Instrumentation is strictly
 // opt-in: an uninstrumented Cube pays one nil-check per decision point.
 //
-// Export the registry with WriteJSON (expvar-style), WritePrometheus
-// (text exposition format), or serve it over HTTP with Mux()/Publish().
-// The cmd/slmetrics tool wraps all three.
+// Export the registry with WriteJSON (expvar-style) or WritePrometheus
+// (text exposition format), or serve both over HTTP with Mux(). The
+// cmd/slmetrics tool dumps a sweep's registry in either format; a
+// running slserve serves its registry on /metrics and /vars.
 
 // Registry is the metric and trace collector (see internal/obs).
 type Registry = obs.Registry
@@ -154,27 +154,19 @@ func (c *Cube) traceObserver(s, d NodeID) *obs.RouteObserver {
 	// Stamp the trace with the fault-set generation the unicast routes
 	// against, so traces collected under churn stay attributable to one
 	// level state.
-	return ro.WithTraceGen(int(s), int(d), topo.Hamming(s, d), c.set.Generation())
+	return ro.WithTraceGen(int(s), int(d), c.t.Distance(s, d), c.set.Generation())
 }
 
 // UnicastTraced routes like Unicast and additionally records the full
 // decision trace: the admission condition that held, every hop with its
 // dimension and preferred-vs-spare role, and the final outcome with path
-// length vs Hamming distance. Tracing allocates per event; use Unicast
-// on hot paths.
+// length vs distance. Tracing allocates per event; use Unicast on hot
+// paths.
 func (c *Cube) UnicastTraced(s, d NodeID) (*Route, *RouteTrace) {
 	lv := c.ComputeLevels()
 	ro := c.traceObserver(s, d)
 	r := core.NewRouter(lv.as, nil).Observe(ro).Unicast(s, d)
-	return &Route{
-		Source:    r.Source,
-		Dest:      r.Dest,
-		Hamming:   r.Hamming,
-		Outcome:   r.Outcome,
-		Condition: r.Condition,
-		Path:      append([]NodeID(nil), r.Path...),
-		Err:       r.Err,
-	}, ro.Trace()
+	return routeOf(r), ro.Trace()
 }
 
 // StartUnicastTraced admits a unicast like StartUnicast and returns the

@@ -2,6 +2,8 @@ package safecube
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -10,8 +12,13 @@ import (
 	"repro/internal/topo"
 )
 
-// NodeID identifies a hypercube node by its binary address, in 0..2^n-1.
+// NodeID identifies a node: its binary address in Q_n, or its
+// mixed-radix row-major index in a generalized hypercube (dimension 0
+// is the least significant digit).
 type NodeID = topo.NodeID
+
+// GNodeID is the name NodeID had on the generalized-hypercube facade.
+type GNodeID = NodeID
 
 // Outcome classifies a unicast attempt.
 type Outcome = core.Outcome
@@ -40,12 +47,21 @@ const (
 // MaxDim is the largest supported cube dimension.
 const MaxDim = topo.MaxDim
 
-// Cube is a faulty hypercube with safety-level routing. It is not safe
-// for concurrent mutation; compute-and-route from one goroutine, or use
-// Distributed for a concurrent execution model.
+// Cube is a faulty hypercube with safety-level routing: the binary
+// n-cube Q_n (New) or a generalized hypercube GH(m_{n-1} x ... x m_0)
+// (NewGeneralized, Section 4.2). Along each GH dimension i the m_i
+// nodes sharing all other coordinates are fully connected, so every
+// dimension is crossed in one hop and the distance between two nodes is
+// the number of differing coordinates. Definition 4 reduces to
+// Definition 1 when every radix is 2, and routing is "exactly the same"
+// on both lattices, so every method works on either.
+//
+// A Cube is not safe for concurrent mutation; compute-and-route from
+// one goroutine, or use Distributed or Serve for a concurrent execution
+// model.
 type Cube struct {
-	cube *topo.Cube
-	set  *faults.Set
+	t   topo.Topology
+	set *faults.Set
 	// as is the cached level assignment; it is valid while asGen matches
 	// the fault set's mutation generation, so no mutator has to flag
 	// staleness by hand and repeated unicasts between fault events reuse
@@ -61,6 +77,10 @@ type Cube struct {
 	cacheRepairs *obs.Counter
 }
 
+// Generalized is the name the generalized-hypercube facade had; New
+// and NewGeneralized now build the same Cube.
+type Generalized = Cube
+
 // New returns an n-dimensional fault-free cube. Dimension must be in
 // [1, MaxDim].
 func New(n int) (*Cube, error) {
@@ -68,7 +88,7 @@ func New(n int) (*Cube, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cube{cube: c, set: faults.NewSet(c)}, nil
+	return &Cube{t: c, set: faults.NewSet(c)}, nil
 }
 
 // MustNew is New for compile-time-constant dimensions; it panics on an
@@ -81,21 +101,68 @@ func MustNew(n int) *Cube {
 	return c
 }
 
-// Dim returns the cube dimension n.
-func (c *Cube) Dim() int { return c.cube.Dim() }
+// NewGeneralized builds a fault-free GH with the given per-dimension
+// radixes, listed from dimension 0 upward (NewGeneralized(2, 3, 2) is
+// the paper's 2 x 3 x 2 example). Every radix must be at least 2.
+func NewGeneralized(radix ...int) (*Cube, error) {
+	t, err := topo.NewMixed(radix)
+	if err != nil {
+		return nil, err
+	}
+	return &Cube{t: t, set: faults.NewSet(t)}, nil
+}
 
-// Nodes returns the number of nodes, 2^n.
-func (c *Cube) Nodes() int { return c.cube.Nodes() }
+// MustNewGeneralized is NewGeneralized that panics on bad radixes.
+func MustNewGeneralized(radix ...int) *Cube {
+	g, err := NewGeneralized(radix...)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
 
-// Parse converts an n-bit binary address string ("0110") to a NodeID.
-func (c *Cube) Parse(addr string) (NodeID, error) { return c.cube.Parse(addr) }
+// ParseRadix converts a shape string in the paper's notation
+// ("2x3x2", dimension n-1 first) to the dimension-0-first radix slice
+// NewGeneralized takes.
+func ParseRadix(shape string) ([]int, error) {
+	parts := strings.Split(shape, "x")
+	radix := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("bad radix %q: %v", p, err)
+		}
+		radix[len(parts)-1-i] = v
+	}
+	return radix, nil
+}
+
+// Dim returns the number of dimensions n.
+func (c *Cube) Dim() int { return c.t.Dim() }
+
+// Nodes returns the number of nodes: 2^n, or the product of the radixes.
+func (c *Cube) Nodes() int { return c.t.Nodes() }
+
+// Radix returns m_i, the number of coordinate values in dimension i
+// (2 in every dimension of Q_n).
+func (c *Cube) Radix(i int) int { return c.t.Radix(i) }
+
+// Parse converts an address in the paper's notation to a NodeID: an
+// n-bit binary string ("0110") or, in a GH, a digit string ("021").
+func (c *Cube) Parse(addr string) (NodeID, error) { return c.t.Parse(addr) }
 
 // MustParse is Parse that panics on malformed input; intended for
 // literals in examples and tests.
-func (c *Cube) MustParse(addr string) NodeID { return c.cube.MustParse(addr) }
+func (c *Cube) MustParse(addr string) NodeID {
+	a, err := c.Parse(addr)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
 
-// Format renders a node as its n-bit binary address.
-func (c *Cube) Format(a NodeID) string { return c.cube.Format(a) }
+// Format renders a node in the notation Parse reads.
+func (c *Cube) Format(a NodeID) string { return c.t.Format(a) }
 
 // FailNode marks a node fail-stop faulty.
 func (c *Cube) FailNode(a NodeID) error {
@@ -107,7 +174,7 @@ func (c *Cube) FailNodes(nodes ...NodeID) error {
 	return c.set.FailNodes(nodes...)
 }
 
-// FailNamed marks the nodes with the given binary addresses faulty.
+// FailNamed marks the nodes with the given addresses faulty.
 func (c *Cube) FailNamed(addrs ...string) error {
 	for _, s := range addrs {
 		a, err := c.Parse(s)
@@ -121,7 +188,9 @@ func (c *Cube) FailNamed(addrs ...string) error {
 	return nil
 }
 
-// RecoverNode marks a previously-failed node healthy again.
+// RecoverNode marks a previously-failed node healthy again; the next
+// ComputeLevels repairs the assignment (the paper's demand-driven GS
+// under recovery, Section 2.2).
 func (c *Cube) RecoverNode(a NodeID) error {
 	return c.set.RecoverNode(a)
 }
@@ -132,6 +201,9 @@ func (c *Cube) RecoverNode(a NodeID) error {
 func (c *Cube) FailLink(a, b NodeID) error {
 	return c.set.FailLink(a, b)
 }
+
+// LinkFaulty reports whether the undirected link (a, b) is faulty.
+func (c *Cube) LinkFaulty(a, b NodeID) bool { return c.set.LinkFaulty(a, b) }
 
 // InjectRandomFaults fails exactly count additional distinct nodes,
 // chosen uniformly with the deterministic generator seeded by seed.
@@ -148,13 +220,21 @@ func (c *Cube) FaultyNodes() []NodeID { return c.set.FaultyNodes() }
 // NodeFaults returns the number of faulty nodes.
 func (c *Cube) NodeFaults() int { return c.set.NodeFaults() }
 
+// LinkFaults returns the number of faulty links.
+func (c *Cube) LinkFaults() int { return c.set.LinkFaults() }
+
+// Distance returns H(a, b), the number of coordinates in which a and b
+// differ: the graph distance in the fault-free cube.
+func (c *Cube) Distance(a, b NodeID) int { return c.t.Distance(a, b) }
+
 // Connected reports whether the surviving (nonfaulty) subgraph is one
 // component. A false result means the cube is a "disconnected
 // hypercube" in the paper's sense; safety-level routing keeps working
 // within components and detects cross-partition unicasts at the source.
 func (c *Cube) Connected() bool { return faults.Connected(c.set) }
 
-// Hamming returns the Hamming distance between two node addresses.
+// Hamming returns the Hamming distance between two binary addresses
+// (Cube.Distance is the distance on either lattice).
 func Hamming(a, b NodeID) int { return topo.Hamming(a, b) }
 
 // Levels is the computed safety-level assignment of a cube.
@@ -213,6 +293,7 @@ func (c *Cube) recordGS() {
 	c.reg.Counter(obs.MetricGSLevelChangesTotal).Add(int64(changes))
 	tr := &obs.GSTrace{
 		Kind:       "sequential",
+		Topo:       fmt.Sprint(c.t),
 		Dim:        c.Dim(),
 		NodeFaults: c.set.NodeFaults(),
 		LinkFaults: c.set.LinkFaults(),
@@ -249,15 +330,17 @@ func (l *Levels) Safe(a NodeID) bool { return l.as.Safe(a) }
 // SafeSet returns all safe nodes in ascending order.
 func (l *Levels) SafeSet() []NodeID { return l.as.SafeSet() }
 
-// Verify checks the assignment against Definition 1 at every node; it
-// returns nil for every assignment produced by ComputeLevels.
+// Verify checks the assignment against Definition 1 (Definition 4 in a
+// GH) at every node; it returns nil for every assignment produced by
+// ComputeLevels.
 func (l *Levels) Verify() error { return l.as.Verify() }
 
 // Route is the result of a unicast attempt.
 type Route struct {
 	// Source and Dest are the unicast endpoints.
 	Source, Dest NodeID
-	// Hamming is the distance H(Source, Dest).
+	// Hamming is H(Source, Dest), the number of coordinates in which
+	// Source and Dest differ.
 	Hamming int
 	// Outcome classifies the attempt; on Failure the message never left
 	// the source.
@@ -287,16 +370,14 @@ func (r *Route) Hops() int {
 
 // PathString renders the path as "0001 -> 0000 -> 1000" given the cube.
 func (r *Route) PathString(c *Cube) string {
-	return topo.Path(r.Path).FormatWith(c.cube)
+	return topo.Path(r.Path).FormatWith(c.t)
 }
 
-// Unicast routes a message from s to d using safety levels, computing
-// them first if needed. The source must be nonfaulty; the destination
-// may be faulty only at distance 1 (a node can always reach its own
-// neighbors).
-func (c *Cube) Unicast(s, d NodeID) *Route {
-	lv := c.ComputeLevels()
-	r := core.NewRouter(lv.as, nil).Observe(c.routeObs).Unicast(s, d)
+// routeOf copies a core route into the facade's form.
+func routeOf(r *core.Route) *Route {
+	if r == nil {
+		return nil
+	}
 	return &Route{
 		Source:    r.Source,
 		Dest:      r.Dest,
@@ -305,12 +386,23 @@ func (c *Cube) Unicast(s, d NodeID) *Route {
 		Condition: r.Condition,
 		Path:      append([]NodeID(nil), r.Path...),
 		Err:       r.Err,
+		RequestID: r.FlightID,
 	}
+}
+
+// Unicast routes a message from s to d using safety levels, computing
+// them first if needed. The source must be nonfaulty; the destination
+// may be faulty only at distance 1 (a node can always reach its own
+// neighbors).
+func (c *Cube) Unicast(s, d NodeID) *Route {
+	lv := c.ComputeLevels()
+	return routeOf(core.NewRouter(lv.as, nil).Observe(c.routeObs).Unicast(s, d))
 }
 
 // Feasibility evaluates the source-side admission test for a unicast
 // from s to d without moving a message: which condition (if any) holds
-// and the outcome class it implies.
+// and the outcome class it implies. It agrees with Unicast on every
+// pair, faulty and out-of-range endpoints included.
 func (c *Cube) Feasibility(s, d NodeID) (Condition, Outcome) {
 	lv := c.ComputeLevels()
 	return core.NewRouter(lv.as, nil).Feasibility(s, d)
@@ -323,12 +415,13 @@ func (c *Cube) OptimalPathExists(s, d NodeID) bool {
 	return faults.HasOptimalPath(c.set, s, d)
 }
 
-// String summarizes the cube state.
+// String summarizes the cube state: "Q4, 16 nodes, 4 node faults" or
+// "GH(2x3x2), 12 nodes, 4 node faults", with the link-fault count
+// appended when there are any.
 func (c *Cube) String() string {
-	return fmt.Sprintf("Q%d with %d node faults, %d link faults",
-		c.cube.Dim(), c.set.NodeFaults(), c.set.LinkFaults())
+	s := fmt.Sprintf("%v, %d nodes, %d node faults", c.t, c.Nodes(), c.set.NodeFaults())
+	if n := c.set.LinkFaults(); n > 0 {
+		s += fmt.Sprintf(", %d link faults", n)
+	}
+	return s
 }
-
-// internalSet exposes the fault set to the sibling files of this
-// package (distributed.go, generalized.go).
-func (c *Cube) internalSet() *faults.Set { return c.set }

@@ -284,7 +284,7 @@ func TestGeneralizedFacade(t *testing.T) {
 	if got := r.PathString(g); got != "010 -> 000 -> 001 -> 101" {
 		t.Errorf("path = %s", got)
 	}
-	if r.Hops() != 3 || r.Distance != 3 {
+	if r.Hops() != 3 || r.Hamming != 3 {
 		t.Error("distance bookkeeping wrong")
 	}
 	cond, out := g.Feasibility(g.MustParse("010"), g.MustParse("101"))
@@ -324,13 +324,6 @@ func TestGeneralizedInjectAndDistance(t *testing.T) {
 	}
 	if g.Distance(g.MustParse("000"), g.MustParse("222")) != 3 {
 		t.Error("distance wrong")
-	}
-}
-
-func TestGRouteHopsEmpty(t *testing.T) {
-	r := &GRoute{}
-	if r.Hops() != 0 {
-		t.Error("empty route has 0 hops")
 	}
 }
 

@@ -3,7 +3,6 @@ package safecube
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/serve"
 )
@@ -45,20 +44,22 @@ type ServeOptions struct {
 }
 
 // Server is a concurrent route-serving engine over a frozen copy of a
-// facade's fault set. All methods are safe for concurrent use; routing
+// cube's fault set. All methods are safe for concurrent use; routing
 // reads never block, even while churn is being applied. Close it when
 // done.
 //
-// The Server clones the facade's fault state at creation: later
-// mutations of the originating Cube/Generalized do not reach the
-// Server, and Server churn does not reach the facade. Feed churn to
-// the Server through its own FailNode/RecoverNode/FailLink/RecoverLink.
+// The Server clones the cube's fault state at creation: later
+// mutations of the originating Cube do not reach the Server, and
+// Server churn does not reach the Cube. Feed churn to the Server
+// through its own FailNode/RecoverNode/FailLink/RecoverLink.
 type Server struct {
 	svc *serve.Service
 }
 
-func serveFrom(set *faults.Set, opts ServeOptions) (*Server, error) {
-	svc, err := serve.New(set, serve.Options{
+// Serve starts a route-serving engine over a copy of the cube's
+// current fault set, binary or generalized.
+func (c *Cube) Serve(opts ServeOptions) (*Server, error) {
+	svc, err := serve.New(c.set, serve.Options{
 		QueueDepth: opts.QueueDepth,
 		Workers:    opts.Workers,
 		Rate:       opts.Rate,
@@ -71,19 +72,6 @@ func serveFrom(set *faults.Set, opts ServeOptions) (*Server, error) {
 		return nil, err
 	}
 	return &Server{svc: svc}, nil
-}
-
-// Serve starts a route-serving engine over a copy of the cube's
-// current fault set.
-func (c *Cube) Serve(opts ServeOptions) (*Server, error) {
-	return serveFrom(c.set, opts)
-}
-
-// Serve starts a route-serving engine over a copy of the generalized
-// hypercube's current fault set. NodeID and GNodeID are the same type,
-// so the Server API is shared between both facades.
-func (g *Generalized) Serve(opts ServeOptions) (*Server, error) {
-	return serveFrom(g.set, opts)
 }
 
 // Generation returns the fault-set generation of the currently
@@ -262,19 +250,3 @@ var (
 	// Shutdown (or Close) has begun.
 	ErrServerDraining = serve.ErrDraining
 )
-
-func routeOf(r *core.Route) *Route {
-	if r == nil {
-		return nil
-	}
-	return &Route{
-		Source:    r.Source,
-		Dest:      r.Dest,
-		Hamming:   r.Hamming,
-		Outcome:   r.Outcome,
-		Condition: r.Condition,
-		Path:      append([]NodeID(nil), r.Path...),
-		Err:       r.Err,
-		RequestID: r.FlightID,
-	}
-}

@@ -117,7 +117,7 @@ func TestServeFacadeGeneralized(t *testing.T) {
 		for d := 0; d < g.Nodes(); d++ {
 			got := srv.Unicast(GNodeID(s), GNodeID(d))
 			want := g.Unicast(GNodeID(s), GNodeID(d))
-			if got.Outcome != want.Outcome || got.Hamming != want.Distance ||
+			if got.Outcome != want.Outcome || got.Hamming != want.Hamming ||
 				len(got.Path) != len(want.Path) {
 				t.Fatalf("route %d->%d: server %+v, facade %+v", s, d, got, want)
 			}
