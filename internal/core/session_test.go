@@ -170,6 +170,29 @@ func TestSessionRerouteCanAbort(t *testing.T) {
 	}
 }
 
+// TestSessionRerouteFromFailedNodeAborts checks that a message whose
+// current node has itself failed is not re-admitted there: Reroute
+// takes the abort branch, since Feasibility refuses a faulty source.
+func TestSessionRerouteFromFailedNodeAborts(t *testing.T) {
+	c := topo.MustCube(4)
+	s := faults.NewSet(c)
+	rt := NewRouter(Compute(s, Options{}), nil)
+	sess, _, _ := rt.Start(c.MustParse("0000"), c.MustParse("1111"))
+	if _, err := sess.Step(); err != nil {
+		t.Fatal(err)
+	}
+	at := sess.At()
+	if err := s.FailNode(at); err != nil {
+		t.Fatal(err)
+	}
+	if cond, out := sess.Reroute(Compute(s, Options{})); cond != CondNone || out != Failure {
+		t.Fatalf("reroute from failed node %s = %v/%v, want none/failure", c.Format(at), cond, out)
+	}
+	if sess.At() != at || sess.Reroutes() != 0 {
+		t.Errorf("aborted reroute moved the session: at %s, %d reroutes", c.Format(sess.At()), sess.Reroutes())
+	}
+}
+
 func TestSessionRandomizedKillAndReroute(t *testing.T) {
 	// Randomized end-to-end: start sessions, kill a random non-endpoint
 	// node mid-flight, recompute, reroute; the session must either
