@@ -2,6 +2,8 @@ package core
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -91,7 +93,7 @@ func TestDetachEGSOwnLevels(t *testing.T) {
 
 // TestDetachStatsCarryOver checks that the run statistics (rounds,
 // deltas, evals, repair markers) survive detach, and that the detached
-// set's generation matches the original's at detach time.
+// fault view's generation matches the original's at detach time.
 func TestDetachStatsCarryOver(t *testing.T) {
 	tp := topo.MustCube(5)
 	set := faults.NewSet(tp)
@@ -119,9 +121,75 @@ func TestDetachStatsCarryOver(t *testing.T) {
 	if det.Faults().Generation() != set.Generation() {
 		t.Fatalf("detached generation %d != live %d", det.Faults().Generation(), set.Generation())
 	}
-	// CloneState drops the journal: the detached set cannot replay
-	// history it never kept.
+	// The detached fault view has no journal: it cannot replay history
+	// it never kept.
 	if _, ok := det.Faults().Since(gen); ok {
 		t.Fatal("detached set replayed journal history it should not hold")
+	}
+}
+
+// TestDetachedNodeFaultsFromOwnLevels pins the invariant a detached
+// copy reads its node faults from: at every step of a churn run with
+// link faults, on a binary and a generalized cube, the detached copy's
+// NodeFaulty, its lazily built Faults() and the live set agree on every
+// node, the built set carries the live generation, counts and links,
+// and the live assignment verifies, own-level check included.
+func TestDetachedNodeFaultsFromOwnLevels(t *testing.T) {
+	for _, tp := range []topo.Topology{topo.MustCube(8), topo.MustMixed(3, 4, 2, 3)} {
+		set := faults.NewSet(tp)
+		as := Compute(set, Options{})
+		for i, ev := range faults.ChurnSchedule(tp, 41, 200, faults.ChurnOptions{Links: true}) {
+			gen := set.Generation()
+			if err := set.Apply(ev); err != nil {
+				t.Fatal(err)
+			}
+			delta, _ := set.Since(gen)
+			rep, ok := RepairLevels(as, set, delta, Options{})
+			if !ok {
+				t.Fatalf("%v step %d: repair refused", tp, i)
+			}
+			as = rep
+			if err := as.Verify(); err != nil {
+				t.Fatalf("%v step %d: %v", tp, i, err)
+			}
+			det := as.Detach()
+			view := det.Faults()
+			for a := 0; a < tp.Nodes(); a++ {
+				id := topo.NodeID(a)
+				if live := set.NodeFaulty(id); det.NodeFaulty(id) != live || view.NodeFaulty(id) != live {
+					t.Fatalf("%v step %d node %d: detached %v, built view %v, live %v",
+						tp, i, a, det.NodeFaulty(id), view.NodeFaulty(id), live)
+				}
+			}
+			if view.Generation() != set.Generation() || view.NodeFaults() != set.NodeFaults() ||
+				!reflect.DeepEqual(view.FaultyLinks(), set.FaultyLinks()) {
+				t.Fatalf("%v step %d: built view %s at generation %d, live %s at %d",
+					tp, i, view, view.Generation(), set, set.Generation())
+			}
+			if det.Faults() != view {
+				t.Fatalf("%v step %d: Faults built a second view", tp, i)
+			}
+		}
+	}
+}
+
+// TestVerifyRejectsNonfaultyOwnLevelZero checks Verify's converse
+// check: a nonfaulty node whose own level reads 0 would look faulty to a
+// detached copy, and Verify reports it.
+func TestVerifyRejectsNonfaultyOwnLevelZero(t *testing.T) {
+	tp := topo.MustCube(4)
+	set := faults.NewSet(tp)
+	if err := set.FailNode(3); err != nil {
+		t.Fatal(err)
+	}
+	as := Compute(set, Options{})
+	if err := as.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	own := slices.Clone(as.own)
+	own.write(make([]bool, len(own)), 5, 0)
+	as.own = own
+	if err := as.Verify(); err == nil || !strings.Contains(err.Error(), "own level 0") {
+		t.Fatalf("Verify = %v, want the own-level error", err)
 	}
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
+	"repro/internal/bitset"
 	"repro/internal/faults"
 	"repro/internal/topo"
 )
@@ -102,8 +104,11 @@ type stableEntry struct {
 // pages instead of copying tables: a repair copies only the pages it
 // writes, and Detach copies none. At Q20 a table is 1 MiB in 256 pages.
 type Assignment struct {
-	t      topo.Topology
+	t topo.Topology
+	// set is the live fault set the assignment was computed against, or
+	// nil on a detached copy, which routes on fz instead (Detach).
 	set    *faults.Set
+	fz     frozen
 	public levelTable
 	own    levelTable
 	// rounds is the number of synchronous information-exchange rounds
@@ -149,8 +154,62 @@ func (as *Assignment) Cube() *topo.Cube {
 	return c
 }
 
-// Faults returns the fault set the assignment was computed against.
-func (as *Assignment) Faults() *faults.Set { return as.set }
+// frozen is the fault state of a detached assignment: the sorted link
+// slice and the generation taken at detach time. Node faults need no
+// copy, because the faulty nodes are exactly those whose own level is
+// 0 (NodeFaulty). view is the full fault set, built on first use.
+type frozen struct {
+	links []faults.Link
+	gen   uint64
+	once  sync.Once
+	view  *faults.Set
+}
+
+// Faults returns the fault set the assignment routes on. A live
+// assignment returns the set it was computed against. A detached copy
+// keeps no set: its first call builds one from the own-level table and
+// the link slice, at the generation of the detach, with no journal, and
+// later calls return the same set. The build is one pass over the
+// table, paid only by callers of Faults; routing never needs it.
+func (as *Assignment) Faults() *faults.Set {
+	if as.set != nil {
+		return as.set
+	}
+	as.fz.once.Do(func() {
+		nodes := bitset.New(as.t.Nodes())
+		for p, page := range as.own {
+			for i, v := range page {
+				if v == 0 {
+					nodes.Add(p<<pageShift + i)
+				}
+			}
+		}
+		as.fz.view = faults.Frozen(as.t, as.fz.gen, nodes, as.fz.links)
+	})
+	return as.fz.view
+}
+
+// NodeFaulty reports whether node a is faulty in the fault state the
+// assignment routes on. A live assignment asks its set, which may run
+// ahead of the tables: a Session routes on an assignment while its set
+// mutates mid-flight. A detached copy reads its own-level table. GS and
+// EGS never give a nonfaulty node an own level of 0 (Verify checks
+// it), so there the faulty nodes are exactly the nodes at 0.
+func (as *Assignment) NodeFaulty(a topo.NodeID) bool {
+	if as.set != nil {
+		return as.set.NodeFaulty(a)
+	}
+	return as.own.at(int(a)) == 0
+}
+
+// linkFaulty reports whether the link (a, b) is faulty: in the live
+// set, or in the link slice a detached copy took.
+func (as *Assignment) linkFaulty(a, b topo.NodeID) bool {
+	if as.set != nil {
+		return as.set.LinkFaulty(a, b)
+	}
+	return faults.HasLink(as.fz.links, a, b)
+}
 
 // Level returns the public safety level of node a: the value a's
 // neighbors observe. Faulty nodes and nodes with adjacent faulty links
@@ -403,34 +462,40 @@ func reduceObserved(t topo.Topology, set *faults.Set, cur levelTable, id topo.No
 }
 
 // Verify checks that the assignment satisfies the paper's fixpoint
-// condition at every node: faulty nodes are 0-safe and every nonfaulty
-// node's level equals Definition 1 (Definition 4 for generalized cubes)
-// applied to its neighbors' levels. For EGS assignments the public view
-// is checked over N1 and the own view over N2. It returns nil when the
-// assignment is consistent; Theorem 1 guarantees the consistent
-// assignment is unique.
+// condition at every node: faulty nodes are 0-safe, nonfaulty nodes
+// have an own level of at least 1 (the invariant a detached copy reads
+// its node faults from), and every nonfaulty node's level equals
+// Definition 1 (Definition 4 for generalized cubes) applied to its
+// neighbors' levels. For EGS assignments the public view is checked
+// over N1 and the own view over N2. It returns nil when the assignment
+// is consistent; Theorem 1 guarantees the consistent assignment is
+// unique.
 func (as *Assignment) Verify() error {
 	t := as.t
 	n := t.Dim()
+	set := as.Faults()
 	neigh := make([]int, n)
 	scratch := make([]int, n+1)
 	var sibs []topo.NodeID
 	for a := 0; a < t.Nodes(); a++ {
 		id := topo.NodeID(a)
 		pub, own := as.Level(id), as.OwnLevel(id)
-		if as.set.NodeFaulty(id) {
+		if set.NodeFaulty(id) {
 			if pub != 0 || own != 0 {
 				return fmt.Errorf("core: faulty node %s has nonzero level", t.Format(id))
 			}
 			continue
 		}
-		inN2 := len(as.set.AdjacentFaultyLinks(id)) > 0
+		if own < 1 {
+			return fmt.Errorf("core: nonfaulty node %s has own level 0", t.Format(id))
+		}
+		inN2 := len(set.AdjacentFaultyLinks(id)) > 0
 		if inN2 {
 			if pub != 0 {
 				return fmt.Errorf("core: N2 node %s exposes nonzero public level %d", t.Format(id), pub)
 			}
 			for i := 0; i < n; i++ {
-				neigh[i], sibs = reduceObserved(t, as.set, as.public, id, i, sibs)
+				neigh[i], sibs = reduceObserved(t, set, as.public, id, i, sibs)
 			}
 			if want := LevelFromNeighbors(neigh, scratch); own != want {
 				return fmt.Errorf("core: N2 node %s own level %d, Definition 1 gives %d", t.Format(id), own, want)
@@ -458,7 +523,7 @@ func (as *Assignment) UnsafeNonfaulty() []topo.NodeID {
 	n := uint8(as.t.Dim())
 	for a := 0; a < as.t.Nodes(); a++ {
 		id := topo.NodeID(a)
-		if !as.set.NodeFaulty(id) && as.public.at(a) < n {
+		if !as.NodeFaulty(id) && as.public.at(a) < n {
 			out = append(out, id)
 		}
 	}
@@ -487,7 +552,7 @@ func (as *Assignment) CheckProperty2() error {
 		}
 		if !hasSafe {
 			return fmt.Errorf("core: unsafe node %s has no safe neighbor (faults=%d)",
-				t.Format(a), as.set.NodeFaults())
+				t.Format(a), as.Faults().NodeFaults())
 		}
 	}
 	return nil

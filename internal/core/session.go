@@ -116,7 +116,7 @@ func (s *Session) Step() (bool, error) {
 
 // move executes the hop along dim to next.
 func (s *Session) move(dim int, next topo.NodeID, spare bool) (bool, error) {
-	if s.rt.as.set.NodeFaulty(next) && s.rt.as.t.Distance(s.cur, s.dest) != 1 {
+	if s.rt.as.NodeFaulty(next) && s.rt.as.t.Distance(s.cur, s.dest) != 1 {
 		// The chosen intermediate died between decision and hop; treat
 		// as a blockage rather than walking into a dead node.
 		s.rt.obs.Blocked(int(s.cur))

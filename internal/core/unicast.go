@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -125,6 +126,44 @@ type Route struct {
 // Len returns the number of hops traveled, or 0 for a failed unicast.
 func (r *Route) Len() int { return r.Path.Len() }
 
+// Summary returns what the route's answer carries besides its path:
+// the walked counterpart of Router.Summary.
+func (r *Route) Summary() Summary {
+	return Summary{
+		Condition: r.Condition,
+		Outcome:   r.Outcome,
+		Hamming:   r.Hamming,
+		Hops:      r.Len(),
+		Err:       r.Err != nil,
+	}
+}
+
+// Summary is a unicast decided at the source, as the paper decides it:
+// C1 or C2 admits a route of length H, C3 one of length H+2 (Theorem
+// 2), and otherwise the unicast fails there. By Theorem 3 forwarding
+// cannot fail once a condition held on a consistent assignment, so the
+// source's decision is the whole answer except the path.
+type Summary struct {
+	Condition Condition
+	Outcome   Outcome
+	Hamming   int
+	// Hops is the route's length: Hamming when optimal, Hamming+2 when
+	// suboptimal, 0 on failure.
+	Hops int
+	// Err marks an error exit, one where Route.Err is set. The source
+	// step has two: an endpoint outside the topology and a faulty
+	// source.
+	Err bool
+}
+
+// Detours returns the route's spare hops: 1 for C3, 0 otherwise.
+func (s Summary) Detours() int {
+	if s.Condition == CondC3 {
+		return 1
+	}
+	return 0
+}
+
 // Router executes safety-level unicasts over one computed assignment.
 type Router struct {
 	as *Assignment
@@ -165,11 +204,88 @@ func (rt *Router) Observe(o *obs.RouteObserver) *Router {
 // every input: an endpoint outside the topology or a faulty source
 // answers (CondNone, Failure).
 func (rt *Router) Feasibility(s, d topo.NodeID) (Condition, Outcome) {
-	t := rt.as.t
-	if !t.Contains(s) || !t.Contains(d) || rt.as.set.NodeFaulty(s) {
-		return CondNone, Failure
+	cond, out, _, _ := rt.source(s, d)
+	return cond, out
+}
+
+// Summary decides the unicast from s to d at the source and returns it
+// without walking a hop or allocating. On a consistent assignment it
+// equals Unicast(s, d).Summary() (Theorem 3); on a deliberately
+// inconsistent one, such as truncated GS rounds, the walk can still
+// fail where the summary promised a route. The observer sees what a
+// counter-only observer sees of the walk: the admission, the route's
+// hops in one update, and the outcome with a note on an error exit. A
+// traced observer records no hop events.
+func (rt *Router) Summary(s, d topo.NodeID) Summary {
+	sum, _ := rt.summary(s, d)
+	if o := rt.obs; o != nil {
+		rt.observeAdmit(s, sum)
+		at, note := s, ""
+		if sum.Err {
+			note = sourceExitNote
+		}
+		if sum.Outcome != Failure {
+			at = d
+			if sum.Hops > 0 {
+				o.CountHops(sum.Hops, sum.Detours())
+			}
+		}
+		o.Done(int(at), sum.Condition.String(), sum.Outcome.String(), sum.Hops, sum.Hamming, 0, note)
 	}
-	return rt.admit(s, d, topo.NavIn(t, s, d))
+	return sum
+}
+
+// source is the algorithm's source step, the one decision Feasibility,
+// Summary and Unicast share: the endpoint checks, then the admission
+// test over the navigation vector nav = N(s, d), which it returns for
+// the walk. bad reports an error exit of the endpoint checks.
+func (rt *Router) source(s, d topo.NodeID) (cond Condition, out Outcome, nav topo.NavVector, bad bool) {
+	t := rt.as.t
+	nav = topo.NavIn(t, s, d)
+	if !t.Contains(s) || !t.Contains(d) || rt.as.NodeFaulty(s) {
+		return CondNone, Failure, nav, true
+	}
+	cond, out = rt.admit(s, d, nav)
+	return cond, out, nav, false
+}
+
+// summary is the source step as a Summary, with nav for the walk.
+func (rt *Router) summary(s, d topo.NodeID) (Summary, topo.NavVector) {
+	cond, out, nav, bad := rt.source(s, d)
+	sum := Summary{Condition: cond, Outcome: out, Hamming: nav.Count(), Err: bad}
+	switch out {
+	case Optimal:
+		sum.Hops = sum.Hamming
+	case Suboptimal:
+		sum.Hops = sum.Hamming + 2
+	}
+	return sum, nav
+}
+
+// errOutside is the error exit of an endpoint outside the topology.
+var errOutside = errors.New("core: node outside cube")
+
+// sourceExitNote is the observer's note on a summarized error exit:
+// Summary reports the exit without building Unicast's error.
+const sourceExitNote = "core: source faulty or outside the topology"
+
+// sourceErr is Route.Err for an error exit of the source step.
+func (rt *Router) sourceErr(s, d topo.NodeID) error {
+	t := rt.as.t
+	if !t.Contains(s) || !t.Contains(d) {
+		return errOutside
+	}
+	return fmt.Errorf("core: source %s is faulty", t.Format(s))
+}
+
+// observeAdmit reports the source step to the observer; the source's
+// own level is 0 on an error exit.
+func (rt *Router) observeAdmit(s topo.NodeID, sum Summary) {
+	level := 0
+	if !sum.Err {
+		level = rt.as.OwnLevel(s)
+	}
+	rt.obs.Admit(int(s), sum.Hamming, level, sum.Condition.String(), sum.Outcome.String())
 }
 
 // admit is Feasibility over the navigation vector nav = N(s, d): the
@@ -184,7 +300,7 @@ func (rt *Router) admit(s, d topo.NodeID, nav topo.NavVector) (Condition, Outcom
 	// not covered by the source's own level (every length-1 "optimal
 	// path" to it is the dead link itself), so a distance-1 unicast to
 	// it can only be admitted suboptimally via C3.
-	deadLinkDest := h == 1 && as.set.LinkFaulty(s, d)
+	deadLinkDest := h == 1 && as.linkFaulty(s, d)
 	if !deadLinkDest {
 		if as.OwnLevel(s) >= h {
 			return CondC1, Optimal
@@ -215,7 +331,7 @@ func lowDim(v topo.NavVector) int { return bits.TrailingZeros32(uint32(v)) }
 // forwards across one of its own faulty links, so the far end of a
 // faulty link is observed as level 0 regardless of its public value.
 func (rt *Router) observed(s, b topo.NodeID) int {
-	if rt.as.set.LinkFaulty(s, b) {
+	if rt.as.linkFaulty(s, b) {
 		return 0
 	}
 	return rt.as.Level(b)
@@ -240,36 +356,25 @@ func (rt *Router) UnicastID(s, d topo.NodeID, id uint64) *Route {
 // spare hop sets one. Theorem 2 fixes the route's length at admission,
 // so Path and Hops are each allocated once.
 func (rt *Router) Unicast(s, d topo.NodeID) *Route {
-	as, t := rt.as, rt.as.t
-	nav := topo.NavIn(t, s, d)
-	r := &Route{Source: s, Dest: d, Hamming: nav.Count()}
-	srcLevel := 0
-	switch {
-	case !t.Contains(s) || !t.Contains(d):
-		r.Outcome, r.Err = Failure, fmt.Errorf("core: node outside cube")
-	case as.set.NodeFaulty(s):
-		r.Outcome, r.Err = Failure, fmt.Errorf("core: source %s is faulty", t.Format(s))
-	default:
-		r.Condition, r.Outcome = rt.admit(s, d, nav)
-		srcLevel = as.OwnLevel(s)
+	sum, nav := rt.summary(s, d)
+	r := &Route{Source: s, Dest: d, Hamming: sum.Hamming, Outcome: sum.Outcome, Condition: sum.Condition}
+	if sum.Err {
+		r.Err = rt.sourceErr(s, d)
 	}
 	if rt.obs != nil {
-		rt.obs.Admit(int(s), r.Hamming, srcLevel, r.Condition.String(), r.Outcome.String())
+		rt.observeAdmit(s, sum)
 	}
 	if r.Outcome == Failure {
 		return rt.finishObs(r, s)
 	}
-	length := r.Hamming
-	if r.Condition == CondC3 {
-		length += 2
-	}
+	length := sum.Hops
 	r.Path = append(make(topo.Path, 0, length+1), s)
 	if s == d {
 		return rt.finishObs(r, s)
 	}
 	r.Hops = make([]Hop, 0, length)
 
-	cur := s
+	t, cur := rt.as.t, s
 	if r.Condition == CondC3 {
 		// Suboptimal first hop: the spare neighbor with the highest
 		// safety level among those meeting the C3 threshold.
@@ -349,14 +454,14 @@ func (rt *Router) pickPreferred(cur, d topo.NodeID, nav topo.NavVector) (int, to
 	if nav&(nav-1) == 0 {
 		// Final hop: delivered even to a faulty destination, but not
 		// across a faulty link.
-		return lowDim(nav), d, !as.set.LinkFaulty(cur, d)
+		return lowDim(nav), d, !as.linkFaulty(cur, d)
 	}
 	dim, next, best := 0, topo.NodeID(0), -1
 	for v := nav; v != 0; v &= v - 1 {
 		i := lowDim(v)
 		b := t.Toward(cur, d, i)
 		if lv := as.Level(b); (lv > best || rt.high && lv == best) &&
-			!as.set.NodeFaulty(b) && !as.set.LinkFaulty(cur, b) {
+			!as.NodeFaulty(b) && !as.linkFaulty(cur, b) {
 			dim, next, best = i, b, lv
 		}
 	}

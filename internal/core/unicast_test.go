@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
@@ -397,32 +399,202 @@ func TestRouterOnTruncatedAssignmentFailsSafely(t *testing.T) {
 }
 
 // TestFeasibilityMatchesUnicastQnAndGH is the differential behind the
-// source-side answer: for every pair, faulty and out-of-range endpoints
-// included, Feasibility reports the condition and outcome Unicast
-// reaches, on binary and generalized cubes with random node and link
-// faults.
+// source-side answer. On every scenario source of the package (random
+// Qn and GH instances, exhaustive Q3 and Q4 node x link fault sets,
+// randomized Q5-Q10, the differential goldens under both tie policies,
+// and every step of a chaos churn run) and for every pair checked,
+// faulty and out-of-range endpoints included, Feasibility and Summary
+// report what Unicast reaches: condition, outcome, Hamming distance,
+// hop count, detours and error exit. Each pair is checked on the live
+// assignment and on its detached copy, which reads node faults from its
+// own-level table.
 func TestFeasibilityMatchesUnicastQnAndGH(t *testing.T) {
 	rng := stats.NewRNG(2718)
-	for _, tp := range []topo.Topology{topo.MustCube(4), topo.MustCube(6), topo.MustMixed(2, 3, 2), topo.MustMixed(2, 3, 3)} {
-		for trial := 0; trial < 8; trial++ {
-			s := faults.NewSet(tp)
-			if err := faults.InjectUniform(s, rng, rng.Intn(tp.Nodes()/3)); err != nil {
-				t.Fatal(err)
-			}
-			if err := faults.InjectUniformLinks(s, rng, rng.Intn(3)); err != nil {
-				t.Fatal(err)
-			}
-			rt := router(t, s)
-			for src := 0; src < tp.Nodes()+2; src++ {
-				for dst := 0; dst < tp.Nodes()+2; dst++ {
-					a, b := topo.NodeID(src), topo.NodeID(dst)
-					cond, out := rt.Feasibility(a, b)
-					if r := rt.Unicast(a, b); cond != r.Condition || out != r.Outcome {
-						t.Fatalf("%v with faults %s: %d -> %d: Feasibility %v/%v, Unicast %v/%v",
-							tp, s, src, dst, cond, out, r.Condition, r.Outcome)
+	for _, src := range []struct {
+		name string
+		run  func(check func(set *faults.Set, as *Assignment, tie TieBreak, pairs [][2]topo.NodeID))
+	}{
+		{"random Qn and GH", func(check func(*faults.Set, *Assignment, TieBreak, [][2]topo.NodeID)) {
+			for _, tp := range []topo.Topology{topo.MustCube(4), topo.MustCube(6), topo.MustMixed(2, 3, 2), topo.MustMixed(2, 3, 3)} {
+				for trial := 0; trial < 8; trial++ {
+					s := faults.NewSet(tp)
+					if err := faults.InjectUniform(s, rng, rng.Intn(tp.Nodes()/3)); err != nil {
+						t.Fatal(err)
 					}
+					if err := faults.InjectUniformLinks(s, rng, rng.Intn(3)); err != nil {
+						t.Fatal(err)
+					}
+					check(s, Compute(s, Options{}), nil, allPairs(tp, 2))
+				}
+			}
+		}},
+		{"exhaustive Q3 and Q4 node x link", func(check func(*faults.Set, *Assignment, TieBreak, [][2]topo.NodeID)) {
+			for n, maxNodes := range map[int]int{3: 8, 4: 2} {
+				tp := topo.MustCube(n)
+				pairs := allPairs(tp, 1)
+				links := append([]faults.Link{{}}, allLinks(tp)...)
+				for k := 0; k <= maxNodes; k++ {
+					forEachFaultSetIn(t, tp, k, func(nodes *faults.Set) {
+						for _, l := range links {
+							s := nodes.Clone()
+							if l != (faults.Link{}) {
+								if err := s.FailLink(l.A, l.B); err != nil {
+									t.Fatal(err)
+								}
+							}
+							check(s, Compute(s, Options{}), nil, pairs)
+						}
+					})
+				}
+			}
+		}},
+		{"randomized Q5-Q10", func(check func(*faults.Set, *Assignment, TieBreak, [][2]topo.NodeID)) {
+			for n := 5; n <= 10; n++ {
+				tp := topo.MustCube(n)
+				for trial := 0; trial < 3; trial++ {
+					s := faults.NewSet(tp)
+					if err := faults.InjectUniform(s, rng, 1+rng.Intn(tp.Nodes()/6)); err != nil {
+						t.Fatal(err)
+					}
+					if err := faults.InjectUniformLinks(s, rng, rng.Intn(2*n)); err != nil {
+						t.Fatal(err)
+					}
+					pairs := make([][2]topo.NodeID, 1500)
+					for i := range pairs {
+						pairs[i] = [2]topo.NodeID{topo.NodeID(rng.Intn(tp.Nodes())), topo.NodeID(rng.Intn(tp.Nodes()))}
+					}
+					check(s, Compute(s, Options{}), nil, pairs)
+				}
+			}
+		}},
+		{"differential goldens", func(check func(*faults.Set, *Assignment, TieBreak, [][2]topo.NodeID)) {
+			for _, sc := range diffScenarios() {
+				s := sc.set()
+				for _, tie := range []TieBreak{LowestDim, HighestDim} {
+					check(s, Compute(s, Options{}), tie, allPairs(s.Topology(), 1))
+				}
+			}
+		}},
+		{"chaos steps", func(check func(*faults.Set, *Assignment, TieBreak, [][2]topo.NodeID)) {
+			for _, tp := range []topo.Topology{topo.MustCube(6), topo.MustMixed(4, 2, 3)} {
+				pairs := allPairs(tp, 0)
+				set := faults.NewSet(tp)
+				as := Compute(set, Options{})
+				for i, ev := range faults.ChurnSchedule(tp, 31, 60, faults.ChurnOptions{Links: true}) {
+					gen := set.Generation()
+					if err := set.Apply(ev); err != nil {
+						t.Fatal(err)
+					}
+					delta, _ := set.Since(gen)
+					rep, ok := RepairLevels(as, set, delta, Options{})
+					if !ok {
+						t.Fatalf("%v step %d: repair refused", tp, i)
+					}
+					as = rep
+					check(set, as, HighestDim, pairs)
+				}
+			}
+		}},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			checked := 0
+			src.run(func(set *faults.Set, as *Assignment, tie TieBreak, pairs [][2]topo.NodeID) {
+				live, det := NewRouter(as, tie), NewRouter(as.Detach(), tie)
+				for _, p := range pairs {
+					a, b := p[0], p[1]
+					r := live.Unicast(a, b)
+					want := r.Summary()
+					detours := 0
+					for _, h := range r.Hops {
+						if h.Spare {
+							detours++
+						}
+					}
+					for _, rt := range []*Router{live, det} {
+						sum := rt.Summary(a, b)
+						cond, out := rt.Feasibility(a, b)
+						walked := want
+						if rt == det {
+							walked = det.Unicast(a, b).Summary()
+						}
+						if sum != want || walked != want || cond != want.Condition || out != want.Outcome || sum.Detours() != detours {
+							t.Fatalf("%v with faults %s, detached %v: %d -> %d: Summary %+v (detours %d), Feasibility %v/%v, walk %+v, live walk %+v (detours %d)",
+								set.Topology(), set, rt == det, a, b, sum, sum.Detours(), cond, out, walked, want, detours)
+						}
+					}
+					checked++
+				}
+			})
+			t.Logf("%d pairs", checked)
+		})
+	}
+}
+
+// allPairs returns every ordered pair of tp's nodes and of extra node
+// IDs past its end.
+func allPairs(tp topo.Topology, extra int) [][2]topo.NodeID {
+	n := tp.Nodes() + extra
+	out := make([][2]topo.NodeID, 0, n*n)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			out = append(out, [2]topo.NodeID{topo.NodeID(a), topo.NodeID(b)})
+		}
+	}
+	return out
+}
+
+// allLinks returns every link of tp, normalized, in ascending order.
+func allLinks(tp topo.Topology) []faults.Link {
+	var out []faults.Link
+	var sibs []topo.NodeID
+	for a := 0; a < tp.Nodes(); a++ {
+		for i := 0; i < tp.Dim(); i++ {
+			sibs = tp.Siblings(topo.NodeID(a), i, sibs[:0])
+			for _, b := range sibs {
+				if topo.NodeID(a) < b {
+					out = append(out, faults.Link{A: topo.NodeID(a), B: b})
 				}
 			}
 		}
 	}
+	return out
+}
+
+// TestSummaryObservesLikeAWalk serves the same pairs summarized on one
+// registry and walked on another and checks that every route_* metric
+// family reads the same: admissions, outcomes, hop and spare-hop
+// counts, the histograms, and the forward errors of faulty sources.
+func TestSummaryObservesLikeAWalk(t *testing.T) {
+	for _, sc := range diffScenarios() {
+		s := sc.set()
+		as := Compute(s, Options{}).Detach()
+		walked, summarized := obs.NewRegistry(), obs.NewRegistry()
+		wr := NewRouter(as, sc.tie).Observe(walked.RouteObserver())
+		sr := NewRouter(as, sc.tie).Observe(summarized.RouteObserver())
+		for _, p := range allPairs(s.Topology(), 1) {
+			wr.Unicast(p[0], p[1])
+			sr.Summary(p[0], p[1])
+		}
+		if w, m := routeMetrics(t, walked), routeMetrics(t, summarized); w != m {
+			t.Fatalf("%s: route metrics differ\nwalked:\n%s\nsummarized:\n%s", sc.name, w, m)
+		}
+	}
+}
+
+// routeMetrics renders the route_* lines of r's Prometheus exposition.
+func routeMetrics(t *testing.T, r *obs.Registry) string {
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.Contains(line, "route_") {
+			out = append(out, line)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no route metrics exported")
+	}
+	return strings.Join(out, "\n")
 }

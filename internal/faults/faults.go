@@ -89,9 +89,9 @@ const journalCap = 4096
 //
 // Storage is flat: faulty nodes live in a word-addressed bitset keyed
 // by dense node index, faulty links in a slice kept sorted by
-// normalized endpoints. Both clone with a memcpy — the property the
-// serving layer's per-publish CloneState depends on — and both stay
-// near-linear in the fault count rather than the topology size.
+// normalized endpoints. Both clone with a memcpy, and the sorted link
+// slice is all a detached level snapshot copies of the set
+// (core.Assignment.Detach; HasLink searches such a copy).
 type Set struct {
 	t         topo.Topology
 	node      bitset.Set
@@ -156,25 +156,12 @@ func NewSet(t topo.Topology) *Set {
 
 // Clone returns an independent deep copy.
 func (s *Set) Clone() *Set {
-	cp := s.CloneState()
-	cp.journal = append([]Delta(nil), s.journal...)
-	return cp
-}
-
-// CloneState returns an independent copy of the fault state without the
-// delta journal. The copy reports the same faults and generation but
-// Since on it only succeeds for the current generation, so it cannot
-// replay history for an incremental repair — it is the cheap frozen
-// view the serving layer publishes inside each level snapshot, where
-// the journal (up to journalCap entries) would be dead weight copied
-// on every swap. With the flat storage the whole clone is two slice
-// copies (node bitset + sorted link slice): a memcpy, not a map walk.
-func (s *Set) CloneState() *Set {
 	cp := &Set{
 		t:         s.t,
 		node:      s.node.Clone(),
 		nodeCount: s.nodeCount,
 		gen:       s.gen,
+		journal:   append([]Delta(nil), s.journal...),
 	}
 	if len(s.links) > 0 {
 		cp.links = append([]Link(nil), s.links...)
@@ -182,15 +169,31 @@ func (s *Set) CloneState() *Set {
 	return cp
 }
 
-// linkIndex binary-searches the sorted link slice for normalized link
-// l, returning its position (or insertion point) and whether it is
+// Frozen returns a journal-free set over t at generation gen whose
+// faulty nodes are the members of nodes, which the set takes over, and
+// whose faulty links are a copy of links, normalized and sorted as
+// FaultyLinks returns them. It reports the same faults and generation
+// as the set they were taken from, but Since on it succeeds only for
+// the current generation, so it cannot replay history for a repair.
+// core.Assignment.Faults rebuilds a detached snapshot's fault view
+// with it.
+func Frozen(t topo.Topology, gen uint64, nodes bitset.Set, links []Link) *Set {
+	cp := &Set{t: t, node: nodes, nodeCount: nodes.Count(), gen: gen}
+	if len(links) > 0 {
+		cp.links = append([]Link(nil), links...)
+	}
+	return cp
+}
+
+// linkIndex binary-searches a sorted link slice for normalized link l,
+// returning its position (or insertion point) and whether it is
 // present.
-func (s *Set) linkIndex(l Link) (int, bool) {
-	i := sort.Search(len(s.links), func(i int) bool {
-		e := s.links[i]
+func linkIndex(links []Link, l Link) (int, bool) {
+	i := sort.Search(len(links), func(i int) bool {
+		e := links[i]
 		return e.A > l.A || (e.A == l.A && e.B >= l.B)
 	})
-	return i, i < len(s.links) && s.links[i] == l
+	return i, i < len(links) && links[i] == l
 }
 
 // Topology returns the topology the set is defined over.
@@ -237,7 +240,7 @@ func (s *Set) FailNode(a topo.NodeID) error {
 // observe a generation from the middle of the composite — levels where
 // the node is still down but its link faults are already gone. Callers
 // that serve readers concurrently must serialize mutations and publish
-// immutable CloneState views instead of sharing the live set; that is
+// immutable detached views instead of sharing the live set; that is
 // exactly what internal/serve does (see the snapshot/swap argument in
 // DESIGN.md §9 and TestServeChurn).
 func (s *Set) RecoverNode(a topo.NodeID) error {
@@ -253,7 +256,7 @@ func (s *Set) RecoverNode(a topo.NodeID) error {
 			sibs = s.t.Siblings(a, i, sibs[:0])
 			for _, b := range sibs {
 				l := Link{a, b}.Normalize()
-				if idx, ok := s.linkIndex(l); ok {
+				if idx, ok := linkIndex(s.links, l); ok {
 					s.links = append(s.links[:idx], s.links[idx+1:]...)
 					s.record(DeltaRecoverLink, l.A, l.B)
 				}
@@ -286,7 +289,7 @@ func (s *Set) FailLink(a, b topo.NodeID) error {
 		return fmt.Errorf("faults: %d and %d are not adjacent", a, b)
 	}
 	l := Link{a, b}.Normalize()
-	if idx, ok := s.linkIndex(l); !ok {
+	if idx, ok := linkIndex(s.links, l); !ok {
 		s.links = append(s.links, Link{})
 		copy(s.links[idx+1:], s.links[idx:])
 		s.links[idx] = l
@@ -301,7 +304,7 @@ func (s *Set) RecoverLink(a, b topo.NodeID) error {
 		return fmt.Errorf("faults: link endpoint outside cube")
 	}
 	l := Link{a, b}.Normalize()
-	if idx, ok := s.linkIndex(l); ok {
+	if idx, ok := linkIndex(s.links, l); ok {
 		s.links = append(s.links[:idx], s.links[idx+1:]...)
 		s.record(DeltaRecoverLink, l.A, l.B)
 	}
@@ -315,11 +318,17 @@ func (s *Set) NodeFaulty(a topo.NodeID) bool { return s.node.Test(int(a)) }
 // A link incident to a faulty node is NOT automatically reported faulty:
 // the paper keeps node and link faults distinct (Section 4.1), and the
 // safety-level machinery composes them itself.
-func (s *Set) LinkFaulty(a, b topo.NodeID) bool {
-	if len(s.links) == 0 {
-		return false
-	}
-	_, ok := s.linkIndex(Link{a, b}.Normalize())
+func (s *Set) LinkFaulty(a, b topo.NodeID) bool { return HasLink(s.links, a, b) }
+
+// HasLink reports whether the undirected link (a, b) is in links, a
+// slice normalized and sorted as FaultyLinks returns it. The empty
+// case, the common one, costs no call.
+func HasLink(links []Link, a, b topo.NodeID) bool {
+	return len(links) > 0 && searchLink(links, a, b)
+}
+
+func searchLink(links []Link, a, b topo.NodeID) bool {
+	_, ok := linkIndex(links, Link{a, b}.Normalize())
 	return ok
 }
 

@@ -606,7 +606,9 @@ type Incident struct {
 	// Seq is the promotion sequence number (1-based, monotonic).
 	Seq uint64 `json:"seq"`
 	// Reason names the trigger: "error:<class>", "route-failure",
-	// "diagnosis-ambiguous", "non-minimal" or "slow".
+	// "diagnosis-ambiguous", "non-minimal", "slow", or
+	// "summary-mismatch" (a wire answer decided at the source that its
+	// sampled walk contradicted; internal/serve promotes it directly).
 	Reason string `json:"reason"`
 	// AtUS is the promotion wall time in Unix microseconds.
 	AtUS   int64        `json:"at_us"`

@@ -232,6 +232,9 @@ const (
 	MetricServeBatchItems     = "serve_batch_items_total"
 	MetricServeFanoutsTotal   = "serve_fanouts_total"
 	MetricServeFanoutItems    = "serve_fanout_items_total"
+	// Wire answers decided at the source whose sampled walk on the same
+	// snapshot disagreed: a broken level invariant (Theorem 3).
+	MetricServeSummaryMismatch = "serve_summary_mismatch_total"
 	// Serving-path hardening metrics: token-bucket load shedding
 	// (distinct from serve_apply_rejected_total, which is writer-side
 	// churn backpressure), context cancellation, and the drain state.

@@ -7,11 +7,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/topo"
 )
 
 // Flight-recorder glue for the serving path: classify serving errors
-// into compact obs.ErrClass codes, summarize a core.Route into the
-// packed record fields, and — only when a record is promoted to an
+// into compact obs.ErrClass codes, pack a unicast's core.Summary into
+// the record fields, and — only when a record is promoted to an
 // incident — reconstruct the full per-hop RouteTrace from the route's
 // decision record and the snapshot's level assignment. Nothing here
 // allocates on the healthy hot path; see obs/flight.go for the cost
@@ -37,23 +38,68 @@ func errClass(err error) obs.ErrClass {
 	}
 }
 
-// outcomeOf shifts a routed outcome into the flight encoding (0 is
-// reserved for "never routed").
-func outcomeOf(r *core.Route) obs.OutcomeCode {
-	return obs.OutcomeCode(r.Outcome) + 1
+// routeRecord is the flight record of one unicast answer, built from
+// its summary whether the answer was walked or decided at the source.
+// The caller fills in the timing fields.
+func routeRecord(kind obs.ReqKind, id uint64, sn *Snapshot, sum core.Summary, stale bool) obs.FlightRecord {
+	rec := obs.FlightRecord{
+		ID:      id,
+		Kind:    kind,
+		Gen:     sn.gen,
+		Hamming: sum.Hamming,
+		Hops:    sum.Hops,
+		Detours: sum.Detours(),
+		Items:   1,
+		Cond:    obs.CondCode(sum.Condition),
+		// The flight encoding reserves 0 for "never routed".
+		Outcome: obs.OutcomeCode(sum.Outcome) + 1,
+		Stale:   stale,
+	}
+	switch {
+	case !sn.Consistent():
+		rec.Err = obs.ErrClassTorn
+	case sum.Err:
+		rec.Err = obs.ErrClassOther
+	case sum.Outcome == core.Failure:
+		// Admission refused the pair outright: no safe route exists
+		// under the current faults. A partition or dimension cut
+		// surfaces here as "unreachable" (Theorem 4), not as a
+		// transport anomaly.
+		rec.Err = obs.ErrClassUnreachable
+	}
+	return rec
 }
 
-// detoursOf counts the spare-dimension hops of a route. A suboptimal
-// safety-level unicast takes exactly one spare hop and pays it back
-// coming home, so Hops - Hamming = 2 * detours on every delivery.
-func detoursOf(r *core.Route) int {
-	n := 0
-	for i := range r.Hops {
-		if r.Hops[i].Spare {
-			n++
-		}
+// summaryCheckEvery is how often a wire answer decided at the source is
+// also walked: one answer in this many.
+const summaryCheckEvery = 1024
+
+// sampler picks the answers decided at the source that are also walked.
+// Each wire connection owns one, so picking costs no shared atomic.
+type sampler uint32
+
+// next counts one answer and reports whether it is to be checked.
+func (c *sampler) next() bool {
+	*c++
+	return *c%summaryCheckEvery == 0
+}
+
+// checkSummary walks a pair already answered at the source, on the same
+// snapshot, and compares the walk's summary with the answer. Theorem 3
+// says they agree on every consistent snapshot, so a mismatch means a
+// broken level invariant: it counts in serve_summary_mismatch_total and
+// is promoted as an incident carrying the walked trace.
+func (s *Service) checkSummary(kind obs.ReqKind, sn *Snapshot, src, dst topo.NodeID, sum core.Summary, stale bool) {
+	r := sn.ref.Unicast(src, dst)
+	if r.Summary() == sum {
+		return
 	}
-	return n
+	s.mMismatch.Inc()
+	if fl := s.flight; fl != nil {
+		r.FlightID = fl.NextID()
+		rec := routeRecord(kind, r.FlightID, sn, sum, stale)
+		fl.Promote(&rec, "summary-mismatch", traceOfRoute(r, sn.as, r.FlightID, sn.gen))
+	}
 }
 
 // deadlineUS returns the remaining deadline budget at start, in
@@ -102,11 +148,16 @@ func (s *Service) flightRefuse(kind obs.ReqKind, start time.Time, ctx context.Co
 // flightServed records a successfully served batch/fan-out request
 // (no per-route triple; the per-unicast evidence for those lives in
 // the aggregate histograms) and feeds the latency histogram with the
-// request ID as exemplar.
+// request ID as exemplar. Without a recorder it only feeds the
+// histogram.
 func (s *Service) flightServed(kind obs.ReqKind, start time.Time, ctx context.Context, items int, sn *Snapshot, stale bool, lat *obs.Histogram) {
 	fl := s.flight
-	id := fl.NextID()
 	us := time.Since(start).Microseconds()
+	if fl == nil {
+		lat.Observe(us)
+		return
+	}
+	id := fl.NextID()
 	lat.ObserveEx(us, id)
 	rec := obs.FlightRecord{
 		ID:         id,

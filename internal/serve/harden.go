@@ -145,81 +145,112 @@ func (s *Service) ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// admit runs the admission sequence every context-aware reader shares:
+// the drain check, the context check and the token bucket, which
+// charges items tokens. On refusal it records the flight refusal and
+// returns the error. Otherwise the request is in flight until the
+// caller's release, and start is the time latency is measured from:
+// taken before admission when the flight recorder is on, after it
+// otherwise.
+func (s *Service) admit(ctx context.Context, kind obs.ReqKind, items int) (start time.Time, err error) {
+	if s.flight != nil {
+		start = time.Now()
+	}
+	if err := s.acquire(); err != nil {
+		s.flightRefuse(kind, start, ctx, items, err)
+		return start, err
+	}
+	switch {
+	case ctx.Err() != nil:
+		err = s.ctxErr(ctx)
+	case !s.bucket.take(items):
+		s.mOverload.Inc()
+		err = ErrOverload
+	}
+	if err != nil {
+		s.flightRefuse(kind, start, ctx, items, err)
+		s.release()
+		return start, err
+	}
+	if s.flight == nil {
+		start = time.Now()
+	}
+	return start, nil
+}
+
 // RouteCtx is Route with deadlines, admission control and drain
 // awareness: it refuses with ErrDraining after Shutdown begins, sheds
 // with ErrOverload beyond the configured rate, returns ctx.Err() once
 // the context is done, and otherwise routes against the snapshot
 // current at admission time, recording the wall latency.
 func (s *Service) RouteCtx(ctx context.Context, src, dst topo.NodeID) (*core.Route, error) {
-	fl := s.flight
-	var start time.Time
-	if fl != nil {
-		start = time.Now()
-	}
-	if err := s.acquire(); err != nil {
-		s.flightRefuse(obs.ReqRoute, start, ctx, 1, err)
-		return nil, err
+	r, _, err := s.routeCtx(ctx, src, dst, walkRoute)
+	return r, err
+}
+
+// routeMode selects how routeCtx answers a pair.
+type routeMode uint8
+
+const (
+	// walkRoute walks every hop and returns the route (RouteCtx).
+	walkRoute routeMode = iota
+	// atSource decides the pair at the source (Snapshot.Summary) and
+	// returns no route: the wire path, whose answer carries no path.
+	atSource
+	// atSourceChecked is atSource that also walks the pair and compares
+	// (checkSummary): the wire path's sampled check.
+	atSourceChecked
+)
+
+// answer is one unicast served by routeCtx: its summary, the
+// generation of the snapshot it was decided on, and its flight ID.
+type answer struct {
+	core.Summary
+	Gen, FlightID uint64
+}
+
+// routeCtx is the sequence RouteCtx and the wire path share: admission,
+// one snapshot load, the route (walked or decided at the source, as
+// mode says), the latency histogram and the flight record. The route is
+// nil unless mode is walkRoute; an incident promotion re-walks the pair
+// on the pinned snapshot for its trace.
+func (s *Service) routeCtx(ctx context.Context, src, dst topo.NodeID, mode routeMode) (*core.Route, answer, error) {
+	start, err := s.admit(ctx, obs.ReqRoute, 1)
+	if err != nil {
+		return nil, answer{}, err
 	}
 	defer s.release()
-	if err := ctx.Err(); err != nil {
-		err = s.ctxErr(ctx)
-		s.flightRefuse(obs.ReqRoute, start, ctx, 1, err)
-		return nil, err
-	}
-	if !s.bucket.take(1) {
-		s.mOverload.Inc()
-		s.flightRefuse(obs.ReqRoute, start, ctx, 1, ErrOverload)
-		return nil, ErrOverload
-	}
-	if fl == nil {
-		start = time.Now()
-		r := s.Route(src, dst)
-		s.mLatRoute.ObserveSince(start)
-		return r, nil
-	}
-	// Flight-recorded path: inline s.Route so the snapshot stays in
-	// hand for generation attribution and (rare) trace reconstruction.
 	sn := s.cur.Load()
 	s.mRoutes.Inc()
 	stale := len(s.queue) > 0
 	if stale {
 		s.mStale.Inc()
 	}
-	id := fl.NextID()
-	r := sn.rt.UnicastID(src, dst, id)
+	fl := s.flight
+	a := answer{Gen: sn.gen, FlightID: fl.NextID()}
+	var r *core.Route
+	if mode == walkRoute {
+		r = sn.rt.UnicastID(src, dst, a.FlightID)
+		a.Summary = r.Summary()
+	} else {
+		a.Summary = sn.Summary(src, dst)
+	}
 	lat := time.Since(start).Microseconds()
-	s.mLatRoute.ObserveEx(lat, id)
-	rec := obs.FlightRecord{
-		ID:         id,
-		Kind:       obs.ReqRoute,
-		Gen:        sn.gen,
-		Start:      start.Unix(),
-		LatencyUS:  lat,
-		DeadlineUS: deadlineUS(ctx, start),
-		Hamming:    r.Hamming,
-		Hops:       r.Len(),
-		Detours:    detoursOf(r),
-		Items:      1,
-		Cond:       obs.CondCode(r.Condition),
-		Outcome:    outcomeOf(r),
-		Stale:      stale,
+	s.mLatRoute.ObserveEx(lat, a.FlightID)
+	if fl != nil {
+		rec := routeRecord(obs.ReqRoute, a.FlightID, sn, a.Summary, stale)
+		rec.Start, rec.LatencyUS, rec.DeadlineUS = start.Unix(), lat, deadlineUS(ctx, start)
+		if reason := fl.Record(&rec); reason != "" {
+			if r == nil {
+				r = sn.ref.UnicastID(src, dst, a.FlightID)
+			}
+			fl.Promote(&rec, reason, traceOfRoute(r, sn.as, a.FlightID, sn.gen))
+		}
 	}
-	switch {
-	case !sn.Consistent():
-		rec.Err = obs.ErrClassTorn
-	case r.Err != nil:
-		rec.Err = obs.ErrClassOther
-	case r.Outcome == core.Failure:
-		// Admission refused the pair outright (Route.Err stays nil on
-		// that path): no safe route exists under the current faults.
-		// A partition or dimension cut surfaces here as "unreachable"
-		// (Theorem 4), not as a transport anomaly.
-		rec.Err = obs.ErrClassUnreachable
+	if mode == atSourceChecked {
+		s.checkSummary(obs.ReqRoute, sn, src, dst, a.Summary, stale)
 	}
-	if reason := fl.Record(&rec); reason != "" {
-		fl.Promote(&rec, reason, traceOfRoute(r, sn.as, id, sn.gen))
-	}
-	return r, nil
+	return r, a, nil
 }
 
 // BatchUnicastCtx is BatchUnicast with the same hardening. Admission
@@ -228,29 +259,11 @@ func (s *Service) RouteCtx(ctx context.Context, src, dst topo.NodeID) (*core.Rou
 // context's deadline (partial results are discarded: the caller asked
 // for a mutually consistent answer set, and a truncated one is not).
 func (s *Service) BatchUnicastCtx(ctx context.Context, reqs []Request) ([]*core.Route, error) {
-	fl := s.flight
-	var start time.Time
-	if fl != nil {
-		start = time.Now()
-	}
-	if err := s.acquire(); err != nil {
-		s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), err)
+	start, err := s.admit(ctx, obs.ReqBatch, len(reqs))
+	if err != nil {
 		return nil, err
 	}
 	defer s.release()
-	if err := ctx.Err(); err != nil {
-		err = s.ctxErr(ctx)
-		s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), err)
-		return nil, err
-	}
-	if !s.bucket.take(len(reqs)) {
-		s.mOverload.Inc()
-		s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), ErrOverload)
-		return nil, ErrOverload
-	}
-	if fl == nil {
-		start = time.Now()
-	}
 	sn := s.cur.Load()
 	s.mBatches.Inc()
 	s.mBatchN.Add(int64(len(reqs)))
@@ -264,41 +277,56 @@ func (s *Service) BatchUnicastCtx(ctx context.Context, reqs []Request) ([]*core.
 		s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), err)
 		return nil, err
 	}
-	if fl == nil {
-		s.mLatBatch.ObserveSince(start)
-		return out, nil
-	}
 	s.flightServed(obs.ReqBatch, start, ctx, len(reqs), sn, stale, s.mLatBatch)
 	return out, nil
+}
+
+// batchAtSource answers a wire batch at the source on the caller's
+// goroutine, appending one summary per request to out, and returns the
+// generation of the snapshot every answer was decided on. It runs
+// BatchUnicastCtx's sequence: admission at one token per request, one
+// pinned snapshot, cancellation checked between items when ctx can be
+// done, and one flight record for the batch. Each answer sc picks is
+// also walked and compared (checkSummary).
+func (s *Service) batchAtSource(ctx context.Context, reqs []Request, out []core.Summary, sc *sampler) ([]core.Summary, uint64, error) {
+	start, err := s.admit(ctx, obs.ReqBatch, len(reqs))
+	if err != nil {
+		return out, 0, err
+	}
+	defer s.release()
+	sn := s.cur.Load()
+	s.mBatches.Inc()
+	s.mBatchN.Add(int64(len(reqs)))
+	stale := len(s.queue) > 0
+	if stale {
+		s.mStale.Inc()
+	}
+	done := ctx.Done()
+	for _, q := range reqs {
+		if done != nil && ctx.Err() != nil {
+			err = s.ctxErr(ctx)
+			s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), err)
+			return out, 0, err
+		}
+		sum := sn.Summary(q.Src, q.Dst)
+		if sc.next() {
+			s.checkSummary(obs.ReqBatch, sn, q.Src, q.Dst, sum, stale)
+		}
+		out = append(out, sum)
+	}
+	s.flightServed(obs.ReqBatch, start, ctx, len(reqs), sn, stale, s.mLatBatch)
+	return out, sn.gen, nil
 }
 
 // RouteAllCtx is RouteAll with the same hardening; admission costs one
 // token per destination.
 func (s *Service) RouteAllCtx(ctx context.Context, src topo.NodeID) ([]*core.Route, error) {
-	fl := s.flight
-	var start time.Time
-	if fl != nil {
-		start = time.Now()
-	}
 	nodes := s.t.Nodes()
-	if err := s.acquire(); err != nil {
-		s.flightRefuse(obs.ReqRouteAll, start, ctx, nodes-1, err)
+	start, err := s.admit(ctx, obs.ReqRouteAll, nodes-1)
+	if err != nil {
 		return nil, err
 	}
 	defer s.release()
-	if err := ctx.Err(); err != nil {
-		err = s.ctxErr(ctx)
-		s.flightRefuse(obs.ReqRouteAll, start, ctx, nodes-1, err)
-		return nil, err
-	}
-	if !s.bucket.take(nodes - 1) {
-		s.mOverload.Inc()
-		s.flightRefuse(obs.ReqRouteAll, start, ctx, nodes-1, ErrOverload)
-		return nil, ErrOverload
-	}
-	if fl == nil {
-		start = time.Now()
-	}
 	sn := s.cur.Load()
 	stale := len(s.queue) > 0
 	reqs := make([]Request, 0, nodes-1)
@@ -319,10 +347,6 @@ func (s *Service) RouteAllCtx(ctx context.Context, src topo.NodeID) ([]*core.Rou
 	out := make([]*core.Route, nodes)
 	for i, q := range reqs {
 		out[q.Dst] = routes[i]
-	}
-	if fl == nil {
-		s.mLatRouteAll.ObserveSince(start)
-		return out, nil
 	}
 	s.flightServed(obs.ReqRouteAll, start, ctx, len(reqs), sn, stale, s.mLatRouteAll)
 	return out, nil

@@ -35,22 +35,26 @@ type Snapshot struct {
 	// at construction and compared by readers (and TestServeChurn) as a
 	// torn-publication canary. A snapshot observed with gen != genCheck
 	// would mean the pointer swap exposed a half-built value.
-	gen      uint64
-	as       *core.Assignment
-	rt       *core.Router
+	gen uint64
+	as  *core.Assignment
+	rt  *core.Router
+	// ref is rt without the observer: it re-walks answers already
+	// counted, for incident traces and the sampled summary check.
+	ref      *core.Router
 	at       time.Time
 	genCheck uint64
 }
 
 // newSnapshot builds a snapshot around a detached assignment. The
-// router is shared by every reader of the snapshot: core.Router carries
-// no per-unicast state, and the observer is the counter-only kind,
-// which is safe for concurrent use.
+// routers are shared by every reader of the snapshot: core.Router
+// carries no per-unicast state, and the observer is the counter-only
+// kind, which is safe for concurrent use.
 func newSnapshot(gen uint64, det *core.Assignment, tie core.TieBreak, ro *obs.RouteObserver) *Snapshot {
 	return &Snapshot{
 		gen:      gen,
 		as:       det,
 		rt:       core.NewRouter(det, tie).Observe(ro),
+		ref:      core.NewRouter(det, tie),
 		at:       time.Now(),
 		genCheck: gen,
 	}
@@ -76,10 +80,12 @@ func (sn *Snapshot) Assignment() *core.Assignment { return sn.as }
 // Level returns node a's public safety level in this snapshot.
 func (sn *Snapshot) Level(a topo.NodeID) int { return sn.as.Level(a) }
 
-// Faults returns the snapshot's fault view — the detached assignment's
-// cloned fault-set state, immutable and consistent with the levels the
-// snapshot routes on. Diagnosis front-ends collect syndromes from it
-// so every test in one sweep sees one generation.
+// Faults returns the snapshot's fault view, consistent with the levels
+// the snapshot routes on. The detached assignment keeps only the link
+// faults; the first call builds the full set from its own-level table
+// (core.Assignment.Faults), once per snapshot, and every later call
+// returns that set. Diagnosis front-ends collect syndromes from it so
+// every test in one sweep sees one generation. Treat it as read-only.
 func (sn *Snapshot) Faults() *faults.Set { return sn.as.Faults() }
 
 // Route unicasts from src to dst pinned to this snapshot. Callers that
@@ -92,6 +98,14 @@ func (sn *Snapshot) Route(src, dst topo.NodeID) *core.Route {
 // Feasibility evaluates the admission test pinned to this snapshot.
 func (sn *Snapshot) Feasibility(src, dst topo.NodeID) (core.Condition, core.Outcome) {
 	return sn.rt.Feasibility(src, dst)
+}
+
+// Summary decides the unicast from src to dst at the source, pinned to
+// this snapshot, without walking it (core.Router.Summary). Every
+// served snapshot is a fixpoint, because New refuses truncated
+// convergence, so by Theorem 3 it equals Route(src, dst).Summary().
+func (sn *Snapshot) Summary(src, dst topo.NodeID) core.Summary {
+	return sn.rt.Summary(src, dst)
 }
 
 // Options tune a Service. The zero value serves with a 64-entry apply
@@ -188,6 +202,7 @@ type Service struct {
 	mBatchN    *obs.Counter
 	mFanouts   *obs.Counter
 	mFanoutN   *obs.Counter
+	mMismatch  *obs.Counter
 
 	mOverload    *obs.Counter
 	mDeadline    *obs.Counter
@@ -271,6 +286,7 @@ func (s *Service) bindMetrics(r *obs.Registry) {
 	s.mBatchN = r.Counter(obs.MetricServeBatchItems)
 	s.mFanouts = r.Counter(obs.MetricServeFanoutsTotal)
 	s.mFanoutN = r.Counter(obs.MetricServeFanoutItems)
+	s.mMismatch = r.Counter(obs.MetricServeSummaryMismatch)
 	s.mOverload = r.Counter(obs.MetricServeOverloadTotal)
 	s.mDeadline = r.Counter(obs.MetricServeDeadlineTotal)
 	s.mInflight = r.Gauge(obs.MetricServeInflight)
@@ -305,9 +321,10 @@ func (s *Service) Current() *Snapshot { return s.cur.Load() }
 // Generation returns the generation of the published snapshot.
 func (s *Service) Generation() uint64 { return s.cur.Load().Generation() }
 
-// CurrentFaults returns the published snapshot's immutable fault view
-// (see Snapshot.Faults). Lock-free; successive calls may observe
-// different generations as churn lands.
+// CurrentFaults returns the published snapshot's fault view (see
+// Snapshot.Faults), built on the snapshot's first call and shared by
+// every later one. Lock-free; successive calls may observe different
+// generations as churn lands.
 func (s *Service) CurrentFaults() *faults.Set { return s.cur.Load().Faults() }
 
 // QueueDepth returns the number of apply messages waiting (a live

@@ -21,15 +21,21 @@ import (
 // it, append the answer to a bufio.Writer, and flush unless the whole
 // next frame is already buffered, so a pipelining client costs one
 // read and one write syscall per burst rather than per frame.
-// Execution routes against the lock-free snapshot with the same
-// RouteCtx/BatchUnicastCtx hardening the HTTP handlers use — deadline
-// budgets re-armed from the frame, GCRA admission, drain awareness.
+// Execution answers against the lock-free snapshot with the same
+// admission, drain and flight sequence the HTTP handlers get from
+// RouteCtx and BatchUnicastCtx — deadline budgets re-armed from the
+// frame, GCRA admission, drain awareness — but decides each pair at the
+// source (Snapshot.Summary) instead of walking it: a wire answer
+// carries no path, and on a served snapshot, always a fixpoint, the
+// source's decision fixes the rest (Theorem 3). A batch is answered on
+// the connection's goroutine. One answer in summaryCheckEvery is also
+// walked and compared, so a broken level invariant stays visible.
 //
 // Answers leave in request order because frames run one at a time, and
 // a client that pipelines faster than the server routes is held back
 // by the kernel. The price is head-of-line blocking inside one
 // connection: a 4096-pair batch at Q20 holds up the frames behind it
-// for about 3 ms, so callers that want frames run side by side open
+// for about 0.5 ms, so callers that want frames run side by side open
 // more connections, as the pooling client and the coalescer do. Before
 // each frame's header is read the connection's deadline is set
 // wireIdleTimeout ahead; it bounds both that frame's arrival and the
@@ -222,13 +228,10 @@ func (ws *WireServer) serveConn(nc net.Conn) {
 	}
 	br := bufio.NewReaderSize(nc, 32<<10)
 	bw := bufio.NewWriterSize(nc, 32<<10)
-	// buf holds the frame being executed; the batch scratch slices
-	// amortize decode and encode across the connection's lifetime.
+	// buf holds the frame being executed.
 	var (
-		buf    []byte
-		pairs  []wire.Pair
-		routes []wire.RouteInfo
-		reqs   []Request
+		buf []byte
+		cs  connState
 	)
 	for {
 		// SetDeadline fails only on a closed connection, which the
@@ -257,7 +260,7 @@ func (ws *WireServer) serveConn(nc net.Conn) {
 			ws.mErrors.Inc()
 			frame = errFrame(hdr.ReqID, wire.CodeVersion, fmt.Sprintf("server speaks v%d.%d", wire.Major, ws.advertisedMinor()))
 		default:
-			frame = ws.execute(hdr, payload, &pairs, &routes, &reqs)
+			frame = ws.execute(hdr, payload, &cs)
 		}
 		_, err = bw.Write(frame)
 		wire.PutBuf(frame)
@@ -328,12 +331,23 @@ func budgetCtx(deadlineUS uint32) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), time.Duration(deadlineUS)*time.Microsecond)
 }
 
+// connState is what a connection keeps between frames: the batch
+// scratch slices, which amortize decode, answers and encode across the
+// connection's lifetime, and the sampler that picks the answers to
+// check.
+type connState struct {
+	pairs  []wire.Pair
+	reqs   []Request
+	sums   []core.Summary
+	routes []wire.RouteInfo
+	check  sampler
+}
+
 // execute runs one request frame and returns its encoded response
 // frame, taken from the wire buffer pool. body is the request payload;
 // it may alias the read buffer, and nothing here keeps it past the
-// call. The scratch slices
-// amortize batch decode/encode across a connection's lifetime.
-func (ws *WireServer) execute(hdr wire.Header, body []byte, pairs *[]wire.Pair, routes *[]wire.RouteInfo, reqs *[]Request) []byte {
+// call.
+func (ws *WireServer) execute(hdr wire.Header, body []byte, cs *connState) []byte {
 	id := hdr.ReqID
 	switch hdr.Op {
 	case wire.OpPing:
@@ -352,25 +366,29 @@ func (ws *WireServer) execute(hdr wire.Header, body []byte, pairs *[]wire.Pair, 
 			ws.mErrors.Inc()
 			return errFrame(id, wire.CodeBadRequest, "node outside topology")
 		}
+		mode := atSource
+		if cs.check.next() {
+			mode = atSourceChecked
+		}
 		ctx, cancel := budgetCtx(req.DeadlineUS)
-		r, err := ws.svc.RouteCtx(ctx, topo.NodeID(req.Src), topo.NodeID(req.Dst))
+		_, a, err := ws.svc.routeCtx(ctx, topo.NodeID(req.Src), topo.NodeID(req.Dst), mode)
 		cancel()
 		if err != nil {
 			ws.mErrors.Inc()
 			return errFrame(id, wireErrCode(err), "")
 		}
 		payload := wire.AppendUnicastResp(wire.GetBuf(), wire.UnicastResp{
-			Gen:      ws.svc.Generation(),
-			FlightID: r.FlightID,
-			Route:    routeInfoOf(r),
+			Gen:      a.Gen,
+			FlightID: a.FlightID,
+			Route:    routeInfoOf(a.Summary),
 		})
 		frame := wire.AppendFrame(wire.GetBuf(), wire.OpUnicast, wire.FlagResponse, id, payload)
 		wire.PutBuf(payload)
 		return frame
 
 	case wire.OpBatch:
-		deadline, ps, err := wire.ParseBatchReq(body, (*pairs)[:0])
-		*pairs = ps
+		deadline, ps, err := wire.ParseBatchReq(body, cs.pairs[:0])
+		cs.pairs = ps
 		if err != nil {
 			ws.mErrors.Inc()
 			return errFrame(id, wire.CodeBadRequest, err.Error())
@@ -379,29 +397,30 @@ func (ws *WireServer) execute(hdr wire.Header, body []byte, pairs *[]wire.Pair, 
 			ws.mErrors.Inc()
 			return errFrame(id, wire.CodeTooLarge, fmt.Sprintf("batch of %d pairs exceeds limit %d", len(ps), ws.opts.MaxBatch))
 		}
-		rq := (*reqs)[:0]
+		rq := cs.reqs[:0]
 		for _, q := range ps {
 			if !ws.svc.t.Contains(topo.NodeID(q.Src)) || !ws.svc.t.Contains(topo.NodeID(q.Dst)) {
 				ws.mErrors.Inc()
-				*reqs = rq
+				cs.reqs = rq
 				return errFrame(id, wire.CodeBadRequest, "node outside topology")
 			}
 			rq = append(rq, Request{Src: topo.NodeID(q.Src), Dst: topo.NodeID(q.Dst)})
 		}
-		*reqs = rq
+		cs.reqs = rq
 		ctx, cancel := budgetCtx(deadline)
-		rs, err := ws.svc.BatchUnicastCtx(ctx, rq)
+		sums, gen, err := ws.svc.batchAtSource(ctx, rq, cs.sums[:0], &cs.check)
 		cancel()
+		cs.sums = sums
 		if err != nil {
 			ws.mErrors.Inc()
 			return errFrame(id, wireErrCode(err), "")
 		}
-		out := (*routes)[:0]
-		for _, r := range rs {
-			out = append(out, routeInfoOf(r))
+		out := cs.routes[:0]
+		for _, sum := range sums {
+			out = append(out, routeInfoOf(sum))
 		}
-		*routes = out
-		payload := wire.AppendBatchResp(wire.GetBuf(), ws.svc.Generation(), out)
+		cs.routes = out
+		payload := wire.AppendBatchResp(wire.GetBuf(), gen, out)
 		frame := wire.AppendFrame(wire.GetBuf(), wire.OpBatch, wire.FlagResponse, id, payload)
 		wire.PutBuf(payload)
 		return frame
@@ -455,13 +474,13 @@ func (ws *WireServer) execute(hdr wire.Header, body []byte, pairs *[]wire.Pair, 
 	}
 }
 
-// routeInfoOf compacts a routed result for the wire (clamped to the
-// field widths; a hypercube route can't exceed them anyway).
-func routeInfoOf(r *core.Route) wire.RouteInfo {
+// routeInfoOf compacts an answer for the wire (clamped to the field
+// widths; a hypercube route can't exceed them anyway).
+func routeInfoOf(sum core.Summary) wire.RouteInfo {
 	return wire.RouteInfo{
-		Outcome: uint8(r.Outcome),
-		Cond:    uint8(r.Condition),
-		Hamming: uint16(r.Hamming),
-		Hops:    uint16(r.Len()),
+		Outcome: uint8(sum.Outcome),
+		Cond:    uint8(sum.Condition),
+		Hamming: uint16(sum.Hamming),
+		Hops:    uint16(sum.Hops),
 	}
 }

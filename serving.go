@@ -114,16 +114,19 @@ func (s *Server) Level(a NodeID) int { return s.svc.Current().Level(a) }
 // NodeFaulty reports whether the currently published snapshot marks a
 // faulty. This backs the per-node health probe (slserve's /probe): a
 // downstream fault monitor polls it to learn this server's view of the
-// node, then declares the fault into its own engine.
+// node, then declares the fault into its own engine. It reads the
+// snapshot's own-level table, where exactly the faulty nodes are at
+// level 0, so a probe never builds the snapshot's fault set.
 func (s *Server) NodeFaulty(a NodeID) bool {
-	return s.svc.Current().Assignment().Faults().NodeFaulty(a)
+	return s.svc.Current().Assignment().NodeFaulty(a)
 }
 
-// CurrentFaults returns the published snapshot's immutable fault view
-// — the same consistent state Unicast routes on. Diagnosis front-ends
-// (internal/diagnose) collect a whole PMC syndrome from one call so
-// every neighbor test in a sweep observes one generation; slserve's
-// /syndrome endpoint is built on it.
+// CurrentFaults returns the published snapshot's fault view — the same
+// consistent state Unicast routes on, built on the snapshot's first
+// call and shared by later ones; treat it as read-only. Diagnosis
+// front-ends (internal/diagnose) collect a whole PMC syndrome from one
+// call so every neighbor test in a sweep observes one generation;
+// slserve's /syndrome endpoint is built on it.
 func (s *Server) CurrentFaults() *faults.Set { return s.svc.CurrentFaults() }
 
 // BatchUnicast answers every pair against ONE snapshot — the results
