@@ -241,10 +241,10 @@ func run(args []string, out io.Writer) (int, error) {
 		synURL := fmt.Sprintf("%s/syndrome?seed=%d&adversary=%s",
 			base, *diagSeed, url.QueryEscape(string(adv)))
 		diag, err = diagnose.NewReconciler(
-			diagnose.HTTPSource{URL: synURL, Topology: srv.CurrentFaults().Topology()},
+			diagnose.HTTPSource{URL: synURL, Topology: srv.Topology()},
 			dedup,
 			diagnose.ReconcilerOptions{
-				Topology: srv.CurrentFaults().Topology(),
+				Topology: srv.Topology(),
 				Bound:    *diagBound,
 				Interval: *diagEvery,
 				Registry: reg,
@@ -352,36 +352,6 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// routeJSON is the wire form of one route result.
-type routeJSON struct {
-	Src       string   `json:"src"`
-	Dst       string   `json:"dst"`
-	Outcome   string   `json:"outcome"`
-	Condition string   `json:"condition"`
-	Distance  int      `json:"distance"`
-	Hops      int      `json:"hops"`
-	Path      []string `json:"path,omitempty"`
-	Err       string   `json:"err,omitempty"`
-}
-
-func routeWire(r *safecube.Route, cube *safecube.Cube) routeJSON {
-	out := routeJSON{
-		Src:       cube.Format(r.Source),
-		Dst:       cube.Format(r.Dest),
-		Outcome:   r.Outcome.String(),
-		Condition: r.Condition.String(),
-		Distance:  r.Hamming,
-		Hops:      r.Hops(),
-	}
-	for _, a := range r.Path {
-		out.Path = append(out.Path, cube.Format(a))
-	}
-	if r.Err != nil {
-		out.Err = r.Err.Error()
-	}
-	return out
-}
-
 // handlerOpts configure the HTTP surface.
 type handlerOpts struct {
 	queueCap int
@@ -406,8 +376,10 @@ type handlerOpts struct {
 func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registry, opts handlerOpts) http.Handler {
 	mux := reg.Mux()
 
-	node := func(w http.ResponseWriter, r *http.Request, key string) (safecube.NodeID, bool) {
-		v := r.URL.Query().Get(key)
+	// node reads the address parameter key from the request's query q,
+	// parsed once per request.
+	node := func(w http.ResponseWriter, q url.Values, key string) (safecube.NodeID, bool) {
+		v := q.Get(key)
 		if v == "" {
 			httpErr(w, http.StatusBadRequest, fmt.Errorf("missing %q parameter", key))
 			return 0, false
@@ -422,9 +394,9 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 
 	// reqCtx derives the request context: the server ceiling from
 	// opts.deadline, optionally tightened by a ?deadline= parameter.
-	reqCtx := func(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
+	reqCtx := func(w http.ResponseWriter, r *http.Request, q url.Values) (context.Context, context.CancelFunc, bool) {
 		limit := opts.deadline
-		if raw := r.URL.Query().Get("deadline"); raw != "" {
+		if raw := q.Get("deadline"); raw != "" {
 			d, err := time.ParseDuration(raw)
 			if err != nil || d <= 0 {
 				httpErr(w, http.StatusBadRequest, fmt.Errorf("bad deadline %q, want a positive duration", raw))
@@ -453,15 +425,16 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 	}
 
 	mux.HandleFunc("/route", instrument(obs.MetricLatencyHTTPRoute, func(w http.ResponseWriter, r *http.Request) {
-		src, ok := node(w, r, "src")
+		q := r.URL.Query()
+		src, ok := node(w, q, "src")
 		if !ok {
 			return
 		}
-		dst, ok := node(w, r, "dst")
+		dst, ok := node(w, q, "dst")
 		if !ok {
 			return
 		}
-		ctx, cancel, ok := reqCtx(w, r)
+		ctx, cancel, ok := reqCtx(w, r, q)
 		if !ok {
 			return
 		}
@@ -471,15 +444,14 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 			serveErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"generation": srv.Generation(),
-			"request_id": rt.RequestID,
-			"route":      routeWire(rt, cube),
-		})
+		a := newAnswer()
+		a.b = appendRouteAnswer(a.b, cube, rt)
+		a.send(w, http.StatusOK)
 	}))
 
 	mux.HandleFunc("/batch", instrument(obs.MetricLatencyHTTPBatch, func(w http.ResponseWriter, r *http.Request) {
-		raw := r.URL.Query().Get("pairs")
+		q := r.URL.Query()
+		raw := q.Get("pairs")
 		if raw == "" {
 			httpErr(w, http.StatusBadRequest, errors.New(`missing "pairs" parameter (want "SRC-DST,SRC-DST,...")`))
 			return
@@ -509,7 +481,7 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 			}
 			pairs = append(pairs, safecube.TrafficPair{Src: src, Dst: dst})
 		}
-		ctx, cancel, ok := reqCtx(w, r)
+		ctx, cancel, ok := reqCtx(w, r, q)
 		if !ok {
 			return
 		}
@@ -519,22 +491,18 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 			serveErr(w, err)
 			return
 		}
-		wire := make([]routeJSON, len(routes))
-		for i, rt := range routes {
-			wire[i] = routeWire(rt, cube)
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"generation": srv.Generation(),
-			"routes":     wire,
-		})
+		a := newAnswer()
+		a.b = appendBatchAnswer(a.b, cube, routedGen(srv, routes), routes)
+		a.send(w, http.StatusOK)
 	}))
 
 	mux.HandleFunc("/routeall", instrument(obs.MetricLatencyHTTPRouteAll, func(w http.ResponseWriter, r *http.Request) {
-		src, ok := node(w, r, "src")
+		q := r.URL.Query()
+		src, ok := node(w, q, "src")
 		if !ok {
 			return
 		}
-		ctx, cancel, ok := reqCtx(w, r)
+		ctx, cancel, ok := reqCtx(w, r, q)
 		if !ok {
 			return
 		}
@@ -544,27 +512,15 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 			serveErr(w, err)
 			return
 		}
-		wire := make([]routeJSON, 0, len(all)-1)
-		delivered := 0
-		for _, rt := range all {
-			if rt == nil {
-				continue
-			}
-			if rt.Outcome != safecube.Failure {
-				delivered++
-			}
-			wire = append(wire, routeWire(rt, cube))
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"generation": srv.Generation(),
-			"delivered":  delivered,
-			"routes":     wire,
-		})
+		a := newAnswer()
+		a.b = appendRouteAllAnswer(a.b, cube, routedGen(srv, all), all)
+		a.send(w, http.StatusOK)
 	}))
 
 	mux.HandleFunc("/fault", instrument(obs.MetricLatencyHTTPFault, func(w http.ResponseWriter, r *http.Request) {
-		op := r.URL.Query().Get("op")
-		a, ok := node(w, r, "a")
+		q := r.URL.Query()
+		op := q.Get("op")
+		a, ok := node(w, q, "a")
 		if !ok {
 			return
 		}
@@ -575,7 +531,7 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 		case "recover-node":
 			err = srv.RecoverNode(a)
 		case "fail-link", "recover-link":
-			b, ok := node(w, r, "b")
+			b, ok := node(w, q, "b")
 			if !ok {
 				return
 			}
@@ -598,15 +554,13 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 			return
 		}
 		// 202: churn is asynchronous; the generation advances on publish.
-		writeJSON(w, http.StatusAccepted, map[string]any{
-			"queued":      true,
-			"generation":  srv.Generation(),
-			"queue_depth": srv.QueueDepth(),
-		})
+		ack := newAnswer()
+		ack.b = appendFaultAck(ack.b, srv.Generation(), srv.QueueDepth())
+		ack.send(w, http.StatusAccepted)
 	}))
 
 	mux.HandleFunc("/probe", instrument(obs.MetricLatencyHTTPProbe, func(w http.ResponseWriter, r *http.Request) {
-		a, ok := node(w, r, "node")
+		a, ok := node(w, r.URL.Query(), "node")
 		if !ok {
 			return
 		}
@@ -636,8 +590,9 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 	// from ONE published snapshot, so every neighbor test in the sweep
 	// observes the same fault-set generation.
 	mux.HandleFunc("/syndrome", instrument(obs.MetricLatencyHTTPSyndrome, func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
 		seed := opts.diagSeed
-		if raw := r.URL.Query().Get("seed"); raw != "" {
+		if raw := q.Get("seed"); raw != "" {
 			v, err := strconv.ParseUint(raw, 10, 64)
 			if err != nil {
 				httpErr(w, http.StatusBadRequest, fmt.Errorf("bad seed %q, want an unsigned integer", raw))
@@ -646,7 +601,7 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 			seed = v
 		}
 		adv := opts.diagAdv
-		if raw := r.URL.Query().Get("adversary"); raw != "" {
+		if raw := q.Get("adversary"); raw != "" {
 			v, err := diagnose.ParseAdversary(raw)
 			if err != nil {
 				httpErr(w, http.StatusBadRequest, err)
@@ -681,8 +636,9 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 	// ?limit=N truncates to the N newest records; ?format=text renders
 	// the slmetrics-style table/transcript instead of JSON.
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
 		limit := 0
-		if raw := r.URL.Query().Get("limit"); raw != "" {
+		if raw := q.Get("limit"); raw != "" {
 			n, err := strconv.Atoi(raw)
 			if err != nil || n < 0 {
 				httpErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q, want a non-negative integer", raw))
@@ -691,7 +647,7 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 			limit = n
 		}
 		snap := srv.Flight().Snapshot(limit)
-		if r.URL.Query().Get("format") == "text" {
+		if q.Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			_ = obs.WriteFlightText(w, snap)
 			return
@@ -741,6 +697,20 @@ func serveErr(w http.ResponseWriter, err error) {
 	}
 }
 
+// routedGen returns the generation the routes were routed on. Every
+// route of one answer carries the same one; an answer with no route
+// cannot be mislabeled, so it reads the current generation.
+func routedGen(srv *safecube.Server, routes []*safecube.Route) uint64 {
+	for _, r := range routes {
+		if r != nil {
+			return r.Generation
+		}
+	}
+	return srv.Generation()
+}
+
+// writeJSON encodes v for the cold endpoints and error bodies; the
+// route answers are appended by hand (answer.go).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

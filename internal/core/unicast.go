@@ -121,6 +121,9 @@ type Route struct {
 	// It causally links the route to its flight record, histogram
 	// exemplars, and any promoted incident.
 	FlightID uint64
+	// Gen is the fault-set generation of the snapshot a serving engine's
+	// context-aware reader routed on (0 outside one).
+	Gen uint64
 }
 
 // Len returns the number of hops traveled, or 0 for a failed unicast.

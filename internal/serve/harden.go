@@ -182,7 +182,8 @@ func (s *Service) admit(ctx context.Context, kind obs.ReqKind, items int) (start
 // awareness: it refuses with ErrDraining after Shutdown begins, sheds
 // with ErrOverload beyond the configured rate, returns ctx.Err() once
 // the context is done, and otherwise routes against the snapshot
-// current at admission time, recording the wall latency.
+// current at admission time, recording the wall latency. The route's
+// Gen is that snapshot's generation.
 func (s *Service) RouteCtx(ctx context.Context, src, dst topo.NodeID) (*core.Route, error) {
 	r, _, err := s.routeCtx(ctx, src, dst, walkRoute)
 	return r, err
@@ -231,6 +232,7 @@ func (s *Service) routeCtx(ctx context.Context, src, dst topo.NodeID, mode route
 	var r *core.Route
 	if mode == walkRoute {
 		r = sn.rt.UnicastID(src, dst, a.FlightID)
+		r.Gen = sn.gen
 		a.Summary = r.Summary()
 	} else {
 		a.Summary = sn.Summary(src, dst)
@@ -258,6 +260,8 @@ func (s *Service) routeCtx(ctx context.Context, src, dst topo.NodeID, mode route
 // between items, so a batch returns within one unicast of its
 // context's deadline (partial results are discarded: the caller asked
 // for a mutually consistent answer set, and a truncated one is not).
+// Every route's Gen is the generation of the one snapshot the batch
+// was routed on.
 func (s *Service) BatchUnicastCtx(ctx context.Context, reqs []Request) ([]*core.Route, error) {
 	start, err := s.admit(ctx, obs.ReqBatch, len(reqs))
 	if err != nil {
@@ -276,6 +280,9 @@ func (s *Service) BatchUnicastCtx(ctx context.Context, reqs []Request) ([]*core.
 		err = s.ctxErr(ctx)
 		s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), err)
 		return nil, err
+	}
+	for _, r := range out {
+		r.Gen = sn.gen
 	}
 	s.flightServed(obs.ReqBatch, start, ctx, len(reqs), sn, stale, s.mLatBatch)
 	return out, nil
@@ -319,7 +326,8 @@ func (s *Service) batchAtSource(ctx context.Context, reqs []Request, out []core.
 }
 
 // RouteAllCtx is RouteAll with the same hardening; admission costs one
-// token per destination.
+// token per destination, and every route's Gen is the pinned
+// snapshot's generation.
 func (s *Service) RouteAllCtx(ctx context.Context, src topo.NodeID) ([]*core.Route, error) {
 	nodes := s.t.Nodes()
 	start, err := s.admit(ctx, obs.ReqRouteAll, nodes-1)
@@ -346,6 +354,7 @@ func (s *Service) RouteAllCtx(ctx context.Context, src topo.NodeID) ([]*core.Rou
 	}
 	out := make([]*core.Route, nodes)
 	for i, q := range reqs {
+		routes[i].Gen = sn.gen
 		out[q.Dst] = routes[i]
 	}
 	s.flightServed(obs.ReqRouteAll, start, ctx, len(reqs), sn, stale, s.mLatRouteAll)

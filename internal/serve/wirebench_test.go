@@ -16,9 +16,11 @@ import (
 
 // The wire-vs-HTTP serving benchmarks. Both sides drive the SAME Q10
 // engine over real sockets from parallel clients, one route per op, so
-// ns/op is directly an inverse req/s-per-core: the BENCH_8.json
-// emitter at the repo root records the ratio and gates the >= 5x
-// data-plane claim, and bench-gate watches these for regressions.
+// ns/op is directly an inverse req/s-per-core, and bench-gate watches
+// these for regressions. The comparison against the shipped slserve is
+// the traced ladder row ratio.http_over_wire (bash bench/run.sh
+// -trace 1); slserve's own /route handler is benchmarked in process by
+// cmd/slserve's BenchmarkServeSlserveRoute.
 
 // benchWireServer binds a wire server to the bench service.
 func benchWireServer(b *testing.B, opts WireOptions) *WireServer {
@@ -32,11 +34,11 @@ func benchWireServer(b *testing.B, opts WireOptions) *WireServer {
 	return ws
 }
 
-// benchHTTPServer exposes the bench service through the same JSON
-// /route surface cmd/slserve serves (query params in, JSON out, the
-// full encode on every response). Address parsing here is plain
-// integers — cheaper than slserve's bit-string parse, which only
-// biases the comparison AGAINST the wire path.
+// benchHTTPServer exposes the bench service through a stand-in for
+// cmd/slserve's JSON /route surface: query params in, and a
+// map[string]any encoded by encoding/json out on every response, where
+// slserve appends its answer by hand. Address parsing here is plain
+// integers — cheaper than slserve's bit-string parse.
 func benchHTTPServer(b *testing.B) *httptest.Server {
 	b.Helper()
 	svc := benchService(b, Options{})

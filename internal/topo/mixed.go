@@ -25,6 +25,7 @@ type Mixed struct {
 	stride []int // stride[i] = product of radix[0..i-1]
 	nodes  int
 	degree int
+	wide   bool // some radix exceeds 10, so Format dots the digits
 }
 
 // NewMixed builds GH(radix[n-1] x ... x radix[0]). The slice is given
@@ -48,6 +49,7 @@ func NewMixed(radix []int) (*Mixed, error) {
 			return nil, fmt.Errorf("topo: too many nodes")
 		}
 		t.degree += m - 1
+		t.wide = t.wide || m > 10
 	}
 	t.nodes = total
 	return t, nil
@@ -206,20 +208,20 @@ func (t *Mixed) Sibling(a NodeID, i, k int) NodeID {
 // paper's Fig. 5 notation (e.g. "021" in GH(2x3x2)). Radixes above 10
 // fall back to dotted decimal.
 func (t *Mixed) Format(a NodeID) string {
-	wide := false
-	for _, m := range t.radix {
-		if m > 10 {
-			wide = true
+	var buf [64]byte
+	return string(t.AppendFormat(buf[:0], a))
+}
+
+// AppendFormat appends Format(a) to dst and returns the extended slice;
+// it allocates only when dst must grow.
+func (t *Mixed) AppendFormat(dst []byte, a NodeID) []byte {
+	for i := len(t.radix) - 1; i >= 0; i-- {
+		if t.wide && i < len(t.radix)-1 {
+			dst = append(dst, '.')
 		}
+		dst = strconv.AppendInt(dst, int64(t.Coord(a, i)), 10)
 	}
-	parts := make([]string, len(t.radix))
-	for i := range t.radix {
-		parts[len(t.radix)-1-i] = strconv.Itoa(t.Coord(a, i))
-	}
-	if wide {
-		return strings.Join(parts, ".")
-	}
-	return strings.Join(parts, "")
+	return dst
 }
 
 // Parse converts a digit string back into a NodeID.

@@ -147,11 +147,18 @@ func (c *Cube) SpareDims(s, d NodeID) []int {
 // Format renders a node address as an n-bit binary string, matching the
 // notation used in the paper's figures (e.g. node 3 in Q4 is "0011").
 func (c *Cube) Format(a NodeID) string {
-	s := strconv.FormatUint(uint64(a), 2)
-	if pad := c.dim - len(s); pad > 0 {
-		s = strings.Repeat("0", pad) + s
+	var buf [32]byte
+	return string(c.AppendFormat(buf[:0], a))
+}
+
+// AppendFormat appends Format(a) to dst and returns the extended slice;
+// it allocates only when dst must grow. An address wider than n bits
+// (outside the cube) is written in full.
+func (c *Cube) AppendFormat(dst []byte, a NodeID) []byte {
+	for i := max(c.dim, bits.Len32(uint32(a))) - 1; i >= 0; i-- {
+		dst = append(dst, '0'+byte(a>>uint(i)&1))
 	}
-	return s
+	return dst
 }
 
 // Parse converts an n-bit binary string (as printed in the paper's

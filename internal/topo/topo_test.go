@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -262,6 +264,68 @@ func TestFormatParse(t *testing.T) {
 	}
 	if _, err := c.Parse("012x"); err == nil {
 		t.Error("Parse of non-binary string should fail")
+	}
+}
+
+// refFormat is the string-building Format that AppendFormat replaced:
+// the n-bit binary string, zero-padded, of a cube node, and the
+// coordinates of a generalized-cube node joined (dotted above radix
+// 10).
+func refFormat(tp Topology, a NodeID) string {
+	switch t := tp.(type) {
+	case *Cube:
+		s := strconv.FormatUint(uint64(a), 2)
+		if pad := t.dim - len(s); pad > 0 {
+			s = strings.Repeat("0", pad) + s
+		}
+		return s
+	case *Mixed:
+		wide := false
+		parts := make([]string, len(t.radix))
+		for i, m := range t.radix {
+			wide = wide || m > 10
+			parts[len(t.radix)-1-i] = strconv.Itoa(t.Coord(a, i))
+		}
+		if wide {
+			return strings.Join(parts, ".")
+		}
+		return strings.Join(parts, "")
+	}
+	panic("unknown topology")
+}
+
+// TestAppendFormatMatchesFormatQnAndGH pins AppendFormat and Format to
+// the string-building reference on every node of small cubes and
+// generalized cubes (wide-radix, dotted ones included) and on
+// out-of-range IDs, and checks that AppendFormat into a buffer with room
+// allocates nothing.
+func TestAppendFormatMatchesFormatQnAndGH(t *testing.T) {
+	tops := []Topology{
+		MustCube(1), MustCube(4), MustCube(7),
+		MustMixed(2, 3, 2), MustMixed(3, 2, 4, 3), MustMixed(3, 12), MustMixed(11, 2, 10),
+	}
+	buf := make([]byte, 0, 64)
+	for _, tp := range tops {
+		n := NodeID(tp.Nodes())
+		ids := []NodeID{n, n + 5, 1 << 31, ^NodeID(0)}
+		for a := NodeID(0); a < n; a++ {
+			ids = append(ids, a)
+		}
+		for _, a := range ids {
+			want := refFormat(tp, a)
+			if got := tp.Format(a); got != want {
+				t.Fatalf("%v: Format(%d) = %q, want %q", tp, a, got, want)
+			}
+			if got := string(tp.AppendFormat(nil, a)); got != want {
+				t.Fatalf("%v: AppendFormat(nil, %d) = %q, want %q", tp, a, got, want)
+			}
+			if got := string(tp.AppendFormat([]byte(`"x",`), a)); got != `"x",`+want {
+				t.Fatalf("%v: AppendFormat after a prefix = %q, want %q", tp, got, `"x",`+want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { buf = tp.AppendFormat(buf[:0], n-1) }); allocs != 0 {
+			t.Errorf("%v: AppendFormat into a buffer with room allocates %.1f times", tp, allocs)
+		}
 	}
 }
 

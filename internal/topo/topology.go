@@ -53,6 +53,9 @@ type Topology interface {
 	LinkDim(a, b NodeID) int
 	// Format renders a node address in the paper's figure notation.
 	Format(a NodeID) string
+	// AppendFormat appends Format(a) to dst and returns the extended
+	// slice, allocating only when dst must grow.
+	AppendFormat(dst []byte, a NodeID) []byte
 	// Parse inverts Format.
 	Parse(s string) (NodeID, error)
 }

@@ -164,6 +164,10 @@ func (c *Cube) MustParse(addr string) NodeID {
 // Format renders a node in the notation Parse reads.
 func (c *Cube) Format(a NodeID) string { return c.t.Format(a) }
 
+// AppendFormat appends Format(a) to dst and returns the extended slice,
+// allocating only when dst must grow.
+func (c *Cube) AppendFormat(dst []byte, a NodeID) []byte { return c.t.AppendFormat(dst, a) }
+
 // FailNode marks a node fail-stop faulty.
 func (c *Cube) FailNode(a NodeID) error {
 	return c.set.FailNode(a)
@@ -358,6 +362,10 @@ type Route struct {
 	// context-aware readers); it links the route to /debug/flight
 	// records, incident traces, and histogram exemplars.
 	RequestID uint64
+	// Generation is the fault-set generation of the snapshot the route
+	// was routed on, set beside RequestID by a Server's context-aware
+	// readers. It equals the generation of the route's flight record.
+	Generation uint64
 }
 
 // Hops returns the number of links traveled (0 on failure).
@@ -379,14 +387,15 @@ func routeOf(r *core.Route) *Route {
 		return nil
 	}
 	return &Route{
-		Source:    r.Source,
-		Dest:      r.Dest,
-		Hamming:   r.Hamming,
-		Outcome:   r.Outcome,
-		Condition: r.Condition,
-		Path:      append([]NodeID(nil), r.Path...),
-		Err:       r.Err,
-		RequestID: r.FlightID,
+		Source:     r.Source,
+		Dest:       r.Dest,
+		Hamming:    r.Hamming,
+		Outcome:    r.Outcome,
+		Condition:  r.Condition,
+		Path:       append([]NodeID(nil), r.Path...),
+		Err:        r.Err,
+		RequestID:  r.FlightID,
+		Generation: r.Gen,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/serve"
+	"repro/internal/topo"
 )
 
 // Serving facade: a Server wraps the concurrent route-serving engine
@@ -78,6 +79,9 @@ func (c *Cube) Serve(opts ServeOptions) (*Server, error) {
 // published snapshot. It advances monotonically as churn is applied.
 func (s *Server) Generation() uint64 { return s.svc.Generation() }
 
+// Topology returns the lattice the Server routes on.
+func (s *Server) Topology() topo.Topology { return s.svc.Topology() }
+
 // QueueDepth returns the number of churn events waiting to be applied.
 func (s *Server) QueueDepth() int { return s.svc.QueueDepth() }
 
@@ -91,7 +95,8 @@ func (s *Server) Unicast(src, dst NodeID) *Route {
 // (returning ctx.Err() promptly once the deadline passes or the caller
 // cancels), is subject to admission control (ErrServerOverload beyond
 // ServeOptions.Rate), and refuses with ErrServerDraining once Shutdown
-// has begun.
+// has begun. The route's Generation is that of the snapshot it was
+// routed on, which a publish landing mid-request does not change.
 func (s *Server) UnicastCtx(ctx context.Context, src, dst NodeID) (*Route, error) {
 	r, err := s.svc.RouteCtx(ctx, src, dst)
 	if err != nil {
