@@ -71,43 +71,30 @@ bench-e2e:
 	cd bench && $(GO) test ./...
 
 # Tiny in-process load-generation run (cmd/slload driving the serving
-# engine under a churn storm); fails unless enough requests complete
-# OK. Wired into CI as an end-to-end smoke of the hardened serving
-# path. See docs/OPERATIONS.md for real measurement recipes.
+# engine under a churn storm); TestRunInProcess fails unless at least
+# 500 requests complete OK. Wired into CI as an end-to-end smoke of the
+# hardened serving path. See docs/OPERATIONS.md for real measurement
+# recipes.
 load-smoke:
-	$(GO) run ./cmd/slload -n 8 -workers 4 -duration 2s -warmup 200ms \
-		-mix route:8,batch:1,routeall:1 -churn 2ms -victims 4 \
-		-deadline 1s -min-ok 500 -o /dev/null
+	$(GO) test -run '^TestRunInProcess$$' ./cmd/slload
 
-# Correlated-fault scenario smoke: one short seeded slload pass per
-# scenario profile against the in-process engine (the schedule replays
-# through the same Target.ApplyEvent surface an HTTP run uses), then
-# the scenario unit/differential suites. -min-ok keeps it an
-# end-to-end gate, not just a generator check.
+# Correlated-fault scenario smoke: TestRunScenario runs one short
+# seeded slload pass per scenario profile against the in-process engine
+# (the schedule replays through the same Target.ApplyEvent surface an
+# HTTP run uses), gated on at least 200 OK requests each, beside the
+# scenario unit/differential suites.
 scenario-smoke:
-	@for p in subcube dimcut rolling flap partition; do \
-		echo "# scenario $$p"; \
-		$(GO) run ./cmd/slload -n 6 -workers 4 -duration 1s -warmup 100ms \
-			-scenario $$p -seed 11 -deadline 1s -min-ok 200 -o /dev/null \
-			|| exit 1; \
-	done
 	$(GO) test -run 'TestScenario|TestRunScenario|TestScheduleReplay' ./...
 
 # Syndrome-diagnosis smoke: close the test→diagnose→journal→route loop
-# end to end. First a seeded scenario run where the churn schedule is
-# produced by PMC syndrome diagnosis instead of declared faults
-# (-diagnosed), gated only-OK — within the diagnosability bound the
-# diagnosed schedule must be indistinguishable from the truth. Then the
+# end to end. TestRunScenarioDiagnosed runs a seeded scenario whose
+# churn schedule is produced by PMC syndrome diagnosis instead of
+# declared faults (-diagnosed), gated only-OK under the invert and
+# random adversaries: within the diagnosability bound the diagnosed
+# schedule must be indistinguishable from the truth. Beside it run the
 # decoder differentials and the journal/replay suites.
 diagnose-smoke:
-	@for adv in invert random; do \
-		echo "# diagnosed scenario rolling, adversary $$adv"; \
-		$(GO) run ./cmd/slload -n 6 -workers 4 -duration 1s -warmup 100ms \
-			-scenario rolling -diagnosed -adversary $$adv -seed 11 \
-			-deadline 1s -min-ok 200 -only-ok -o /dev/null \
-			|| exit 1; \
-	done
-	$(GO) test -run 'TestDiagnose|TestDecode|TestLocal|TestSyndrome|TestReplay|TestReconciler|TestDedup|TestScheduleReplayDiagnosed' ./...
+	$(GO) test -run 'TestDiagnose|TestDecode|TestLocal|TestSyndrome|TestReplay|TestReconciler|TestDedup|TestScheduleReplayDiagnosed|TestRunScenarioDiagnosed' ./...
 
 # Million-node scale gate: cold GS over the full Q20 cube plus one
 # incremental repair, under a wall-clock budget (see

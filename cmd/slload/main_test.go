@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	safecube "repro"
@@ -27,8 +28,18 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
+// smoke runs slload with args, which gate the run with -min-ok (and
+// -only-ok), and fails unless the run meets its gate and exits 0.
+func smoke(t *testing.T, args ...string) {
+	t.Helper()
+	if code := run(append(args, "-o", os.DevNull), os.Stdout, os.Stderr); code != 0 {
+		t.Fatalf("slload %s: exit %d, want 0", strings.Join(args, " "), code)
+	}
+}
+
 // TestRunInProcess: a tiny in-process run with churn writes a valid
-// report and honors -min-ok in both directions.
+// report and honors -min-ok in both directions, and the load smoke (a
+// 2 s churn storm on Q8) completes at least 500 requests OK.
 func TestRunInProcess(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.json")
 	code := run([]string{
@@ -64,11 +75,16 @@ func TestRunInProcess(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 for unmet -min-ok", code)
 	}
+
+	smoke(t, "-n", "8", "-workers", "4", "-duration", "2s", "-warmup", "200ms",
+		"-mix", "route:8,batch:1,routeall:1", "-churn", "2ms", "-victims", "4",
+		"-deadline", "1s", "-min-ok", "500")
 }
 
 // TestRunScenario: -scenario replays the full seeded schedule in-process
 // (paced by -churn, remainder drained at window close) and reports the
-// profile label.
+// profile label, and every profile's 1 s run on Q6 completes at least
+// 200 requests OK.
 func TestRunScenario(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.json")
 	code := run([]string{
@@ -105,13 +121,21 @@ func TestRunScenario(t *testing.T) {
 	if code := run([]string{"-scenario", "explode"}, devnull, devnull); code != 2 {
 		t.Fatalf("unknown scenario exit %d, want 2", code)
 	}
+
+	for _, profile := range []string{"subcube", "dimcut", "rolling", "flap", "partition"} {
+		t.Run(profile, func(t *testing.T) {
+			smoke(t, "-n", "6", "-workers", "4", "-duration", "1s", "-warmup", "100ms",
+				"-scenario", profile, "-seed", "11", "-deadline", "1s", "-min-ok", "200")
+		})
+	}
 }
 
 // TestRunScenarioDiagnosed: -diagnosed swaps the declared schedule for
 // the syndrome-diagnosed one. Within the bound the two are identical,
-// so the run replays the same event count with zero errors; past the
-// bound (a default-width subcube on Q6) the decode is ambiguous and the
-// run refuses up front.
+// so the run replays the same event count with zero errors, and a 1 s
+// rolling run on Q6 finishes every request OK under both faulty-tester
+// adversaries; past the bound (a default-width subcube on Q6) the
+// decode is ambiguous and the run refuses up front.
 func TestRunScenarioDiagnosed(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.json")
 	code := run([]string{
@@ -150,6 +174,14 @@ func TestRunScenarioDiagnosed(t *testing.T) {
 		"-n", "5", "-scenario", "rolling", "-diagnosed", "-adversary", "liar",
 	}, devnull, devnull); code != 2 {
 		t.Fatalf("bad adversary exit %d, want 2", code)
+	}
+
+	for _, adv := range []string{"invert", "random"} {
+		t.Run(adv, func(t *testing.T) {
+			smoke(t, "-n", "6", "-workers", "4", "-duration", "1s", "-warmup", "100ms",
+				"-scenario", "rolling", "-diagnosed", "-adversary", adv, "-seed", "11",
+				"-deadline", "1s", "-min-ok", "200", "-only-ok")
+		})
 	}
 }
 

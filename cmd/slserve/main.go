@@ -57,8 +57,9 @@
 //
 // Addresses use the topology's own notation: n-bit binary strings for
 // a cube ("0110"), per-dimension digit strings for a generalized
-// hypercube ("121"). Fault posts return 202: churn is asynchronous and
-// the snapshot generation in /healthz advances once it is applied.
+// hypercube ("121"), dotted when a radix exceeds 10 ("9.2"). Fault
+// posts return 202: churn is asynchronous and the snapshot generation
+// in /healthz advances once it is applied.
 //
 // Self-healing monitor (-monitor-target URL): probe an upstream
 // slserve's /probe endpoint for every node, declare a node into THIS
@@ -131,7 +132,6 @@ func run(args []string, out io.Writer) (int, error) {
 	random := fs.Int("random", 0, "inject this many uniform random faults")
 	seed := fs.Uint64("seed", 1, "seed for -random")
 	queue := fs.Int("queue", 0, "churn apply-queue depth (0 means the engine default, 64)")
-	workers := fs.Int("workers", 0, "batch worker pool size (0 means GOMAXPROCS)")
 	rate := fs.Float64("rate", 0, "admission control: max admitted unicasts/sec (0 disables)")
 	burst := fs.Int("burst", 0, "admission token-bucket depth in unicasts (0 means 1)")
 	deadline := fs.Duration("deadline", 5*time.Second, "per-request deadline ceiling (0 disables)")
@@ -182,7 +182,6 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 	srv, err := c.Serve(safecube.ServeOptions{
 		QueueDepth: *queue,
-		Workers:    *workers,
 		Rate:       *rate,
 		Burst:      *burst,
 		Registry:   reg,

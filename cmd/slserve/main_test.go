@@ -502,3 +502,13 @@ func TestRunRejectsWireWorkers(t *testing.T) {
 		t.Fatalf("run -wire-workers 4: exit %d, err %v; want 2 and an error", code, err)
 	}
 }
+
+// TestRunRejectsWorkers pins that the removed -workers flag, which
+// sized the batch worker pool, is refused like any unknown flag, with
+// exit code 2: a batch runs on the goroutine serving its request.
+func TestRunRejectsWorkers(t *testing.T) {
+	code, err := run([]string{"-n", "6", "-workers", "4"}, io.Discard)
+	if code != 2 || err == nil || !strings.Contains(err.Error(), "-workers") {
+		t.Fatalf("run -n 6 -workers 4: exit %d, err %v; want 2 and an error naming -workers", code, err)
+	}
+}

@@ -116,20 +116,6 @@ func NewSyndrome(t topo.Topology) *Syndrome {
 // Topology returns the topology the syndrome is indexed over.
 func (s *Syndrome) Topology() topo.Topology { return s.t }
 
-// eachNeighbor visits tester's neighbors in rank order (dimensions
-// ascending, siblings in coordinate order within a dimension) — the
-// canonical order the bitset index is built on.
-func (s *Syndrome) eachNeighbor(u topo.NodeID, fn func(rank int, v topo.NodeID)) {
-	rank := 0
-	for d := 0; d < s.t.Dim(); d++ {
-		s.scratch = s.t.Siblings(u, d, s.scratch[:0])
-		for _, v := range s.scratch {
-			fn(rank, v)
-			rank++
-		}
-	}
-}
-
 // rankOf returns testee's rank in tester's neighbor order, or -1 if
 // they are not adjacent.
 func (s *Syndrome) rankOf(tester, testee topo.NodeID) int {

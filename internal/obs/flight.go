@@ -410,22 +410,10 @@ type FlightOptions struct {
 	Records int
 	// Incidents bounds the promoted-incident buffer (<= 0 means 64).
 	Incidents int
-	// SlowRouteUS, SlowBatchUS and SlowRouteAllUS are the per-kind
-	// latency anomaly thresholds in microseconds (<= 0 means the
-	// defaults: 50ms, 250ms, 1s).
-	SlowRouteUS    int64
-	SlowBatchUS    int64
-	SlowRouteAllUS int64
-	// PromoteGapUS throttles incident promotion: within one anomaly
-	// class (each error class, route-failure, non-minimal, slow), at
-	// most one record per gap is promoted. Under a fault load every
-	// route past a faulty region is non-minimal, so promoting each one
-	// would churn the bounded incident buffer with duplicates and put
-	// trace reconstruction on the hot path; one exemplar per class per
-	// gap keeps promotion cost amortized to nothing while the ring
-	// still records every request. 0 means the 1ms default; negative
-	// disables throttling (every anomaly promotes).
-	PromoteGapUS int64
+	// SlowRouteUS is the single-unicast latency anomaly threshold in
+	// microseconds (<= 0 means 50ms). Batches are slow from 250ms and
+	// fan-outs from 1s.
+	SlowRouteUS int64
 	// Registry, when non-nil, receives the recorder's own counters
 	// (flight_records_total, flight_incidents_total).
 	Registry *Registry
@@ -450,7 +438,14 @@ const flightShards = 8
 // committed.
 const slotBusy = ^uint64(0)
 
-// defaultPromoteGapUS is the per-class promotion throttle (1ms).
+// defaultPromoteGapUS throttles incident promotion: within one anomaly
+// class (each error class, route-failure, non-minimal, slow), at most
+// one record per gap (1ms) is promoted. Under a fault load every route
+// past a faulty region is non-minimal, so promoting each one would
+// churn the bounded incident buffer with duplicates and put trace
+// reconstruction on the hot path; one exemplar per class per gap keeps
+// promotion cost amortized to nothing while the ring still records
+// every request.
 const defaultPromoteGapUS = 1000
 
 // Anomaly classes for the promotion throttle: one slot per error class
@@ -470,8 +465,9 @@ type FlightRecorder struct {
 	shards [flightShards]flightShard
 	slow   [numReqKinds]int64
 
-	// promoteGapUS throttles promotion per anomaly class; lastPromote
-	// holds each class's last promotion time in Unix microseconds.
+	// promoteGapUS throttles promotion per anomaly class (tests set it;
+	// <= 0 promotes every anomaly); lastPromote holds each class's last
+	// promotion time in Unix microseconds.
 	promoteGapUS int64
 	lastPromote  [numAnomalyClasses]atomic.Int64
 
@@ -496,12 +492,9 @@ func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
 	}
 	f := &FlightRecorder{
 		incidentCap:  opts.Incidents,
-		promoteGapUS: opts.PromoteGapUS,
+		promoteGapUS: defaultPromoteGapUS,
 		mRecords:     opts.Registry.Counter(MetricFlightRecords),
 		mIncidents:   opts.Registry.Counter(MetricFlightIncidents),
-	}
-	if f.promoteGapUS == 0 {
-		f.promoteGapUS = defaultPromoteGapUS
 	}
 	if f.incidentCap <= 0 {
 		f.incidentCap = 64
@@ -511,17 +504,11 @@ func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
 		f.shards[i].mask = uint64(per - 1)
 	}
 	f.slow[ReqRoute] = opts.SlowRouteUS
-	f.slow[ReqBatch] = opts.SlowBatchUS
-	f.slow[ReqRouteAll] = opts.SlowRouteAllUS
 	if f.slow[ReqRoute] <= 0 {
 		f.slow[ReqRoute] = defaultSlowRouteUS
 	}
-	if f.slow[ReqBatch] <= 0 {
-		f.slow[ReqBatch] = defaultSlowBatchUS
-	}
-	if f.slow[ReqRouteAll] <= 0 {
-		f.slow[ReqRouteAll] = defaultSlowRouteAllUS
-	}
+	f.slow[ReqBatch] = defaultSlowBatchUS
+	f.slow[ReqRouteAll] = defaultSlowRouteAllUS
 	return f
 }
 

@@ -127,7 +127,8 @@ func TestFlightAnomaly(t *testing.T) {
 // promotion per anomaly class per gap, independent classes unaffected,
 // and a negative gap disables throttling.
 func TestFlightPromotionThrottle(t *testing.T) {
-	f := NewFlightRecorder(FlightOptions{PromoteGapUS: 60_000_000}) // 1min: first only
+	f := NewFlightRecorder(FlightOptions{})
+	f.promoteGapUS = 60_000_000 // 1min: first only
 	rec := FlightRecord{ID: 1, Err: ErrClassOverload}
 	if r := f.Record(&rec); r != "error:overload" {
 		t.Fatalf("first overload = %q, want promoted", r)
@@ -141,7 +142,8 @@ func TestFlightPromotionThrottle(t *testing.T) {
 		t.Fatalf("failure = %q, want promoted (independent class)", r)
 	}
 
-	un := NewFlightRecorder(FlightOptions{PromoteGapUS: -1})
+	un := NewFlightRecorder(FlightOptions{})
+	un.promoteGapUS = -1
 	for i := 1; i <= 3; i++ {
 		rec := FlightRecord{ID: uint64(i), Err: ErrClassOverload}
 		if r := un.Record(&rec); r != "error:overload" {

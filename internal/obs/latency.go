@@ -14,14 +14,12 @@ import "time"
 
 // Names of the latency metric series. All record microseconds into
 // LatencyBuckets; the serve-engine ones are observed inside
-// internal/serve, the http_* ones by cmd/slserve around each endpoint
-// handler (including encoding), and latency_repair_us by the applier
-// around one repair + publish cycle.
+// internal/serve and the http_* ones by cmd/slserve around each
+// endpoint handler (including encoding).
 const (
 	MetricLatencyRoute    = "latency_route_us"
 	MetricLatencyBatch    = "latency_batch_us"
 	MetricLatencyRouteAll = "latency_routeall_us"
-	MetricLatencyRepair   = "latency_repair_us"
 
 	MetricLatencyHTTPRoute    = "latency_http_route_us"
 	MetricLatencyHTTPBatch    = "latency_http_batch_us"

@@ -217,7 +217,6 @@ const (
 	// readers, the bounded apply queue, and the swap path.
 	MetricServeSnapshotGen    = "serve_snapshot_generation"
 	MetricServeSwapsTotal     = "serve_swaps_total"
-	MetricServeSwapLastNs     = "serve_swap_last_ns"
 	MetricServeSwapMicros     = "serve_swap_micros"
 	MetricServeRepairsTotal   = "serve_snapshot_repairs_total"
 	MetricServeColdTotal      = "serve_snapshot_cold_total"

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -13,10 +15,10 @@ import (
 
 // TestBatchUnicastMatchesSequential is the batch/sequential equivalence
 // property across both topology families: for random fault sets and
-// random request lists, BatchUnicast over the worker pool returns
-// element-wise exactly the routes that sequential Unicast calls on the
-// same snapshot produce. The equality is structural (outcome, condition,
-// path, hops), not just statistical.
+// random request lists, BatchUnicast returns element-wise exactly the
+// routes that sequential Unicast calls on the same snapshot produce.
+// The equality is structural (outcome, condition, path, hops), not just
+// statistical.
 func TestBatchUnicastMatchesSequential(t *testing.T) {
 	topos := []struct {
 		name string
@@ -39,8 +41,7 @@ func TestBatchUnicastMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// Force a real pool (workers > 1) even on one CPU.
-				s, err := New(set, Options{Workers: 4})
+				s, err := New(set, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,13 +62,11 @@ func TestBatchUnicastMatchesSequential(t *testing.T) {
 						t.Fatalf("trial %d request %d (%d->%d): %v", trial, i, q.Src, q.Dst, err)
 					}
 				}
-				// The snapshot-level pool agrees too, at any worker count.
-				for _, workers := range []int{1, 3, 16} {
-					alt := sn.BatchUnicast(reqs, workers)
-					for i := range reqs {
-						if err := sameRoute(alt[i], got[i]); err != nil {
-							t.Fatalf("trial %d workers=%d request %d: %v", trial, workers, i, err)
-						}
+				// The snapshot-level batch agrees too.
+				alt := sn.BatchUnicast(reqs)
+				for i := range reqs {
+					if err := sameRoute(alt[i], got[i]); err != nil {
+						t.Fatalf("trial %d snapshot batch request %d: %v", trial, i, err)
 					}
 				}
 				s.Close()
@@ -100,7 +99,7 @@ func TestRouteAllCoversTopology(t *testing.T) {
 		if err := faults.InjectUniform(set, stats.NewRNG(5), 3); err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(set, Options{Workers: 4})
+		s, err := New(set, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,5 +127,62 @@ func TestRouteAllCoversTopology(t *testing.T) {
 			}
 		}
 		s.Close()
+	}
+}
+
+// TestBatchReadersAllocateOnlyTheirWalks pins that the walking batch
+// readers route on the caller's goroutine and start nothing of their
+// own: with GOMAXPROCS at 4 when the service is built, BatchUnicastCtx
+// (with a background and with a cancelable context) allocates exactly
+// what its walks allocate plus its result slice, and RouteAllCtx what
+// its walks allocate plus its request list, its routes in request
+// order and its result indexed by destination.
+func TestBatchReadersAllocateOnlyTheirWalks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	tp := topo.MustCube(6)
+	s := newService(t, tp, Options{}, 9, 22, 45)
+	sn := s.Current()
+	rng := stats.NewRNG(3)
+	reqs := make([]Request, 64)
+	for i := range reqs {
+		reqs[i] = Request{Src: topo.NodeID(rng.Intn(tp.Nodes())), Dst: topo.NodeID(rng.Intn(tp.Nodes()))}
+	}
+	walks := func(reqs []Request) float64 {
+		return testing.AllocsPerRun(100, func() {
+			for _, q := range reqs {
+				sn.Route(q.Src, q.Dst)
+			}
+		})
+	}
+	cancelable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"background", context.Background()}, {"cancelable", cancelable}} {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := s.BatchUnicastCtx(c.ctx, reqs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := walks(reqs) + 1; got != want {
+			t.Errorf("BatchUnicastCtx(%s) of %d pairs allocates %v times, want %v", c.name, len(reqs), got, want)
+		}
+	}
+	const src = 0
+	var fan []Request
+	for a := 1; a < tp.Nodes(); a++ {
+		fan = append(fan, Request{Src: src, Dst: topo.NodeID(a)})
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := s.RouteAllCtx(cancelable, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := walks(fan) + 3; got != want {
+		t.Errorf("RouteAllCtx allocates %v times, want %v", got, want)
 	}
 }

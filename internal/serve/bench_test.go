@@ -130,9 +130,10 @@ func BenchmarkServeRouteCtx(b *testing.B) {
 }
 
 // BenchmarkServeBatch measures the batched path: one snapshot load
-// amortized over a 64-request batch through the worker pool.
+// amortized over a 64-request batch, routed in order on the caller's
+// goroutine.
 func BenchmarkServeBatch(b *testing.B) {
-	s := benchService(b, Options{Workers: 4})
+	s := benchService(b, Options{})
 	nodes := s.Topology().Nodes()
 	rng := stats.NewRNG(3)
 	reqs := make([]Request, 64)

@@ -12,7 +12,11 @@
 //   - Readers (Route, Feasibility, BatchUnicast, RouteAll) load the
 //     pointer, route, and never take a lock. A reader keeps the snapshot
 //     it loaded for the whole query, so every answer is internally
-//     consistent even while the pointer moves underneath it.
+//     consistent even while the pointer moves underneath it. A batch or
+//     fan-out runs in request order on the caller's goroutine: each
+//     unicast is decided at its source from the pinned snapshot alone,
+//     so requests need no coordination and concurrency comes from
+//     concurrent callers.
 //   - Fault churn goes through a bounded apply queue drained by a single
 //     applier goroutine, which owns the live fault oracle, reconverges
 //     the levels through core.RepairLevels (cold Compute as fallback),

@@ -275,7 +275,7 @@ func (s *Service) BatchUnicastCtx(ctx context.Context, reqs []Request) ([]*core.
 	if stale {
 		s.mStale.Inc()
 	}
-	out, err := sn.batchUnicastCtx(ctx, reqs, s.workers)
+	out, err := sn.batchUnicastCtx(ctx, reqs)
 	if err != nil {
 		err = s.ctxErr(ctx)
 		s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), err)
@@ -337,84 +337,20 @@ func (s *Service) RouteAllCtx(ctx context.Context, src topo.NodeID) ([]*core.Rou
 	defer s.release()
 	sn := s.cur.Load()
 	stale := len(s.queue) > 0
-	reqs := make([]Request, 0, nodes-1)
-	for a := 0; a < nodes; a++ {
-		if topo.NodeID(a) == src {
-			continue
-		}
-		reqs = append(reqs, Request{Src: src, Dst: topo.NodeID(a)})
-	}
+	reqs := s.fanout(src)
 	s.mFanouts.Inc()
 	s.mFanoutN.Add(int64(len(reqs)))
-	routes, err := sn.batchUnicastCtx(ctx, reqs, s.workers)
+	routes, err := sn.batchUnicastCtx(ctx, reqs)
 	if err != nil {
 		err = s.ctxErr(ctx)
 		s.flightRefuse(obs.ReqRouteAll, start, ctx, len(reqs), err)
 		return nil, err
 	}
-	out := make([]*core.Route, nodes)
-	for i, q := range reqs {
-		routes[i].Gen = sn.gen
-		out[q.Dst] = routes[i]
+	for _, r := range routes {
+		r.Gen = sn.gen
 	}
+	out := s.byDest(reqs, routes)
 	s.flightServed(obs.ReqRouteAll, start, ctx, len(reqs), sn, stale, s.mLatRouteAll)
-	return out, nil
-}
-
-// batchUnicastCtx is Snapshot.BatchUnicast with cooperative
-// cancellation: every worker re-checks the context before claiming the
-// next index, so cancellation latency is bounded by one unicast, not
-// by the batch.
-func (sn *Snapshot) batchUnicastCtx(ctx context.Context, reqs []Request, workers int) ([]*core.Route, error) {
-	if len(reqs) == 0 {
-		return make([]*core.Route, 0), nil
-	}
-	if ctx.Done() == nil {
-		// No deadline and no cancellation possible: take the fast path.
-		return sn.BatchUnicast(reqs, workers), nil
-	}
-	out := make([]*core.Route, len(reqs))
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers <= 1 {
-		for i, q := range reqs {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			out[i] = sn.rt.Unicast(q.Src, q.Dst)
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var canceled atomic.Bool
-	done := make(chan struct{})
-	var pending atomic.Int64
-	pending.Store(int64(workers))
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() {
-				if pending.Add(-1) == 0 {
-					close(done)
-				}
-			}()
-			for {
-				if ctx.Err() != nil {
-					canceled.Store(true)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				out[i] = sn.rt.Unicast(reqs[i].Src, reqs[i].Dst)
-			}
-		}()
-	}
-	<-done
-	if canceled.Load() {
-		return nil, ctx.Err()
-	}
 	return out, nil
 }
 

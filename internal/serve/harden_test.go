@@ -55,7 +55,7 @@ func TestServeDeadline(t *testing.T) {
 // TestServeBatchCancellation: canceling mid-batch returns the context
 // error instead of a truncated result set.
 func TestServeBatchCancellation(t *testing.T) {
-	s := newService(t, topo.MustCube(8), Options{Workers: 2})
+	s := newService(t, topo.MustCube(8), Options{})
 	reqs := make([]Request, 4096)
 	for i := range reqs {
 		reqs[i] = Request{Src: topo.NodeID(i % 256), Dst: topo.NodeID((i * 7) % 256)}

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,12 +48,12 @@ type Snapshot struct {
 // routers are shared by every reader of the snapshot: core.Router
 // carries no per-unicast state, and the observer is the counter-only
 // kind, which is safe for concurrent use.
-func newSnapshot(gen uint64, det *core.Assignment, tie core.TieBreak, ro *obs.RouteObserver) *Snapshot {
+func newSnapshot(gen uint64, det *core.Assignment, ro *obs.RouteObserver) *Snapshot {
 	return &Snapshot{
 		gen:      gen,
 		as:       det,
-		rt:       core.NewRouter(det, tie).Observe(ro),
-		ref:      core.NewRouter(det, tie),
+		rt:       core.NewRouter(det, nil).Observe(ro),
+		ref:      core.NewRouter(det, nil),
 		at:       time.Now(),
 		genCheck: gen,
 	}
@@ -102,22 +101,20 @@ func (sn *Snapshot) Feasibility(src, dst topo.NodeID) (core.Condition, core.Outc
 
 // Summary decides the unicast from src to dst at the source, pinned to
 // this snapshot, without walking it (core.Router.Summary). Every
-// served snapshot is a fixpoint, because New refuses truncated
-// convergence, so by Theorem 3 it equals Route(src, dst).Summary().
+// served snapshot is a fixpoint, because the applier always converges
+// fully, so by Theorem 3 it equals Route(src, dst).Summary().
 func (sn *Snapshot) Summary(src, dst topo.NodeID) core.Summary {
 	return sn.rt.Summary(src, dst)
 }
 
 // Options tune a Service. The zero value serves with a 64-entry apply
-// queue, a GOMAXPROCS-sized batch worker pool, the default tie-break,
-// and no instrumentation.
+// queue, no admission control and no metrics, with the flight recorder
+// on. Routes break ties toward the lowest dimension (core.LowestDim),
+// and the applier always converges the levels fully.
 type Options struct {
 	// QueueDepth bounds the apply queue (<= 0 means 64). A full queue
 	// blocks Apply and refuses TryApply; readers are unaffected.
 	QueueDepth int
-	// Workers sizes the BatchUnicast/RouteAll worker pool (<= 0 means
-	// GOMAXPROCS).
-	Workers int
 	// Rate caps admitted work on the context-aware readers at this many
 	// unicasts per second through a token bucket (RouteCtx costs 1,
 	// BatchUnicastCtx one per item, RouteAllCtx one per destination).
@@ -127,13 +124,8 @@ type Options struct {
 	// Burst is the token-bucket depth in unicasts (< 1 means 1). Only
 	// meaningful when Rate > 0.
 	Burst int
-	// Tie is the routing tie-break policy (nil means core.LowestDim).
-	Tie core.TieBreak
 	// Registry receives the per-service metrics (nil disables).
 	Registry *obs.Registry
-	// Compute tunes the level computations the applier runs. MaxRounds
-	// must stay 0 (truncated convergence cannot be repaired).
-	Compute core.Options
 	// Flight supplies a pre-built flight recorder (shared across
 	// services, or sized via obs.FlightOptions). When nil, the service
 	// builds a default recorder — the flight recorder is on by default;
@@ -170,10 +162,6 @@ type Service struct {
 	live    *core.Assignment
 	liveGen uint64
 
-	workers int
-	tie     core.TieBreak
-	copts   core.Options
-
 	// Hardened read-path state (harden.go): lifecycle phase, in-flight
 	// request count for drain ordering, and the admission bucket.
 	phase     atomic.Int32
@@ -187,7 +175,6 @@ type Service struct {
 	routeObs   *obs.RouteObserver
 	mGen       *obs.Gauge
 	mSwaps     *obs.Counter
-	mSwapNs    *obs.Gauge
 	mSwapHist  *obs.Histogram
 	mRepairs   *obs.Counter
 	mCold      *obs.Counter
@@ -211,7 +198,6 @@ type Service struct {
 	mLatRoute    *obs.Histogram
 	mLatBatch    *obs.Histogram
 	mLatRouteAll *obs.Histogram
-	mLatRepair   *obs.Histogram
 	mRepairLag   *obs.Gauge
 	mQueueHWM    *obs.Gauge
 
@@ -228,16 +214,9 @@ func New(set *faults.Set, opts Options) (*Service, error) {
 	if set == nil {
 		return nil, errors.New("serve: nil fault set")
 	}
-	if opts.Compute.MaxRounds > 0 {
-		return nil, errors.New("serve: truncated convergence (Compute.MaxRounds > 0) cannot be served")
-	}
 	depth := opts.QueueDepth
 	if depth <= 0 {
 		depth = 64
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Service{
 		t:       set.Topology(),
@@ -245,9 +224,6 @@ func New(set *faults.Set, opts Options) (*Service, error) {
 		closed:  make(chan struct{}),
 		drained: make(chan struct{}),
 		set:     set.Clone(),
-		workers: workers,
-		tie:     opts.Tie,
-		copts:   opts.Compute,
 		bucket:  newTokenBucket(opts.Rate, opts.Burst),
 	}
 	switch {
@@ -257,7 +233,7 @@ func New(set *faults.Set, opts Options) (*Service, error) {
 		s.flight = obs.NewFlightRecorder(obs.FlightOptions{Registry: opts.Registry})
 	}
 	s.bindMetrics(opts.Registry)
-	s.live = core.Compute(s.set, s.copts)
+	s.live = core.Compute(s.set, core.Options{})
 	s.liveGen = s.set.Generation()
 	s.publish(s.live, s.liveGen, false)
 	s.wg.Add(1)
@@ -271,8 +247,7 @@ func (s *Service) bindMetrics(r *obs.Registry) {
 	s.routeObs = r.RouteObserver()
 	s.mGen = r.Gauge(obs.MetricServeSnapshotGen)
 	s.mSwaps = r.Counter(obs.MetricServeSwapsTotal)
-	s.mSwapNs = r.Gauge(obs.MetricServeSwapLastNs)
-	s.mSwapHist = r.Histogram(obs.MetricServeSwapMicros, 10, 100, 1000, 10000, 100000, 1000000)
+	s.mSwapHist = r.LatencyHistogram(obs.MetricServeSwapMicros)
 	s.mRepairs = r.Counter(obs.MetricServeRepairsTotal)
 	s.mCold = r.Counter(obs.MetricServeColdTotal)
 	s.mDepth = r.Gauge(obs.MetricServeQueueDepth)
@@ -294,7 +269,6 @@ func (s *Service) bindMetrics(r *obs.Registry) {
 	s.mLatRoute = r.LatencyHistogram(obs.MetricLatencyRoute)
 	s.mLatBatch = r.LatencyHistogram(obs.MetricLatencyBatch)
 	s.mLatRouteAll = r.LatencyHistogram(obs.MetricLatencyRouteAll)
-	s.mLatRepair = r.LatencyHistogram(obs.MetricLatencyRepair)
 	s.mRepairLag = r.Gauge(obs.MetricServeRepairLag)
 	s.mQueueHWM = r.Gauge(obs.MetricServeQueueHWM)
 	// Snapshot age is derived at scrape time, not pushed per request.
@@ -577,26 +551,23 @@ func (s *Service) rebuild(gen uint64) {
 	var as *core.Assignment
 	repaired := false
 	if delta, ok := s.set.Since(s.liveGen); ok {
-		as, repaired = core.RepairLevels(s.live, s.set, delta, s.copts)
+		as, repaired = core.RepairLevels(s.live, s.set, delta, core.Options{})
 	}
 	if !repaired {
-		as = core.Compute(s.set, s.copts)
+		as = core.Compute(s.set, core.Options{})
 		s.mCold.Inc()
 	} else {
 		s.mRepairs.Inc()
 	}
 	s.live, s.liveGen = as, gen
 	s.publish(as, gen, true)
-	elapsed := time.Since(start)
-	s.mSwapNs.Set(elapsed.Nanoseconds())
-	s.mSwapHist.Observe(elapsed.Microseconds())
-	s.mLatRepair.Observe(elapsed.Microseconds())
+	s.mSwapHist.ObserveSince(start)
 }
 
 // publish detaches the assignment from the live oracle and swaps the
 // snapshot pointer — the single write the readers ever observe.
 func (s *Service) publish(as *core.Assignment, gen uint64, swap bool) {
-	sn := newSnapshot(gen, as.Detach(), s.tie, s.routeObs)
+	sn := newSnapshot(gen, as.Detach(), s.routeObs)
 	s.cur.Store(sn)
 	s.mGen.Set(int64(gen))
 	if swap {

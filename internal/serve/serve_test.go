@@ -238,9 +238,6 @@ func TestServeClosed(t *testing.T) {
 		t.Fatal("event accepted before Close was dropped")
 	}
 	s.Flush() // must not hang on a closed service
-	if _, err := New(set, Options{Compute: core.Options{MaxRounds: 1}}); err == nil {
-		t.Fatal("truncated-convergence options accepted")
-	}
 	if _, err := New(nil, Options{}); err == nil {
 		t.Fatal("nil set accepted")
 	}
@@ -340,7 +337,7 @@ func TestServeChurn(t *testing.T) {
 				if w%2 == 0 {
 					got = []*core.Route{sn.Route(src, dst)}
 				} else {
-					got = sn.BatchUnicast([]Request{{src, dst}, {dst, src}}, 2)
+					got = sn.BatchUnicast([]Request{{src, dst}, {dst, src}})
 				}
 				for _, r := range got {
 					if err := checkRouteInvariants(sn, r); err != nil {

@@ -39,7 +39,7 @@ func executeFrame(t testing.TB, ws *WireServer, cs *connState, frame []byte) (wi
 // bareWireServer is a WireServer with no listener, for driving execute
 // directly.
 func bareWireServer(svc *Service) *WireServer {
-	return &WireServer{svc: svc, opts: WireOptions{MaxPayload: wire.DefaultMaxPayload, MaxBatch: MaxBatchPairs}}
+	return &WireServer{svc: svc}
 }
 
 // TestWireAnswersCarryRoutedGeneration pins that a wire answer carries
@@ -231,7 +231,7 @@ func TestSummaryMismatchCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
-	svc.cur.Store(newSnapshot(set.Generation(), core.Compute(set, core.Options{MaxRounds: 1}).Detach(), nil, svc.routeObs))
+	svc.cur.Store(newSnapshot(set.Generation(), core.Compute(set, core.Options{MaxRounds: 1}).Detach(), svc.routeObs))
 	sn := svc.Current()
 	var bad []wire.Pair
 	for a := 0; a < tp.Nodes(); a++ {

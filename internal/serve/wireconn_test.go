@@ -22,13 +22,13 @@ import (
 
 // listenWireIdle serves svc on a loopback :0 listener whose per-frame
 // connection deadline is idle.
-func listenWireIdle(t *testing.T, svc *Service, idle time.Duration, opts WireOptions) *WireServer {
+func listenWireIdle(t *testing.T, svc *Service, idle time.Duration) *WireServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := serveWire(svc, ln, opts, idle, wireMaxConns)
+	ws := serveWire(svc, ln, WireOptions{}, idle, wireMaxConns, 0)
 	t.Cleanup(func() { ws.Close() })
 	return ws
 }
@@ -41,7 +41,7 @@ func listenWireCapped(t *testing.T, svc *Service, maxConns int) *WireServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := serveWire(svc, ln, WireOptions{}, wireIdleTimeout, maxConns)
+	ws := serveWire(svc, ln, WireOptions{}, wireIdleTimeout, maxConns, 0)
 	t.Cleanup(func() { ws.Close() })
 	return ws
 }
@@ -147,7 +147,7 @@ func requireDropped(t *testing.T, nc net.Conn, within time.Duration) time.Time {
 func TestWireConnDeadline(t *testing.T) {
 	const idle = 200 * time.Millisecond
 	svc := newService(t, topo.MustCube(6), Options{})
-	ws := listenWireIdle(t, svc, idle, WireOptions{})
+	ws := listenWireIdle(t, svc, idle)
 	ping := wire.AppendFrame(nil, wire.OpPing, 0, 1, nil)
 	unicast := wire.AppendFrame(nil, wire.OpUnicast, 0, 2,
 		wire.AppendUnicastReq(nil, wire.UnicastReq{Src: 0, Dst: 63}))
@@ -239,10 +239,9 @@ func TestWireConnDeadline(t *testing.T) {
 func TestWireAbuseRecovery(t *testing.T) {
 	cases := []struct {
 		name  string
-		opts  WireOptions
 		abuse func(t *testing.T, ws *WireServer, svc *Service)
 	}{
-		{"idle connections cost one goroutine each", WireOptions{}, func(t *testing.T, ws *WireServer, _ *Service) {
+		{"idle connections cost one goroutine each", func(t *testing.T, ws *WireServer, _ *Service) {
 			before := connGoroutines()
 			conns := make([]net.Conn, 10)
 			for i := range conns {
@@ -258,7 +257,7 @@ func TestWireAbuseRecovery(t *testing.T) {
 				nc.Close()
 			}
 		}},
-		{"mid-frame disconnect", WireOptions{}, func(t *testing.T, ws *WireServer, _ *Service) {
+		{"mid-frame disconnect", func(t *testing.T, ws *WireServer, _ *Service) {
 			nc := dialRaw(t, ws)
 			batch := wire.AppendBatchReq(nil, 0, make([]wire.Pair, 64))
 			frame := wire.AppendFrame(nil, wire.OpBatch, 0, 1, batch)
@@ -267,10 +266,10 @@ func TestWireAbuseRecovery(t *testing.T) {
 			}
 			nc.Close()
 		}},
-		{"oversize frame", WireOptions{MaxPayload: 1 << 10}, func(t *testing.T, ws *WireServer, _ *Service) {
+		{"oversize frame", func(t *testing.T, ws *WireServer, _ *Service) {
 			nc := dialRaw(t, ws)
 			var hdr [wire.HeaderSize]byte
-			wire.PutHeader(hdr[:], wire.Header{Major: wire.Major, Minor: wire.Minor, Op: wire.OpBatch, ReqID: 3, Len: 1 << 20})
+			wire.PutHeader(hdr[:], wire.Header{Major: wire.Major, Minor: wire.Minor, Op: wire.OpBatch, ReqID: 3, Len: wire.DefaultMaxPayload + 1})
 			if _, err := nc.Write(hdr[:]); err != nil {
 				t.Fatal(err)
 			}
@@ -284,14 +283,14 @@ func TestWireAbuseRecovery(t *testing.T) {
 			}
 			requireDropped(t, nc, 5*time.Second)
 		}},
-		{"bad magic", WireOptions{}, func(t *testing.T, ws *WireServer, _ *Service) {
+		{"bad magic", func(t *testing.T, ws *WireServer, _ *Service) {
 			nc := dialRaw(t, ws)
 			if _, err := nc.Write(bytes.Repeat([]byte("X"), 2*wire.HeaderSize)); err != nil {
 				t.Fatal(err)
 			}
 			requireDropped(t, nc, 5*time.Second)
 		}},
-		{"shutdown during pipelined batches", WireOptions{}, func(t *testing.T, ws *WireServer, svc *Service) {
+		{"shutdown during pipelined batches", func(t *testing.T, ws *WireServer, svc *Service) {
 			nc := dialRaw(t, ws)
 			pairs := make([]wire.Pair, MaxBatchPairs)
 			for i := range pairs {
@@ -347,7 +346,7 @@ func TestWireAbuseRecovery(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			fl := obs.NewFlightRecorder(obs.FlightOptions{Records: 256})
 			svc := newService(t, topo.MustCube(6), Options{Flight: fl})
-			ws := listenWireIdle(t, svc, wireIdleTimeout, c.opts)
+			ws := listenWireIdle(t, svc, wireIdleTimeout)
 			base := runtime.NumGoroutine()
 			c.abuse(t, ws, svc)
 			requireRecovered(t, ws, svc, base)

@@ -51,11 +51,10 @@ import (
 // the semantics are refused — which is the clean-degrade contract the
 // cross-version compat tests pin.
 
-// MaxBatchPairs is the default limit on the pairs of one batch request,
-// shared by both serving surfaces: the wire server refuses a larger
-// OpBatch frame with CodeTooLarge unless WireOptions.MaxBatch says
-// otherwise, and slserve's HTTP /batch answers 413 Request Entity Too
-// Large.
+// MaxBatchPairs is the limit on the pairs of one batch request, shared
+// by both serving surfaces: the wire server refuses a larger OpBatch
+// frame with CodeTooLarge, and slserve's HTTP /batch answers 413
+// Request Entity Too Large.
 const MaxBatchPairs = 4096
 
 // wireIdleTimeout is how long a connection may take to deliver one
@@ -68,22 +67,10 @@ const wireIdleTimeout = 2 * time.Minute
 // wait in the kernel's listen backlog, not in server memory.
 const wireMaxConns = 1024
 
-// WireOptions tune a WireServer. The zero value serves frames of up to
-// wire.DefaultMaxPayload bytes and batches of up to MaxBatchPairs.
+// WireOptions tune a WireServer. Every server accepts request payloads
+// of up to wire.DefaultMaxPayload bytes and batches of up to
+// MaxBatchPairs.
 type WireOptions struct {
-	// MaxPayload bounds accepted request payloads (<= 0 means
-	// wire.DefaultMaxPayload).
-	MaxPayload int
-	// MaxBatch bounds the pair count of one OpBatch frame (<= 0 means
-	// MaxBatchPairs); larger batches are refused with CodeTooLarge.
-	MaxBatch int
-	// RequireMinor refuses clients whose header minor version is below
-	// it, and is what the server "advertises" in ping responses when it
-	// exceeds the package's own minor. It models a future server that
-	// has dropped old-minor support — the compat tests dial one to
-	// prove a v1.0 client degrades to a typed ErrVersion, never a hang
-	// or a mis-parse.
-	RequireMinor uint8
 	// Registry receives the wire_* metrics (nil disables).
 	Registry *obs.Registry
 }
@@ -94,8 +81,12 @@ type WireOptions struct {
 type WireServer struct {
 	svc  *Service
 	ln   net.Listener
-	opts WireOptions
 	idle time.Duration
+	// requireMinor refuses clients whose header minor version is below
+	// it, and is the minor the server advertises when it exceeds the
+	// package's own. Only tests set it, to model a future server that
+	// has dropped old-minor support.
+	requireMinor uint8
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -115,26 +106,22 @@ type WireServer struct {
 // NewWireServer starts serving the binary protocol on ln. It returns
 // immediately; Close (or closing ln) stops it.
 func NewWireServer(svc *Service, ln net.Listener, opts WireOptions) *WireServer {
-	return serveWire(svc, ln, opts, wireIdleTimeout, wireMaxConns)
+	return serveWire(svc, ln, opts, wireIdleTimeout, wireMaxConns, 0)
 }
 
-// serveWire is NewWireServer with the per-frame connection deadline and
-// the connection cap as parameters, so tests can shrink them.
-func serveWire(svc *Service, ln net.Listener, opts WireOptions, idle time.Duration, maxConns int) *WireServer {
-	if opts.MaxPayload <= 0 {
-		opts.MaxPayload = wire.DefaultMaxPayload
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = MaxBatchPairs
-	}
+// serveWire is NewWireServer with the per-frame connection deadline,
+// the connection cap and the lowest client minor version accepted as
+// parameters, so tests can shrink the first two and model a future
+// server with the third.
+func serveWire(svc *Service, ln net.Listener, opts WireOptions, idle time.Duration, maxConns int, requireMinor uint8) *WireServer {
 	ws := &WireServer{
-		svc:   svc,
-		ln:    ln,
-		opts:  opts,
-		idle:  idle,
-		conns: map[net.Conn]struct{}{},
-		slots: make(chan struct{}, maxConns),
-		done:  make(chan struct{}),
+		svc:          svc,
+		ln:           ln,
+		idle:         idle,
+		requireMinor: requireMinor,
+		conns:        map[net.Conn]struct{}{},
+		slots:        make(chan struct{}, maxConns),
+		done:         make(chan struct{}),
 	}
 	r := opts.Registry
 	ws.mConns = r.Gauge(obs.MetricWireConns)
@@ -237,7 +224,7 @@ func (ws *WireServer) serveConn(nc net.Conn) {
 		// SetDeadline fails only on a closed connection, which the
 		// read below reports.
 		_ = nc.SetDeadline(time.Now().Add(ws.idle))
-		hdr, payload, nbuf, err := wire.ReadFrame(br, buf, ws.opts.MaxPayload)
+		hdr, payload, nbuf, err := wire.ReadFrame(br, buf, wire.DefaultMaxPayload)
 		buf = nbuf
 		if err != nil {
 			if errors.Is(err, wire.ErrTooLarge) {
@@ -256,7 +243,7 @@ func (ws *WireServer) serveConn(nc net.Conn) {
 		ws.mFrames.Inc()
 		var frame []byte
 		switch {
-		case hdr.Major != wire.Major, hdr.Minor < ws.opts.RequireMinor, hdr.Minor > ws.advertisedMinor():
+		case hdr.Major != wire.Major, hdr.Minor < ws.requireMinor, hdr.Minor > ws.advertisedMinor():
 			ws.mErrors.Inc()
 			frame = errFrame(hdr.ReqID, wire.CodeVersion, fmt.Sprintf("server speaks v%d.%d", wire.Major, ws.advertisedMinor()))
 		default:
@@ -288,12 +275,9 @@ func nextFrameBuffered(br *bufio.Reader) bool {
 }
 
 // advertisedMinor is the minor version the server claims: its own, or
-// RequireMinor when that models a newer server.
+// requireMinor when that models a newer server.
 func (ws *WireServer) advertisedMinor() uint8 {
-	if ws.opts.RequireMinor > wire.Minor {
-		return ws.opts.RequireMinor
-	}
-	return wire.Minor
+	return max(ws.requireMinor, wire.Minor)
 }
 
 // errFrame encodes a typed error response.
@@ -393,9 +377,9 @@ func (ws *WireServer) execute(hdr wire.Header, body []byte, cs *connState) []byt
 			ws.mErrors.Inc()
 			return errFrame(id, wire.CodeBadRequest, err.Error())
 		}
-		if len(ps) > ws.opts.MaxBatch {
+		if len(ps) > MaxBatchPairs {
 			ws.mErrors.Inc()
-			return errFrame(id, wire.CodeTooLarge, fmt.Sprintf("batch of %d pairs exceeds limit %d", len(ps), ws.opts.MaxBatch))
+			return errFrame(id, wire.CodeTooLarge, fmt.Sprintf("batch of %d pairs exceeds limit %d", len(ps), MaxBatchPairs))
 		}
 		rq := cs.reqs[:0]
 		for _, q := range ps {
@@ -448,8 +432,9 @@ func (ws *WireServer) execute(hdr wire.Header, body []byte, cs *connState) []byt
 			return errFrame(id, wire.CodeBadRequest, err.Error())
 		}
 		ev := faults.ChurnEvent{Kind: faults.DeltaKind(req.Kind), A: topo.NodeID(req.A), B: topo.NodeID(req.B)}
-		// TryApply, matching the HTTP /fault semantics: churn never
-		// blocks the data plane; a full queue is typed backpressure.
+		// TryApply, unlike HTTP /fault, which blocks on a full queue:
+		// churn never blocks the data plane, so a full queue answers
+		// with typed backpressure (CodeBacklog).
 		if err := ws.svc.TryApply(ev); err != nil {
 			ws.mErrors.Inc()
 			code := wireErrCode(err)

@@ -185,7 +185,7 @@ func TestWireBatchLimit(t *testing.T) {
 
 func TestWireServerTypedRefusals(t *testing.T) {
 	// Rate 1e-9 admits essentially nothing after the first token.
-	_, ws := newWireServer(t, Options{Rate: 1e-9, Burst: 1}, WireOptions{MaxBatch: 4})
+	_, ws := newWireServer(t, Options{Rate: 1e-9, Burst: 1}, WireOptions{})
 	c := dialWire(t, ws, wire.ClientOptions{})
 	ctx := context.Background()
 
@@ -207,7 +207,7 @@ func TestWireServerTypedRefusals(t *testing.T) {
 	}
 
 	// Oversize batch: typed too-large, connection survives.
-	big := make([]wire.Pair, 5)
+	big := make([]wire.Pair, MaxBatchPairs+1)
 	if _, _, err := c.Batch(ctx, big, nil); !errors.Is(err, wire.ErrTooLarge) {
 		t.Fatalf("oversize batch: got %v, want ErrTooLarge", err)
 	}
@@ -340,7 +340,12 @@ func TestWireServerResponseOrder(t *testing.T) {
 // support.
 func TestWireServerCompatVersions(t *testing.T) {
 	_, current := newWireServer(t, Options{}, WireOptions{})
-	_, future := newWireServer(t, Options{}, WireOptions{RequireMinor: wire.Minor + 1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := serveWire(newService(t, topo.MustCube(6), Options{}), ln, WireOptions{}, wireIdleTimeout, wireMaxConns, wire.Minor+1)
+	t.Cleanup(func() { future.Close() })
 
 	cur := dialWire(t, current, wire.ClientOptions{})
 	if _, err := cur.Unicast(context.Background(), 0, 63); err != nil {
@@ -363,7 +368,7 @@ func TestWireServerCompatVersions(t *testing.T) {
 	}
 	// The refusal message names the version the server wants, so an
 	// operator reading client logs knows what to upgrade to.
-	_, err := fut.Ping(context.Background())
+	_, err = fut.Ping(context.Background())
 	if err == nil || !errors.Is(err, wire.ErrVersion) {
 		t.Fatalf("expected version refusal, got %v", err)
 	}
@@ -418,7 +423,7 @@ func TestWireServerFutureMinorFrameRefused(t *testing.T) {
 // CodeTooLarge answer and then the connection is dropped (the stream
 // position is unrecoverable).
 func TestWireServerOversizePayloadDropsConn(t *testing.T) {
-	_, ws := newWireServer(t, Options{}, WireOptions{MaxPayload: 1 << 10})
+	_, ws := newWireServer(t, Options{}, WireOptions{})
 	nc, err := net.Dial("tcp", ws.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +433,7 @@ func TestWireServerOversizePayloadDropsConn(t *testing.T) {
 	var hdr [wire.HeaderSize]byte
 	wire.PutHeader(hdr[:], wire.Header{
 		Major: wire.Major, Minor: wire.Minor,
-		Op: wire.OpBatch, ReqID: 7, Len: 1 << 20,
+		Op: wire.OpBatch, ReqID: 7, Len: wire.DefaultMaxPayload + 1,
 	})
 	if _, err := nc.Write(hdr[:]); err != nil {
 		t.Fatal(err)

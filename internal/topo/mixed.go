@@ -224,21 +224,48 @@ func (t *Mixed) AppendFormat(dst []byte, a NodeID) []byte {
 	return dst
 }
 
-// Parse converts a digit string back into a NodeID.
+// Parse converts an address in Format's notation back into a NodeID:
+// one digit per dimension, or, when some radix exceeds 10, one
+// dot-separated decimal field per dimension. Every coordinate must be
+// ASCII digits below its dimension's radix.
 func (t *Mixed) Parse(s string) (NodeID, error) {
-	if len(s) != len(t.radix) {
-		return 0, fmt.Errorf("topo: address %q has %d digits, want %d", s, len(s), len(t.radix))
+	sep := ""
+	if t.wide {
+		sep = "."
+	}
+	fields := strings.Split(s, sep)
+	if len(fields) != len(t.radix) {
+		return 0, fmt.Errorf("topo: address %q has %d coordinates, want %d", s, len(fields), len(t.radix))
 	}
 	var id int
-	for pos, ch := range s {
+	for pos, field := range fields {
 		i := len(t.radix) - 1 - pos
-		v := int(ch - '0')
-		if v < 0 || v >= t.radix[i] {
-			return 0, fmt.Errorf("topo: digit %c outside radix %d of dimension %d", ch, t.radix[i], i)
+		v, ok := coord(field, t.radix[i])
+		if !ok {
+			return 0, fmt.Errorf("topo: coordinate %q of %q is not below radix %d of dimension %d", field, s, t.radix[i], i)
 		}
 		id += v * t.stride[i]
 	}
 	return NodeID(id), nil
+}
+
+// coord reads field as a coordinate below radix: one or more ASCII
+// digits.
+func coord(field string, radix int) (int, bool) {
+	if field == "" {
+		return 0, false
+	}
+	v := 0
+	for i := 0; i < len(field); i++ {
+		c := field[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if v = v*10 + int(c-'0'); v >= radix {
+			return 0, false
+		}
+	}
+	return v, true
 }
 
 // MustParse is Parse for fixtures; it panics on malformed addresses.

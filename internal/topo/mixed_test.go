@@ -130,6 +130,37 @@ func TestGHMixedFormatParse(t *testing.T) {
 	}
 }
 
+// TestGHMixedParseReadsFormat pins that Parse reads exactly what Format
+// writes: every node of the dotted wide-radix shapes GH(12x3),
+// GH(3x11x2) and GH(10x2x11) and of the narrow shapes round-trips, and
+// addresses Format never writes are refused.
+func TestGHMixedParseReadsFormat(t *testing.T) {
+	shapes := [][]int{{3, 12}, {2, 11, 3}, {11, 2, 10}, {2, 3, 2}, {4, 2, 5}, {3, 3, 3, 3}, {2, 2}, {3, 2, 4, 3}}
+	for _, shape := range shapes {
+		m := MustMixed(shape...)
+		for a := 0; a < m.Nodes(); a++ {
+			s := m.Format(NodeID(a))
+			if back, err := m.Parse(s); err != nil || back != NodeID(a) {
+				t.Fatalf("%v: round trip %d -> %q -> %d (%v)", m, a, s, back, err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		m   *Mixed
+		bad []string
+	}{
+		{MustMixed(3, 12), []string{":2", "9.", ".2", "12.0", "9.2.1", "+9.2", "9.3", "92", "", ".", "9.-1", "\uff19.2", "9.2\u00e9", "\u00e9.2"}},
+		{MustMixed(2, 11, 3), []string{"2.10", "3.0.0", "0.11.0", "0.:.0", "0..0", "0.0.0.0"}},
+		{MustMixed(2, 3, 2), []string{":00", "0.1", "0\u00e9", "\u00e9", "+01", "030"}},
+	} {
+		for _, s := range c.bad {
+			if id, err := c.m.Parse(s); err == nil {
+				t.Errorf("%v: Parse(%q) = %d, want an error", c.m, s, id)
+			}
+		}
+	}
+}
+
 // TestGHMixedWideRadixFormat checks that radixes above 10 switch the
 // address to dotted decimal.
 func TestGHMixedWideRadixFormat(t *testing.T) {

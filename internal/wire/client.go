@@ -27,14 +27,12 @@ type Client struct {
 	done  bool
 }
 
-// ClientOptions tune a Client. The zero value dials one connection
-// with the default payload limit.
+// ClientOptions tune a Client. The zero value dials one connection.
+// Every client accepts response payloads of up to DefaultMaxPayload
+// bytes.
 type ClientOptions struct {
 	// Conns is the connection-pool size (<= 0 means 1).
 	Conns int
-	// MaxPayload bounds accepted response payloads (<= 0 means
-	// DefaultMaxPayload).
-	MaxPayload int
 	// DialTimeout bounds each dial (<= 0 means 5s).
 	DialTimeout time.Duration
 }
@@ -45,9 +43,6 @@ type ClientOptions struct {
 func Dial(addr string, opts ClientOptions) (*Client, error) {
 	if opts.Conns <= 0 {
 		opts.Conns = 1
-	}
-	if opts.MaxPayload <= 0 {
-		opts.MaxPayload = DefaultMaxPayload
 	}
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 5 * time.Second
@@ -87,10 +82,9 @@ func (c *Client) dial() (*clientConn, error) {
 		_ = tc.SetNoDelay(true)
 	}
 	cc := &clientConn{
-		nc:         nc,
-		bw:         bufio.NewWriterSize(nc, 16<<10),
-		pending:    make(map[uint64]chan respFrame),
-		maxPayload: c.opts.MaxPayload,
+		nc:      nc,
+		bw:      bufio.NewWriterSize(nc, 16<<10),
+		pending: make(map[uint64]chan respFrame),
 	}
 	go cc.readLoop()
 	return cc, nil
@@ -137,8 +131,6 @@ type clientConn struct {
 	pending map[uint64]chan respFrame
 	nextID  uint64
 	err     error // set once the read loop exits; conn is dead
-
-	maxPayload int
 }
 
 func (cc *clientConn) dead() bool {
@@ -167,7 +159,7 @@ func (cc *clientConn) close(err error) {
 func (cc *clientConn) readLoop() {
 	var buf []byte
 	for {
-		hdr, payload, nbuf, err := ReadFrame(cc.nc, buf, cc.maxPayload)
+		hdr, payload, nbuf, err := ReadFrame(cc.nc, buf, DefaultMaxPayload)
 		buf = nbuf
 		if err != nil {
 			cc.close(fmt.Errorf("%w: %v", ErrClosed, err))

@@ -71,7 +71,6 @@ const (
 const (
 	MetricServeSnapshotGen    = obs.MetricServeSnapshotGen
 	MetricServeSwapsTotal     = obs.MetricServeSwapsTotal
-	MetricServeSwapLastNs     = obs.MetricServeSwapLastNs
 	MetricServeSwapMicros     = obs.MetricServeSwapMicros
 	MetricServeRepairsTotal   = obs.MetricServeRepairsTotal
 	MetricServeColdTotal      = obs.MetricServeColdTotal

@@ -148,7 +148,8 @@ func (c *Cube) Nodes() int { return c.t.Nodes() }
 func (c *Cube) Radix(i int) int { return c.t.Radix(i) }
 
 // Parse converts an address in the paper's notation to a NodeID: an
-// n-bit binary string ("0110") or, in a GH, a digit string ("021").
+// n-bit binary string ("0110") or, in a GH, a digit string ("021"),
+// dotted when some radix exceeds 10 ("9.2" in GH(12x3)).
 func (c *Cube) Parse(addr string) (NodeID, error) { return c.t.Parse(addr) }
 
 // MustParse is Parse that panics on malformed input; intended for

@@ -3,6 +3,7 @@ package safecube
 import (
 	"context"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/serve"
 	"repro/internal/topo"
@@ -22,8 +23,6 @@ import (
 type ServeOptions struct {
 	// QueueDepth bounds the churn apply queue (<= 0 means 64).
 	QueueDepth int
-	// Workers sizes the batch worker pool (<= 0 means GOMAXPROCS).
-	Workers int
 	// Rate enables token-bucket admission control on the context-aware
 	// readers: at most Rate unicasts per second are admitted
 	// (UnicastCtx costs 1, BatchUnicastCtx one per pair, RouteAllCtx
@@ -62,7 +61,6 @@ type Server struct {
 func (c *Cube) Serve(opts ServeOptions) (*Server, error) {
 	svc, err := serve.New(c.set, serve.Options{
 		QueueDepth: opts.QueueDepth,
-		Workers:    opts.Workers,
 		Rate:       opts.Rate,
 		Burst:      opts.Burst,
 		Registry:   opts.Registry,
@@ -136,52 +134,27 @@ func (s *Server) CurrentFaults() *faults.Set { return s.svc.CurrentFaults() }
 
 // BatchUnicast answers every pair against ONE snapshot — the results
 // are mutually consistent even while churn lands mid-batch — and
-// returns the routes in request order. Requests fan out over the
-// Server's worker pool; results are element-wise identical to routing
-// the pairs one by one.
+// returns the routes in request order. The pairs are routed one after
+// another on the caller's goroutine.
 func (s *Server) BatchUnicast(pairs []TrafficPair) []*Route {
-	reqs := make([]serve.Request, len(pairs))
-	for i, p := range pairs {
-		reqs[i] = serve.Request{Src: p.Src, Dst: p.Dst}
-	}
-	rs := s.svc.BatchUnicast(reqs)
-	out := make([]*Route, len(rs))
-	for i, r := range rs {
-		out[i] = routeOf(r)
-	}
-	return out
+	return routesOf(s.svc.BatchUnicast(requestsOf(pairs)))
 }
 
 // BatchUnicastCtx is BatchUnicast with deadline, admission and drain
 // handling (see UnicastCtx). Admission costs one token per pair; a
 // canceled batch returns ctx.Err() rather than a truncated result set.
 func (s *Server) BatchUnicastCtx(ctx context.Context, pairs []TrafficPair) ([]*Route, error) {
-	reqs := make([]serve.Request, len(pairs))
-	for i, p := range pairs {
-		reqs[i] = serve.Request{Src: p.Src, Dst: p.Dst}
-	}
-	rs, err := s.svc.BatchUnicastCtx(ctx, reqs)
+	rs, err := s.svc.BatchUnicastCtx(ctx, requestsOf(pairs))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Route, len(rs))
-	for i, r := range rs {
-		out[i] = routeOf(r)
-	}
-	return out, nil
+	return routesOf(rs), nil
 }
 
 // RouteAll routes from src to every other node against one snapshot.
 // The result is indexed by destination NodeID; the slot for src is nil.
 func (s *Server) RouteAll(src NodeID) []*Route {
-	rs := s.svc.RouteAll(src)
-	out := make([]*Route, len(rs))
-	for i, r := range rs {
-		if r != nil {
-			out[i] = routeOf(r)
-		}
-	}
-	return out
+	return routesOf(s.svc.RouteAll(src))
 }
 
 // RouteAllCtx is RouteAll with deadline, admission and drain handling
@@ -191,13 +164,26 @@ func (s *Server) RouteAllCtx(ctx context.Context, src NodeID) ([]*Route, error) 
 	if err != nil {
 		return nil, err
 	}
+	return routesOf(rs), nil
+}
+
+// requestsOf converts facade pairs into engine requests.
+func requestsOf(pairs []TrafficPair) []serve.Request {
+	reqs := make([]serve.Request, len(pairs))
+	for i, p := range pairs {
+		reqs[i] = serve.Request(p)
+	}
+	return reqs
+}
+
+// routesOf copies engine routes into the facade's form; a nil route
+// (a fan-out's source slot) stays nil.
+func routesOf(rs []*core.Route) []*Route {
 	out := make([]*Route, len(rs))
 	for i, r := range rs {
-		if r != nil {
-			out[i] = routeOf(r)
-		}
+		out[i] = routeOf(r)
 	}
-	return out, nil
+	return out
 }
 
 // Inflight returns the number of context-aware requests currently in

@@ -16,7 +16,7 @@ func TestServeFacadeCube(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	srv, err := c.Serve(ServeOptions{Registry: reg, Workers: 3})
+	srv, err := c.Serve(ServeOptions{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
