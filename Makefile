@@ -62,13 +62,14 @@ bench-hot:
 bench-json:
 	EMIT_BENCH_JSON=1 $(GO) test -run TestEmitBenchJSON .
 
-# End-to-end benchmark check: the bench module's own tests build
-# cmd/slserve from this checkout, drive every BENCHMARK.json workload
-# against it for 1 s and check the sampled answers against a reference
-# core.Router (about 45 s on 2 vCPUs). Real measurements are
+# End-to-end benchmark check: vet the bench module, which is its own
+# module and so outside the root `vet` target, then run its tests, which
+# build cmd/slserve from this checkout, drive every BENCHMARK.json
+# workload against it for 1 s and check the sampled answers against a
+# reference core.Router (about 45 s on 2 vCPUs). Real measurements are
 # `bash bench/run.sh`; see bench/README.md.
 bench-e2e:
-	cd bench && $(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Tiny in-process load-generation run (cmd/slload driving the serving
 # engine under a churn storm); TestRunInProcess fails unless at least

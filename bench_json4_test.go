@@ -1,6 +1,7 @@
 package safecube
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -136,7 +137,9 @@ func TestEmitBenchJSON4(t *testing.T) {
 		route := func(rng *stats.RNG) {
 			src := NodeID(rng.Intn(c.Nodes()))
 			dst := NodeID(rng.Intn(c.Nodes()))
-			srv.Unicast(src, dst)
+			if _, err := srv.UnicastCtx(context.Background(), src, dst); err != nil {
+				t.Error(err)
+			}
 		}
 		report := func(victim NodeID, down bool) {
 			if down {

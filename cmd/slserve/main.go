@@ -102,6 +102,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -208,8 +209,14 @@ func run(args []string, out io.Writer) (int, error) {
 		return srv.RecoverNode(safecube.NodeID(node))
 	}))
 
+	// The monitor and the diagnoser run until stopBackground, which
+	// cancels both and waits for their Run to return.
+	bgCtx, bgCancel := context.WithCancel(context.Background())
+	var bg sync.WaitGroup
+	stopBackground := func() { bgCancel(); bg.Wait() }
+	defer stopBackground()
+
 	var mon *monitor.Monitor
-	var monCancel context.CancelFunc
 	if *monTarget != "" {
 		base := strings.TrimRight(*monTarget, "/")
 		mon, err = monitor.New(
@@ -227,14 +234,11 @@ func run(args []string, out io.Writer) (int, error) {
 		if err != nil {
 			return 2, err
 		}
-		var monCtx context.Context
-		monCtx, monCancel = context.WithCancel(context.Background())
-		defer monCancel()
-		go mon.Run(monCtx)
+		bg.Add(1)
+		go func() { defer bg.Done(); mon.Run(bgCtx) }()
 	}
 
 	var diag *diagnose.Reconciler
-	var diagCancel context.CancelFunc
 	if *diagTarget != "" {
 		base := strings.TrimRight(*diagTarget, "/")
 		synURL := fmt.Sprintf("%s/syndrome?seed=%d&adversary=%s",
@@ -252,10 +256,8 @@ func run(args []string, out io.Writer) (int, error) {
 		if err != nil {
 			return 2, err
 		}
-		var diagCtx context.Context
-		diagCtx, diagCancel = context.WithCancel(context.Background())
-		defer diagCancel()
-		go diag.Run(diagCtx)
+		bg.Add(1)
+		go func() { defer bg.Done(); diag.Run(bgCtx) }()
 	}
 
 	var wireSrv *safecube.WireServer
@@ -302,15 +304,9 @@ func run(args []string, out io.Writer) (int, error) {
 		// in-flight requests, then the churn queue, then the final
 		// snapshot swap, then the applier).
 		fmt.Fprintf(out, "# %v: draining (timeout %s)\n", sig, *drain)
-		if monCancel != nil {
-			// Stop the monitor first so no new declarations race the
-			// engine drain.
-			monCancel()
-		}
-		if diagCancel != nil {
-			// Same for the diagnoser: no sweep may declare mid-drain.
-			diagCancel()
-		}
+		// Stop the monitor and the diagnoser first, and wait for their
+		// sweeps to end, so no declaration races the engine drain.
+		stopBackground()
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		if wireSrv != nil {

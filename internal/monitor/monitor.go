@@ -81,8 +81,9 @@ type Options struct {
 	// probes (0 means 2) — the recovery hysteresis that keeps a
 	// single lucky probe from resurrecting a dying node.
 	RecoverK int
-	// Interval is the Run sweep cadence (0 means 1s). Tick ignores it;
-	// tests drive Tick directly on a fake clock.
+	// Interval is the Run sweep cadence (0 means 1s), and the longest a
+	// single probe may take before it counts as a miss. Tests drive Tick
+	// directly on a fake clock.
 	Interval time.Duration
 	// FlapWindow and FlapMax engage the flap brake: a node declared
 	// FlapMax times within FlapWindow is suppressed (0 mean 20*Interval
@@ -192,13 +193,22 @@ type TickResult struct {
 
 // Tick probes every node once and advances the state machines. It is
 // the entire control loop of one sweep; Run just calls it on a ticker.
-// Apply failures (a full queue, a dead upstream) leave the node's state
-// unchanged so the transition retries on the next sweep.
+// Each probe gets at most Options.Interval, so a probe slower than one
+// sweep is a miss and a hung node cannot stall the monitor. Once ctx
+// is done the sweep stops: the probe that saw it and the nodes after
+// it are not counted, since a cancelled probe says nothing about its
+// node. Apply failures (a full queue, a dead upstream) leave the
+// node's state unchanged so the transition retries on the next sweep.
 func (m *Monitor) Tick(ctx context.Context) TickResult {
 	now := m.opts.Now()
 	var res TickResult
 	for node := 0; node < m.opts.Nodes; node++ {
-		err := m.prober.Probe(ctx, node)
+		pctx, cancel := context.WithTimeout(ctx, m.opts.Interval)
+		err := m.prober.Probe(pctx, node)
+		cancel()
+		if ctx.Err() != nil {
+			break
+		}
 		m.mu.Lock()
 		m.probes++
 		m.mProbes.Inc()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -252,6 +254,65 @@ func TestMonitorApplierFailureRetries(t *testing.T) {
 	}
 	if !h.declared.NodeFaulty(victim) {
 		t.Fatal("applier did not receive the retried declaration")
+	}
+}
+
+// TestMonitorCancelledSweepDeclaresNothing cancels a sweep during node
+// 3's probe. The sweep stops there: the cancelled probe and the nodes
+// after it are no evidence of a fault, so even at FailK 1 nothing is
+// declared, as a drain that cancels the monitor mid-sweep needs.
+func TestMonitorCancelledSweepDeclaresNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	probe := ProbeFunc(func(pctx context.Context, node int) error {
+		if node == 3 {
+			cancel()
+		}
+		return pctx.Err()
+	})
+	declared := faults.NewSet(topo.MustCube(3))
+	mon, err := New(probe, &setApplier{set: declared}, Options{Nodes: 8, FailK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := mon.Tick(ctx)
+	if res.Probes != 3 || res.Misses != 0 || res.Declared != 0 {
+		t.Fatalf("sweep cancelled at node 3: %+v, want 3 probes and no misses", res)
+	}
+	if declared.NodeFaults() != 0 || len(mon.Journal()) != 0 {
+		t.Fatalf("cancelled sweep declared %v", declared.FaultyNodes())
+	}
+}
+
+// TestMonitorHungProbeIsMiss points the monitor at an upstream that
+// accepts every /probe and never answers. Each probe gets one Interval,
+// so the sweep returns with both nodes missed and, at FailK 1,
+// declared.
+func TestMonitorHungProbeIsMiss(t *testing.T) {
+	release := make(chan struct{})
+	up := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer up.Close()
+	defer close(release)
+	declared := faults.NewSet(topo.MustCube(1))
+	prober := HTTPProber{URL: func(node int) string { return fmt.Sprintf("%s/probe?node=%d", up.URL, node) }}
+	mon, err := New(prober, &setApplier{set: declared}, Options{Nodes: 2, FailK: 1, Interval: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan TickResult, 1)
+	go func() { done <- mon.Tick(context.Background()) }()
+	select {
+	case res := <-done:
+		if res.Misses != 2 || res.Declared != 2 || declared.NodeFaults() != 2 {
+			t.Fatalf("sweep of a hung upstream: %+v, %d nodes declared; want two misses and two declarations", res, declared.NodeFaults())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Tick still blocked on a hung upstream after 2s")
 	}
 }
 

@@ -66,8 +66,8 @@ func (k ReqKind) String() string {
 // MarshalText renders the kind for JSON exposition.
 func (k ReqKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
-// UnmarshalText parses the exposition form (used by the smoke checker
-// and by tools replaying /debug/flight dumps).
+// UnmarshalText parses the exposition form (used by the tests that
+// decode /debug/flight and by tools replaying its dumps).
 func (k *ReqKind) UnmarshalText(b []byte) error {
 	switch string(b) {
 	case "route":

@@ -4,7 +4,7 @@ import (
 	"context"
 
 	"repro/internal/core"
-	"repro/internal/topo"
+	"repro/internal/obs"
 )
 
 // Batched queries. A batch pins ONE snapshot for all of its requests,
@@ -15,73 +15,45 @@ import (
 // hop reads the pinned snapshot, so a request needs no coordination
 // with any other, and concurrency comes from concurrent callers.
 
-// BatchUnicast answers every request against one snapshot and returns
-// the routes in request order. It never blocks on churn.
-func (s *Service) BatchUnicast(reqs []Request) []*core.Route {
+// walkPinned is the sequence BatchUnicastCtx and RouteAllCtx share:
+// admission at items tokens, one pinned snapshot, the stale count, one
+// walk per slot in slot order on the caller's goroutine, and one flight
+// record of kind. What tells the two readers apart comes in as
+// arguments: calls and routes count the call and its items, lat takes
+// its latency, and pair(i) names slot i's pair, or reports false to
+// leave the slot nil. When ctx can be done it is checked between walks,
+// so the call returns within one unicast of its context's deadline,
+// with ctx's error and no routes. Every route's Gen is the pinned
+// snapshot's generation.
+func (s *Service) walkPinned(ctx context.Context, kind obs.ReqKind, calls, routes *obs.Counter, lat *obs.Histogram, slots, items int, pair func(int) (Request, bool)) ([]*core.Route, error) {
+	start, err := s.admit(ctx, kind, items)
+	if err != nil {
+		return nil, err
+	}
+	defer s.release()
 	sn := s.cur.Load()
-	s.mBatches.Inc()
-	s.mBatchN.Add(int64(len(reqs)))
-	if len(s.queue) > 0 {
+	calls.Inc()
+	routes.Add(int64(items))
+	stale := len(s.queue) > 0
+	if stale {
 		s.mStale.Inc()
 	}
-	return sn.BatchUnicast(reqs)
-}
-
-// BatchUnicast answers every request pinned to this snapshot, in
-// order, on the caller's goroutine.
-func (sn *Snapshot) BatchUnicast(reqs []Request) []*core.Route {
-	out, _ := sn.batchUnicastCtx(context.Background(), reqs)
-	return out
-}
-
-// batchUnicastCtx is the loop every walking batch reader runs: it
-// routes each request in order on the caller's goroutine, pinned to
-// sn. When ctx can be done it is checked between requests, so a batch
-// returns within one unicast of its context's deadline, with ctx's
-// error and no routes.
-func (sn *Snapshot) batchUnicastCtx(ctx context.Context, reqs []Request) ([]*core.Route, error) {
-	out := make([]*core.Route, len(reqs))
+	out := make([]*core.Route, slots)
 	done := ctx.Done()
-	for i, q := range reqs {
+	for i := range out {
+		q, ok := pair(i)
+		if !ok {
+			continue
+		}
 		if done != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
+			err = s.ctxErr(ctx)
+			s.flightRefuse(kind, start, ctx, items, err)
+			return nil, err
 		}
-		out[i] = sn.rt.Unicast(q.Src, q.Dst)
+		r := sn.rt.Unicast(q.Src, q.Dst)
+		r.Gen = sn.gen
+		out[i] = r
 	}
+	s.flightServed(kind, start, ctx, items, sn, stale, lat)
 	return out, nil
-}
-
-// RouteAll fans one source out to every other node of the topology
-// against one snapshot: the serving-layer analogue of a broadcast
-// reachability sweep. The result is indexed by destination node ID;
-// the source's own slot is nil.
-func (s *Service) RouteAll(src topo.NodeID) []*core.Route {
-	sn := s.cur.Load()
-	reqs := s.fanout(src)
-	s.mFanouts.Inc()
-	s.mFanoutN.Add(int64(len(reqs)))
-	return s.byDest(reqs, sn.BatchUnicast(reqs))
-}
-
-// fanout lists the requests of a fan-out from src: one to every other
-// node, in node order.
-func (s *Service) fanout(src topo.NodeID) []Request {
-	nodes := s.t.Nodes()
-	reqs := make([]Request, 0, nodes-1)
-	for a := 0; a < nodes; a++ {
-		if topo.NodeID(a) != src {
-			reqs = append(reqs, Request{Src: src, Dst: topo.NodeID(a)})
-		}
-	}
-	return reqs
-}
-
-// byDest indexes a fan-out's routes, which are in request order, by
-// destination; the source's own slot stays nil.
-func (s *Service) byDest(reqs []Request, routes []*core.Route) []*core.Route {
-	out := make([]*core.Route, s.t.Nodes())
-	for i, q := range reqs {
-		out[q.Dst] = routes[i]
-	}
-	return out
 }

@@ -15,8 +15,8 @@ import (
 
 // TestBatchUnicastMatchesSequential is the batch/sequential equivalence
 // property across both topology families: for random fault sets and
-// random request lists, BatchUnicast returns element-wise exactly the
-// routes that sequential Unicast calls on the same snapshot produce.
+// random request lists, BatchUnicastCtx returns element-wise exactly
+// the routes that sequential Unicast calls on the same snapshot produce.
 // The equality is structural (outcome, condition, path, hops), not just
 // statistical.
 func TestBatchUnicastMatchesSequential(t *testing.T) {
@@ -55,18 +55,14 @@ func TestBatchUnicastMatchesSequential(t *testing.T) {
 				}
 
 				sn := s.Current()
-				got := s.BatchUnicast(reqs)
+				got, err := s.BatchUnicastCtx(context.Background(), reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for i, q := range reqs {
 					want := sn.Route(q.Src, q.Dst)
 					if err := sameRoute(got[i], want); err != nil {
 						t.Fatalf("trial %d request %d (%d->%d): %v", trial, i, q.Src, q.Dst, err)
-					}
-				}
-				// The snapshot-level batch agrees too.
-				alt := sn.BatchUnicast(reqs)
-				for i := range reqs {
-					if err := sameRoute(alt[i], got[i]); err != nil {
-						t.Fatalf("trial %d snapshot batch request %d: %v", trial, i, err)
 					}
 				}
 				s.Close()
@@ -92,7 +88,8 @@ func sameRoute(got, want *core.Route) error {
 }
 
 // TestRouteAllCoversTopology checks the fan-out: every destination gets
-// an answer, the source slot stays nil, and answers match singles.
+// an answer, the source slot stays nil, and answers match singles. A
+// source outside the topology gets a route with Err set in every slot.
 func TestRouteAllCoversTopology(t *testing.T) {
 	for _, tp := range []topo.Topology{topo.MustCube(5), topo.MustMixed(2, 3, 3)} {
 		set := faults.NewSet(tp)
@@ -108,7 +105,10 @@ func TestRouteAllCoversTopology(t *testing.T) {
 			src = 1
 		}
 		sn := s.Current()
-		all := s.RouteAll(src)
+		all, err := s.RouteAllCtx(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(all) != tp.Nodes() {
 			t.Fatalf("RouteAll returned %d slots, want %d", len(all), tp.Nodes())
 		}
@@ -126,6 +126,19 @@ func TestRouteAllCoversTopology(t *testing.T) {
 				t.Fatalf("dest %d: %v", a, err)
 			}
 		}
+		outside := topo.NodeID(tp.Nodes())
+		all, err = s.RouteAllCtx(context.Background(), outside)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) != tp.Nodes() {
+			t.Fatalf("RouteAll from outside returned %d slots, want %d", len(all), tp.Nodes())
+		}
+		for a, r := range all {
+			if r == nil || r.Err == nil || r.Source != outside || r.Dest != topo.NodeID(a) {
+				t.Fatalf("slot %d of a fan-out from outside the topology: %+v, want a route with Err", a, r)
+			}
+		}
 		s.Close()
 	}
 }
@@ -135,8 +148,7 @@ func TestRouteAllCoversTopology(t *testing.T) {
 // own: with GOMAXPROCS at 4 when the service is built, BatchUnicastCtx
 // (with a background and with a cancelable context) allocates exactly
 // what its walks allocate plus its result slice, and RouteAllCtx what
-// its walks allocate plus its request list, its routes in request
-// order and its result indexed by destination.
+// its walks allocate plus its result indexed by destination.
 func TestBatchReadersAllocateOnlyTheirWalks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -182,7 +194,7 @@ func TestBatchReadersAllocateOnlyTheirWalks(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if want := walks(fan) + 3; got != want {
+	if want := walks(fan) + 1; got != want {
 		t.Errorf("RouteAllCtx allocates %v times, want %v", got, want)
 	}
 }

@@ -76,7 +76,7 @@ func benchReaders(b *testing.B, readers int, churn bool) {
 		for pb.Next() {
 			src := topo.NodeID(rng.Intn(nodes))
 			dst := topo.NodeID(rng.Intn(nodes))
-			r := s.Route(src, dst)
+			r := s.Current().Route(src, dst)
 			if r == nil {
 				b.Fatal("nil route")
 			}
@@ -129,9 +129,9 @@ func BenchmarkServeRouteCtx(b *testing.B) {
 	})
 }
 
-// BenchmarkServeBatch measures the batched path: one snapshot load
-// amortized over a 64-request batch, routed in order on the caller's
-// goroutine.
+// BenchmarkServeBatch measures the batched path: one admission, one
+// snapshot load and one flight record amortized over a 64-request
+// batch, routed in order on the caller's goroutine.
 func BenchmarkServeBatch(b *testing.B) {
 	s := benchService(b, Options{})
 	nodes := s.Topology().Nodes()
@@ -143,10 +143,13 @@ func BenchmarkServeBatch(b *testing.B) {
 			Dst: topo.NodeID(rng.Intn(nodes)),
 		}
 	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.BatchUnicast(reqs)
+		if _, err := s.BatchUnicastCtx(ctx, reqs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -9,14 +9,14 @@
 // Service therefore keeps one immutable, generation-stamped Snapshot
 // behind an atomic pointer:
 //
-//   - Readers (Route, Feasibility, BatchUnicast, RouteAll) load the
-//     pointer, route, and never take a lock. A reader keeps the snapshot
-//     it loaded for the whole query, so every answer is internally
-//     consistent even while the pointer moves underneath it. A batch or
-//     fan-out runs in request order on the caller's goroutine: each
-//     unicast is decided at its source from the pinned snapshot alone,
-//     so requests need no coordination and concurrency comes from
-//     concurrent callers.
+//   - Readers (RouteCtx, BatchUnicastCtx, RouteAllCtx and the wire
+//     server's frames) load the pointer, route, and never take a lock.
+//     A reader keeps the snapshot it loaded for the whole query, so
+//     every answer is internally consistent even while the pointer
+//     moves underneath it. A batch or fan-out runs in request order on
+//     the caller's goroutine: each unicast is decided at its source
+//     from the pinned snapshot alone, so requests need no coordination
+//     and concurrency comes from concurrent callers.
 //   - Fault churn goes through a bounded apply queue drained by a single
 //     applier goroutine, which owns the live fault oracle, reconverges
 //     the levels through core.RepairLevels (cold Compute as fallback),
@@ -29,10 +29,10 @@
 // guarantee any distributed execution gives between two GS exchanges
 // (see DESIGN.md §9 for the full argument).
 //
-// Production hardening lives in harden.go: the context-aware readers
-// (RouteCtx, BatchUnicastCtx, RouteAllCtx) add per-request deadlines, a
-// lock-free GCRA token bucket for admission control, and graceful drain
-// via Shutdown. The load taxonomy is deliberately split — ErrBacklog is
+// Production hardening lives in harden.go: every reader passes one
+// admission sequence, which adds per-request deadlines, a lock-free
+// GCRA token bucket for admission control, and graceful drain via
+// Shutdown. The load taxonomy is deliberately split — ErrBacklog is
 // writer-side backpressure (the churn queue is full, so a churn storm
 // throttles writers while readers keep serving the last snapshot;
 // the applier also coalesces every queued event into one repair + one
@@ -40,11 +40,11 @@
 // ErrOverload is reader-side shedding (admission refused the query),
 // and ErrDraining means Shutdown has begun. See docs/OPERATIONS.md.
 //
-// Key invariant (drain ordering): a context-aware request admitted
-// before Shutdown completes against a consistent snapshot, all churn
-// accepted before the drain is flushed into one final published
-// snapshot, and only then does the applier stop. The acquire path
-// increments the inflight count before re-checking the phase under
-// sequentially consistent atomics, so Shutdown either observes the
-// request or the request observes the drain — never neither.
+// Key invariant (drain ordering): a request admitted before Shutdown
+// completes against a consistent snapshot, all churn accepted before
+// the drain is flushed into one final published snapshot, and only
+// then does the applier stop. The acquire path increments the inflight
+// count before re-checking the phase under sequentially consistent
+// atomics, so Shutdown either observes the request or the request
+// observes the drain — never neither.
 package serve

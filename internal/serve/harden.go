@@ -11,10 +11,9 @@ import (
 	"repro/internal/topo"
 )
 
-// Production hardening of the read path. The lock-free snapshot
-// readers in serve.go can never block each other — but a production
-// deployment still needs three guarantees they do not give on their
-// own:
+// Production hardening of the read path. Readers of the lock-free
+// snapshots can never block each other — but a production deployment
+// still needs three guarantees the snapshots do not give on their own:
 //
 //   - Deadlines: a caller with a context gets an answer or that
 //     context's error, promptly, even mid-batch.
@@ -23,27 +22,28 @@ import (
 //     is deliberately a different signal from ErrBacklog
 //     (writer-side churn backpressure): shedding protects the latency
 //     of admitted requests, backpressure protects the applier.
-//   - Drain ordering: Shutdown refuses new context-carrying requests,
-//     waits for every in-flight one to finish against its pinned
-//     snapshot, flushes the apply queue (so churn accepted before the
-//     drain still reaches a published snapshot), and only then stops
-//     the applier. A request admitted before the drain therefore
-//     always completes against a consistent, fully published snapshot
-//     — the invariant TestServeDrainOrdering pins under -race.
+//   - Drain ordering: Shutdown refuses new requests, waits for every
+//     in-flight one to finish against its pinned snapshot, flushes the
+//     apply queue (so churn accepted before the drain still reaches a
+//     published snapshot), and only then stops the applier. A request
+//     admitted before the drain therefore always completes against a
+//     consistent, fully published snapshot — the invariant
+//     TestServeDrainOrdering pins under -race.
 //
-// The context-free methods (Route, BatchUnicast, RouteAll) keep their
-// PR-4 semantics: never admitted, never shed, never refused — they
-// serve the last published snapshot even after Close. The hardened
-// surface is the *Ctx family below.
+// Every request the Service answers passes admit first: RouteCtx,
+// BatchUnicastCtx, RouteAllCtx, and the wire server's unicast,
+// feasibility and batch frames. Snapshot.Route and Snapshot.Summary,
+// on a snapshot from Current, are the pinned reads that skip all of
+// it; the differential tests and the benchmark ladder use them.
 
-// ErrOverload is returned by the context-aware readers when the
-// token-bucket admission controller sheds the request. It maps to HTTP
-// 429 in cmd/slserve. Compare ErrBacklog, the writer-side signal.
+// ErrOverload is returned by the readers when the token-bucket
+// admission controller sheds the request. It maps to HTTP 429 in
+// cmd/slserve. Compare ErrBacklog, the writer-side signal.
 var ErrOverload = errors.New("serve: overloaded, request shed")
 
-// ErrDraining is returned by the context-aware readers once Shutdown
-// (or Close) has begun: the service no longer admits new requests but
-// still completes the ones already in flight. Maps to HTTP 503.
+// ErrDraining is returned by the readers once Shutdown (or Close) has
+// begun: the service no longer admits new requests but still completes
+// the ones already in flight. Maps to HTTP 503.
 var ErrDraining = errors.New("serve: draining, not admitting requests")
 
 // Service lifecycle phases (Service.phase).
@@ -135,8 +135,8 @@ func (s *Service) signalDrained() {
 	s.drainOnce.Do(func() { close(s.drained) })
 }
 
-// Inflight returns the number of context-aware requests currently
-// being served (also exported as serve_inflight).
+// Inflight returns the number of requests currently being served
+// (also exported as serve_inflight).
 func (s *Service) Inflight() int64 { return s.inflight.Load() }
 
 // ctxErr classifies a context error for metrics and returns it.
@@ -145,13 +145,12 @@ func (s *Service) ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// admit runs the admission sequence every context-aware reader shares:
-// the drain check, the context check and the token bucket, which
-// charges items tokens. On refusal it records the flight refusal and
-// returns the error. Otherwise the request is in flight until the
-// caller's release, and start is the time latency is measured from:
-// taken before admission when the flight recorder is on, after it
-// otherwise.
+// admit runs the admission sequence every reader shares: the drain
+// check, the context check and the token bucket, which charges items
+// tokens. On refusal it records the flight refusal and returns the
+// error. Otherwise the request is in flight until the caller's release,
+// and start is the time latency is measured from: taken before
+// admission when the flight recorder is on, after it otherwise.
 func (s *Service) admit(ctx context.Context, kind obs.ReqKind, items int) (start time.Time, err error) {
 	if s.flight != nil {
 		start = time.Now()
@@ -178,12 +177,12 @@ func (s *Service) admit(ctx context.Context, kind obs.ReqKind, items int) (start
 	return start, nil
 }
 
-// RouteCtx is Route with deadlines, admission control and drain
-// awareness: it refuses with ErrDraining after Shutdown begins, sheds
-// with ErrOverload beyond the configured rate, returns ctx.Err() once
-// the context is done, and otherwise routes against the snapshot
-// current at admission time, recording the wall latency. The route's
-// Gen is that snapshot's generation.
+// RouteCtx unicasts from src to dst with deadlines, admission control
+// and drain awareness: it refuses with ErrDraining after Shutdown
+// begins, sheds with ErrOverload beyond the configured rate, returns
+// ctx.Err() once the context is done, and otherwise routes against the
+// snapshot current at admission time, recording the wall latency. The
+// route's Gen is that snapshot's generation.
 func (s *Service) RouteCtx(ctx context.Context, src, dst topo.NodeID) (*core.Route, error) {
 	r, _, err := s.routeCtx(ctx, src, dst, walkRoute)
 	return r, err
@@ -255,37 +254,17 @@ func (s *Service) routeCtx(ctx context.Context, src, dst topo.NodeID, mode route
 	return r, a, nil
 }
 
-// BatchUnicastCtx is BatchUnicast with the same hardening. Admission
-// costs one token per request in the batch; cancellation is observed
-// between items, so a batch returns within one unicast of its
+// BatchUnicastCtx answers every request against one snapshot and
+// returns the routes in request order, with RouteCtx's hardening.
+// Admission costs one token per request in the batch; cancellation is
+// observed between items, so a batch returns within one unicast of its
 // context's deadline (partial results are discarded: the caller asked
 // for a mutually consistent answer set, and a truncated one is not).
 // Every route's Gen is the generation of the one snapshot the batch
 // was routed on.
 func (s *Service) BatchUnicastCtx(ctx context.Context, reqs []Request) ([]*core.Route, error) {
-	start, err := s.admit(ctx, obs.ReqBatch, len(reqs))
-	if err != nil {
-		return nil, err
-	}
-	defer s.release()
-	sn := s.cur.Load()
-	s.mBatches.Inc()
-	s.mBatchN.Add(int64(len(reqs)))
-	stale := len(s.queue) > 0
-	if stale {
-		s.mStale.Inc()
-	}
-	out, err := sn.batchUnicastCtx(ctx, reqs)
-	if err != nil {
-		err = s.ctxErr(ctx)
-		s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), err)
-		return nil, err
-	}
-	for _, r := range out {
-		r.Gen = sn.gen
-	}
-	s.flightServed(obs.ReqBatch, start, ctx, len(reqs), sn, stale, s.mLatBatch)
-	return out, nil
+	return s.walkPinned(ctx, obs.ReqBatch, s.mBatches, s.mBatchN, s.mLatBatch,
+		len(reqs), len(reqs), func(i int) (Request, bool) { return reqs[i], true })
 }
 
 // batchAtSource answers a wire batch at the source on the caller's
@@ -325,39 +304,25 @@ func (s *Service) batchAtSource(ctx context.Context, reqs []Request, out []core.
 	return out, sn.gen, nil
 }
 
-// RouteAllCtx is RouteAll with the same hardening; admission costs one
-// token per destination, and every route's Gen is the pinned
-// snapshot's generation.
+// RouteAllCtx fans one source out to every other node of the topology
+// against one snapshot, with RouteCtx's hardening: the serving-layer
+// analogue of a broadcast reachability sweep. The result is indexed by
+// destination node ID, and the source's own slot is nil; a source
+// outside the topology gets a route with Err set in every slot.
+// Admission costs one token per destination, and every route's Gen is
+// the pinned snapshot's generation.
 func (s *Service) RouteAllCtx(ctx context.Context, src topo.NodeID) ([]*core.Route, error) {
 	nodes := s.t.Nodes()
-	start, err := s.admit(ctx, obs.ReqRouteAll, nodes-1)
-	if err != nil {
-		return nil, err
-	}
-	defer s.release()
-	sn := s.cur.Load()
-	stale := len(s.queue) > 0
-	reqs := s.fanout(src)
-	s.mFanouts.Inc()
-	s.mFanoutN.Add(int64(len(reqs)))
-	routes, err := sn.batchUnicastCtx(ctx, reqs)
-	if err != nil {
-		err = s.ctxErr(ctx)
-		s.flightRefuse(obs.ReqRouteAll, start, ctx, len(reqs), err)
-		return nil, err
-	}
-	for _, r := range routes {
-		r.Gen = sn.gen
-	}
-	out := s.byDest(reqs, routes)
-	s.flightServed(obs.ReqRouteAll, start, ctx, len(reqs), sn, stale, s.mLatRouteAll)
-	return out, nil
+	return s.walkPinned(ctx, obs.ReqRouteAll, s.mFanouts, s.mFanoutN, s.mLatRouteAll,
+		nodes, nodes-1, func(a int) (Request, bool) {
+			return Request{Src: src, Dst: topo.NodeID(a)}, topo.NodeID(a) != src
+		})
 }
 
-// Shutdown drains the service: it stops admitting context-aware
-// requests (they get ErrDraining), waits for every in-flight request
-// to complete, flushes the apply queue so churn accepted before the
-// drain reaches a published snapshot, and then stops the applier.
+// Shutdown drains the service: it stops admitting requests (they get
+// ErrDraining), waits for every in-flight request to complete, flushes
+// the apply queue so churn accepted before the drain reaches a
+// published snapshot, and then stops the applier.
 // The drain order is the guarantee: in-flight requests first, queue
 // flush second, final snapshot swap third, applier stop last.
 //
@@ -367,8 +332,8 @@ func (s *Service) RouteAllCtx(ctx context.Context, src topo.NodeID) ([]*core.Rou
 // immutable snapshots — but Shutdown no longer vouches for having
 // waited for them.
 //
-// Shutdown is idempotent and safe to race with Close; the context-free
-// readers keep serving the final snapshot afterwards.
+// Shutdown is idempotent and safe to race with Close; Current keeps
+// returning the final snapshot afterwards.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.phase.CompareAndSwap(phaseServing, phaseDraining)
 	s.mDraining.Set(1)

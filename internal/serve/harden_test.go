@@ -41,14 +41,14 @@ func TestServeDeadline(t *testing.T) {
 	}
 
 	// A live context routes normally and the answer matches the
-	// context-free path.
+	// snapshot's own walk.
 	got, err := s.RouteCtx(context.Background(), 0, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := s.Route(0, 31)
+	want := s.Current().Route(0, 31)
 	if len(got.Path) != len(want.Path) || got.Outcome != want.Outcome {
-		t.Fatalf("ctx route %v/%d path, context-free %v/%d path", got.Outcome, len(got.Path), want.Outcome, len(want.Path))
+		t.Fatalf("ctx route %v/%d path, snapshot %v/%d path", got.Outcome, len(got.Path), want.Outcome, len(want.Path))
 	}
 }
 
@@ -75,10 +75,9 @@ func TestServeBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestServeOverload: with a tiny token bucket the context-aware
-// readers shed with ErrOverload — a signal distinct from both the
-// writer-side ErrBacklog and the drain-time ErrDraining — while the
-// context-free readers keep answering.
+// TestServeOverload: with a tiny token bucket the readers shed with
+// ErrOverload — a signal distinct from both the writer-side ErrBacklog
+// and the drain-time ErrDraining.
 func TestServeOverload(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := newService(t, topo.MustCube(5), Options{Rate: 1, Burst: 2, Registry: reg})
@@ -105,10 +104,6 @@ func TestServeOverload(t *testing.T) {
 	// A batch bigger than the burst can never be admitted.
 	if _, err := s.BatchUnicastCtx(ctx, make([]Request, 100)); !errors.Is(err, ErrOverload) {
 		t.Fatalf("oversized batch: %v, want ErrOverload", err)
-	}
-	// Context-free readers are never shed.
-	if s.Route(0, 31) == nil {
-		t.Fatal("context-free Route was affected by admission control")
 	}
 	if reg.Counter(obs.MetricServeOverloadTotal).Value() == 0 {
 		t.Fatal("serve_overload_total not incremented")
@@ -220,12 +215,13 @@ func TestServeDrainOrdering(t *testing.T) {
 	if !final.Assignment().Faults().NodeFaulty(13) {
 		t.Fatal("churn accepted before Shutdown missing from the final snapshot")
 	}
-	// After Shutdown: ctx readers refuse, context-free readers serve.
+	// After Shutdown: readers refuse, and the final snapshot still
+	// answers through Current.
 	if _, err := s.RouteCtx(ctx, 0, 63); !errors.Is(err, ErrDraining) {
 		t.Fatalf("RouteCtx after Shutdown: %v, want ErrDraining", err)
 	}
-	if r := s.Route(0, 63); r == nil {
-		t.Fatal("context-free Route stopped serving after Shutdown")
+	if r := s.Current().Route(0, 63); r == nil {
+		t.Fatal("the final snapshot stopped answering after Shutdown")
 	}
 	// Shutdown is idempotent.
 	if err := s.Shutdown(ctx); err != nil {

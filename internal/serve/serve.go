@@ -87,16 +87,12 @@ func (sn *Snapshot) Level(a topo.NodeID) int { return sn.as.Level(a) }
 // every test in one sweep sees one generation. Treat it as read-only.
 func (sn *Snapshot) Faults() *faults.Set { return sn.as.Faults() }
 
-// Route unicasts from src to dst pinned to this snapshot. Callers that
-// must answer several queries against one consistent state (the batch
-// path, the property tests) hold a snapshot and route on it directly.
+// Route unicasts from src to dst pinned to this snapshot, outside
+// admission and the flight recorder. Callers that must answer several
+// queries against one consistent state (the property tests, the
+// benchmark ladder) hold a snapshot and route on it directly.
 func (sn *Snapshot) Route(src, dst topo.NodeID) *core.Route {
 	return sn.rt.Unicast(src, dst)
-}
-
-// Feasibility evaluates the admission test pinned to this snapshot.
-func (sn *Snapshot) Feasibility(src, dst topo.NodeID) (core.Condition, core.Outcome) {
-	return sn.rt.Feasibility(src, dst)
 }
 
 // Summary decides the unicast from src to dst at the source, pinned to
@@ -115,11 +111,11 @@ type Options struct {
 	// QueueDepth bounds the apply queue (<= 0 means 64). A full queue
 	// blocks Apply and refuses TryApply; readers are unaffected.
 	QueueDepth int
-	// Rate caps admitted work on the context-aware readers at this many
-	// unicasts per second through a token bucket (RouteCtx costs 1,
-	// BatchUnicastCtx one per item, RouteAllCtx one per destination).
-	// <= 0 disables admission control. Shed requests fail fast with
-	// ErrOverload; the context-free readers are never shed.
+	// Rate caps admitted work at this many unicasts per second through
+	// a token bucket (RouteCtx and a wire unicast or feasibility frame
+	// cost 1, BatchUnicastCtx and a wire batch one per item,
+	// RouteAllCtx one per destination). <= 0 disables admission
+	// control. Shed requests fail fast with ErrOverload.
 	Rate float64
 	// Burst is the token-bucket depth in unicasts (< 1 means 1). Only
 	// meaningful when Rate > 0.
@@ -305,24 +301,6 @@ func (s *Service) CurrentFaults() *faults.Set { return s.cur.Load().Faults() }
 // backpressure signal; also exported as serve_apply_queue_depth).
 func (s *Service) QueueDepth() int { return len(s.queue) }
 
-// Route unicasts from src to dst against the current snapshot, without
-// taking any lock. Under pending churn the answer is served from the
-// last published generation (counted as a stale read).
-func (s *Service) Route(src, dst topo.NodeID) *core.Route {
-	sn := s.cur.Load()
-	s.mRoutes.Inc()
-	if len(s.queue) > 0 {
-		s.mStale.Inc()
-	}
-	return sn.Route(src, dst)
-}
-
-// Feasibility evaluates the admission test against the current
-// snapshot.
-func (s *Service) Feasibility(src, dst topo.NodeID) (core.Condition, core.Outcome) {
-	return s.cur.Load().Feasibility(src, dst)
-}
-
 // validate rejects events that no fault set over this topology could
 // ever accept, so the asynchronous applier only ever sees feasible
 // mutations (redundant ones — failing an already-faulty node — are
@@ -445,10 +423,9 @@ func (s *Service) Flush() {
 // Close stops the applier after draining the queue. Events accepted
 // before Close are applied; later Apply/TryApply calls return
 // ErrClosed. Close is idempotent and safe to call concurrently with
-// readers: the context-free readers keep serving the final snapshot,
-// while the context-aware ones refuse with ErrDraining. Close does not
-// wait for in-flight context-aware requests — use Shutdown for an
-// ordered drain.
+// readers, which refuse with ErrDraining from then on; Current keeps
+// returning the final snapshot. Close does not wait for in-flight
+// requests — use Shutdown for an ordered drain.
 func (s *Service) Close() {
 	s.phase.Store(phaseStopped)
 	s.mDraining.Set(1)

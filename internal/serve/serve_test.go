@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -44,7 +45,7 @@ func TestServeMatchesFacadePath(t *testing.T) {
 	for src := 0; src < tp.Nodes(); src++ {
 		for dst := 0; dst < tp.Nodes(); dst++ {
 			want := rt.Unicast(topo.NodeID(src), topo.NodeID(dst))
-			got := s.Route(topo.NodeID(src), topo.NodeID(dst))
+			got := s.Current().Route(topo.NodeID(src), topo.NodeID(dst))
 			if got.Outcome != want.Outcome || got.Condition != want.Condition ||
 				!reflect.DeepEqual(got.Path, want.Path) {
 				t.Fatalf("route %d->%d: serve %v/%v %v, sequential %v/%v %v",
@@ -255,9 +256,16 @@ func TestServeMetrics(t *testing.T) {
 	}
 	defer s.Close()
 
-	s.Route(0, 7)
-	s.BatchUnicast([]Request{{0, 5}, {1, 6}})
-	s.RouteAll(2)
+	ctx := context.Background()
+	if _, err := s.RouteCtx(ctx, 0, 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.BatchUnicastCtx(ctx, []Request{{0, 5}, {1, 6}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RouteAllCtx(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.FailNode(3); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +298,7 @@ func TestServeMetrics(t *testing.T) {
 
 // TestServeChurn is the race/torn-snapshot proof for the snapshot-swap
 // design (and the reader-vs-faults.RecoverNode fix): 16 reader
-// goroutines hammer Route/BatchUnicast while the writer replays a
+// goroutines hammer Snapshot.Route while the writer replays a
 // recover-heavy churn schedule through the apply queue. Under -race
 // this fails if any reader ever touches mutable fault state (the
 // pre-Detach design raced exactly here, in faults.Set reads vs
@@ -333,11 +341,9 @@ func TestServeChurn(t *testing.T) {
 				}
 				src := topo.NodeID(rng.Intn(tp.Nodes()))
 				dst := topo.NodeID(rng.Intn(tp.Nodes()))
-				var got []*core.Route
-				if w%2 == 0 {
-					got = []*core.Route{sn.Route(src, dst)}
-				} else {
-					got = sn.BatchUnicast([]Request{{src, dst}, {dst, src}})
+				got := []*core.Route{sn.Route(src, dst)}
+				if w%2 == 1 {
+					got = append(got, sn.Route(dst, src))
 				}
 				for _, r := range got {
 					if err := checkRouteInvariants(sn, r); err != nil {

@@ -346,20 +346,9 @@ func (ws *WireServer) execute(hdr wire.Header, body []byte, cs *connState) []byt
 			ws.mErrors.Inc()
 			return errFrame(id, wire.CodeBadRequest, err.Error())
 		}
-		if !ws.svc.t.Contains(topo.NodeID(req.Src)) || !ws.svc.t.Contains(topo.NodeID(req.Dst)) {
-			ws.mErrors.Inc()
-			return errFrame(id, wire.CodeBadRequest, "node outside topology")
-		}
-		mode := atSource
-		if cs.check.next() {
-			mode = atSourceChecked
-		}
-		ctx, cancel := budgetCtx(req.DeadlineUS)
-		_, a, err := ws.svc.routeCtx(ctx, topo.NodeID(req.Src), topo.NodeID(req.Dst), mode)
-		cancel()
-		if err != nil {
-			ws.mErrors.Inc()
-			return errFrame(id, wireErrCode(err), "")
+		a, refused := ws.decide(id, req.Src, req.Dst, req.DeadlineUS, cs)
+		if refused != nil {
+			return refused
 		}
 		payload := wire.AppendUnicastResp(wire.GetBuf(), wire.UnicastResp{
 			Gen:      a.Gen,
@@ -415,12 +404,13 @@ func (ws *WireServer) execute(hdr wire.Header, body []byte, cs *connState) []byt
 			ws.mErrors.Inc()
 			return errFrame(id, wire.CodeBadRequest, err.Error())
 		}
-		if !ws.svc.t.Contains(topo.NodeID(req.Src)) || !ws.svc.t.Contains(topo.NodeID(req.Dst)) {
-			ws.mErrors.Inc()
-			return errFrame(id, wire.CodeBadRequest, "node outside topology")
+		// A feasibility question is a unicast decided at the source; the
+		// request carries no deadline budget.
+		a, refused := ws.decide(id, req.Src, req.Dst, 0, cs)
+		if refused != nil {
+			return refused
 		}
-		cond, out := ws.svc.Feasibility(topo.NodeID(req.Src), topo.NodeID(req.Dst))
-		payload := wire.AppendFeasResp(wire.GetBuf(), wire.FeasResp{Cond: uint8(cond), Outcome: uint8(out)})
+		payload := wire.AppendFeasResp(wire.GetBuf(), wire.FeasResp{Cond: uint8(a.Condition), Outcome: uint8(a.Outcome)})
 		frame := wire.AppendFrame(wire.GetBuf(), wire.OpFeasibility, wire.FlagResponse, id, payload)
 		wire.PutBuf(payload)
 		return frame
@@ -457,6 +447,30 @@ func (ws *WireServer) execute(hdr wire.Header, body []byte, cs *connState) []byt
 		ws.mErrors.Inc()
 		return errFrame(id, wire.CodeUnknownOp, hdr.Op.String())
 	}
+}
+
+// decide answers one pair at the source through routeCtx, the sequence
+// OpUnicast and OpFeasibility share: the endpoint check, admission
+// under a deadline budget of deadlineUS (0 for none), and a walk and
+// compare for the answers cs's sampler picks. A refused pair returns
+// the error frame for request id instead.
+func (ws *WireServer) decide(id uint64, src, dst, deadlineUS uint32, cs *connState) (answer, []byte) {
+	if !ws.svc.t.Contains(topo.NodeID(src)) || !ws.svc.t.Contains(topo.NodeID(dst)) {
+		ws.mErrors.Inc()
+		return answer{}, errFrame(id, wire.CodeBadRequest, "node outside topology")
+	}
+	mode := atSource
+	if cs.check.next() {
+		mode = atSourceChecked
+	}
+	ctx, cancel := budgetCtx(deadlineUS)
+	_, a, err := ws.svc.routeCtx(ctx, topo.NodeID(src), topo.NodeID(dst), mode)
+	cancel()
+	if err != nil {
+		ws.mErrors.Inc()
+		return answer{}, errFrame(id, wireErrCode(err), "")
+	}
+	return a, nil
 }
 
 // routeInfoOf compacts an answer for the wire (clamped to the field

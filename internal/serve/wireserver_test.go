@@ -52,7 +52,7 @@ func TestWireServerEndToEnd(t *testing.T) {
 	// Wire answers must match the in-process engine answer for answer.
 	for src := 0; src < 8; src++ {
 		for dst := 56; dst < 64; dst++ {
-			want := svc.Route(topo.NodeID(src), topo.NodeID(dst))
+			want := svc.Current().Route(topo.NodeID(src), topo.NodeID(dst))
 			got, err := c.Unicast(ctx, uint32(src), uint32(dst))
 			if err != nil {
 				t.Fatalf("unicast %d->%d: %v", src, dst, err)
@@ -74,7 +74,7 @@ func TestWireServerEndToEnd(t *testing.T) {
 		t.Fatalf("batch generation %d, engine %d", gen, svc.Generation())
 	}
 	for i, p := range pairs {
-		want := svc.Route(topo.NodeID(p.Src), topo.NodeID(p.Dst))
+		want := svc.Current().Route(topo.NodeID(p.Src), topo.NodeID(p.Dst))
 		if routes[i].Outcome != uint8(want.Outcome) || routes[i].Hops != uint16(want.Len()) {
 			t.Fatalf("batch[%d]: wire %+v, engine %v h=%d", i, routes[i], want.Outcome, want.Len())
 		}
@@ -84,9 +84,9 @@ func TestWireServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("feasibility: %v", err)
 	}
-	cond, out := svc.Feasibility(0, 63)
-	if fr.Cond != uint8(cond) || fr.Outcome != uint8(out) {
-		t.Fatalf("feasibility: wire %+v, engine %v/%v", fr, cond, out)
+	sum := svc.Current().Summary(0, 63)
+	if fr.Cond != uint8(sum.Condition) || fr.Outcome != uint8(sum.Outcome) {
+		t.Fatalf("feasibility: wire %+v, engine %v/%v", fr, sum.Condition, sum.Outcome)
 	}
 
 	// Fault delta round-trips through the apply queue and shows up in a
@@ -103,7 +103,7 @@ func TestWireServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unicast from failed node: %v", err)
 	}
-	want := svc.Route(9, 0)
+	want := svc.Current().Route(9, 0)
 	if r.Route.Outcome != uint8(want.Outcome) {
 		t.Fatalf("post-fault route: wire outcome %d, engine %v", r.Route.Outcome, want.Outcome)
 	}
@@ -126,6 +126,58 @@ func TestWireFeasibilityFaultySource(t *testing.T) {
 	if fr.Outcome != uint8(core.Failure) || fr.Cond != uint8(core.CondNone) ||
 		fr.Outcome != ur.Route.Outcome || fr.Cond != ur.Route.Cond {
 		t.Fatalf("faulty source: OpFeasibility %+v, OpUnicast %+v", fr, ur.Route)
+	}
+}
+
+// TestWireFeasibilityAdmitted pins that OpFeasibility runs the
+// admission, drain and flight sequence OpUnicast runs: with a burst of
+// one at one token a second, frames beyond the burst are shed with
+// the typed overload error, every frame, answered or shed, leaves one
+// flight record of kind route, each answered one counts in
+// serve_routes_total, and once the service drains a frame is refused.
+func TestWireFeasibilityAdmitted(t *testing.T) {
+	reg := obs.NewRegistry()
+	svc, ws := newWireServer(t, Options{Rate: 1, Burst: 1, Registry: reg}, WireOptions{})
+	c := dialWire(t, ws, wire.ClientOptions{})
+	ctx := context.Background()
+	fl := svc.Flight()
+	before := fl.Snapshot(0).Issued
+	const frames = 50
+	served, shed := 0, 0
+	for i := 0; i < frames; i++ {
+		_, err := c.Feasibility(ctx, 0, 63)
+		switch {
+		case err == nil:
+			served++
+		case errors.Is(err, wire.ErrOverload):
+			shed++
+		default:
+			t.Fatalf("feasibility frame %d: %v", i, err)
+		}
+	}
+	if served == 0 || shed == 0 {
+		t.Fatalf("of %d feasibility frames %d were answered and %d shed; a burst of one must do both", frames, served, shed)
+	}
+	if got := fl.Snapshot(0).Issued - before; got != frames {
+		t.Fatalf("%d feasibility frames were issued %d flight IDs, want one each", frames, got)
+	}
+	routes := 0
+	for _, rec := range fl.Records(0) {
+		if rec.Kind == obs.ReqRoute {
+			routes++
+		}
+	}
+	if routes != frames {
+		t.Fatalf("%d flight records of kind route, want %d", routes, frames)
+	}
+	if got := reg.Counter(obs.MetricServeRoutesTotal).Value(); got != int64(served) {
+		t.Fatalf("%s = %d, want %d", obs.MetricServeRoutesTotal, got, served)
+	}
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Feasibility(ctx, 0, 63); !errors.Is(err, wire.ErrDraining) {
+		t.Fatalf("feasibility frame after Shutdown: %v, want ErrDraining", err)
 	}
 }
 

@@ -359,13 +359,13 @@ type Route struct {
 	// outside the cube). A clean source-side abort has Err == nil.
 	Err error
 	// RequestID is the flight-recorder ID of the serving request the
-	// route answered (nonzero only for routes served by a Server's
-	// context-aware readers); it links the route to /debug/flight
-	// records, incident traces, and histogram exemplars.
+	// route answered (nonzero only for routes a Server served); it
+	// links the route to /debug/flight records, incident traces, and
+	// histogram exemplars.
 	RequestID uint64
 	// Generation is the fault-set generation of the snapshot the route
-	// was routed on, set beside RequestID by a Server's context-aware
-	// readers. It equals the generation of the route's flight record.
+	// was routed on, set beside RequestID by a Server's readers. It
+	// equals the generation of the route's flight record.
 	Generation uint64
 }
 

@@ -11,10 +11,11 @@ import (
 
 // Serving facade: a Server wraps the concurrent route-serving engine
 // (internal/serve) behind the package's public types. Readers —
-// Unicast, BatchUnicast, RouteAll, Feasibility — are lock-free; fault
-// churn is applied through a bounded queue by a single background
-// applier that repairs the levels incrementally and publishes each new
-// assignment as an immutable snapshot with one atomic pointer swap.
+// UnicastCtx, BatchUnicastCtx, RouteAllCtx — are lock-free and pass
+// admission, draining and the flight recorder; fault churn is applied
+// through a bounded queue by a single background applier that repairs
+// the levels incrementally and publishes each new assignment as an
+// immutable snapshot with one atomic pointer swap.
 // See DESIGN.md §9 for why routing against a momentarily stale
 // snapshot is still exactly the paper's algorithm for that snapshot's
 // fault set.
@@ -23,12 +24,11 @@ import (
 type ServeOptions struct {
 	// QueueDepth bounds the churn apply queue (<= 0 means 64).
 	QueueDepth int
-	// Rate enables token-bucket admission control on the context-aware
-	// readers: at most Rate unicasts per second are admitted
-	// (UnicastCtx costs 1, BatchUnicastCtx one per pair, RouteAllCtx
-	// one per destination); the excess is shed promptly with
-	// ErrServerOverload. <= 0 disables shedding. The context-free
-	// readers are never shed.
+	// Rate enables token-bucket admission control on the readers: at
+	// most Rate unicasts per second are admitted (UnicastCtx costs 1,
+	// BatchUnicastCtx one per pair, RouteAllCtx one per destination);
+	// the excess is shed promptly with ErrServerOverload. <= 0 disables
+	// shedding.
 	Rate float64
 	// Burst is the admission bucket depth in unicasts (< 1 means 1).
 	Burst int
@@ -83,17 +83,12 @@ func (s *Server) Topology() topo.Topology { return s.svc.Topology() }
 // QueueDepth returns the number of churn events waiting to be applied.
 func (s *Server) QueueDepth() int { return s.svc.QueueDepth() }
 
-// Unicast routes a message from src to dst against the current
-// snapshot. It never blocks on churn.
-func (s *Server) Unicast(src, dst NodeID) *Route {
-	return routeOf(s.svc.Route(src, dst))
-}
-
-// UnicastCtx is Unicast with production semantics: it honors ctx
-// (returning ctx.Err() promptly once the deadline passes or the caller
-// cancels), is subject to admission control (ErrServerOverload beyond
-// ServeOptions.Rate), and refuses with ErrServerDraining once Shutdown
-// has begun. The route's Generation is that of the snapshot it was
+// UnicastCtx routes a message from src to dst against the current
+// snapshot, with production semantics. It never blocks on churn; it
+// honors ctx (returning ctx.Err() promptly once the deadline passes or
+// the caller cancels), is subject to admission control
+// (ErrServerOverload beyond ServeOptions.Rate), and refuses with
+// ErrServerDraining once Shutdown has begun. The route's Generation is that of the snapshot it was
 // routed on, which a publish landing mid-request does not change.
 func (s *Server) UnicastCtx(ctx context.Context, src, dst NodeID) (*Route, error) {
 	r, err := s.svc.RouteCtx(ctx, src, dst)
@@ -101,12 +96,6 @@ func (s *Server) UnicastCtx(ctx context.Context, src, dst NodeID) (*Route, error
 		return nil, err
 	}
 	return routeOf(r), nil
-}
-
-// Feasibility evaluates the source-side admission test against the
-// current snapshot without moving a message.
-func (s *Server) Feasibility(src, dst NodeID) (Condition, Outcome) {
-	return s.svc.Feasibility(src, dst)
 }
 
 // Level returns a's safety level in the current snapshot, as observed
@@ -125,23 +114,18 @@ func (s *Server) NodeFaulty(a NodeID) bool {
 }
 
 // CurrentFaults returns the published snapshot's fault view — the same
-// consistent state Unicast routes on, built on the snapshot's first
+// consistent state UnicastCtx routes on, built on the snapshot's first
 // call and shared by later ones; treat it as read-only. Diagnosis
 // front-ends (internal/diagnose) collect a whole PMC syndrome from one
 // call so every neighbor test in a sweep observes one generation;
 // slserve's /syndrome endpoint is built on it.
 func (s *Server) CurrentFaults() *faults.Set { return s.svc.CurrentFaults() }
 
-// BatchUnicast answers every pair against ONE snapshot — the results
-// are mutually consistent even while churn lands mid-batch — and
-// returns the routes in request order. The pairs are routed one after
-// another on the caller's goroutine.
-func (s *Server) BatchUnicast(pairs []TrafficPair) []*Route {
-	return routesOf(s.svc.BatchUnicast(requestsOf(pairs)))
-}
-
-// BatchUnicastCtx is BatchUnicast with deadline, admission and drain
-// handling (see UnicastCtx). Admission costs one token per pair; a
+// BatchUnicastCtx answers every pair against ONE snapshot — the
+// results are mutually consistent even while churn lands mid-batch —
+// and returns the routes in request order. The pairs are routed one
+// after another on the caller's goroutine, with UnicastCtx's deadline,
+// admission and drain handling. Admission costs one token per pair; a
 // canceled batch returns ctx.Err() rather than a truncated result set.
 func (s *Server) BatchUnicastCtx(ctx context.Context, pairs []TrafficPair) ([]*Route, error) {
 	rs, err := s.svc.BatchUnicastCtx(ctx, requestsOf(pairs))
@@ -151,14 +135,10 @@ func (s *Server) BatchUnicastCtx(ctx context.Context, pairs []TrafficPair) ([]*R
 	return routesOf(rs), nil
 }
 
-// RouteAll routes from src to every other node against one snapshot.
-// The result is indexed by destination NodeID; the slot for src is nil.
-func (s *Server) RouteAll(src NodeID) []*Route {
-	return routesOf(s.svc.RouteAll(src))
-}
-
-// RouteAllCtx is RouteAll with deadline, admission and drain handling
-// (see UnicastCtx). Admission costs one token per destination.
+// RouteAllCtx routes from src to every other node against one
+// snapshot, with UnicastCtx's deadline, admission and drain handling.
+// The result is indexed by destination NodeID; the slot for src is
+// nil. Admission costs one token per destination.
 func (s *Server) RouteAllCtx(ctx context.Context, src NodeID) ([]*Route, error) {
 	rs, err := s.svc.RouteAllCtx(ctx, src)
 	if err != nil {
@@ -186,8 +166,8 @@ func routesOf(rs []*core.Route) []*Route {
 	return out
 }
 
-// Inflight returns the number of context-aware requests currently in
-// flight (the quantity Shutdown drains to zero).
+// Inflight returns the number of requests currently in flight (the
+// quantity Shutdown drains to zero).
 func (s *Server) Inflight() int64 { return s.svc.Inflight() }
 
 // Flight returns the Server's flight recorder (nil when the Server was
@@ -215,18 +195,19 @@ func (s *Server) Flush() { s.svc.Flush() }
 
 // Close stops the applier and releases the Server. Pending churn is
 // drained first. Close is idempotent; methods called after Close see
-// ErrServerClosed from mutators and the last published snapshot from
-// readers. Close does not wait for in-flight context-aware requests —
-// use Shutdown for an ordered drain.
+// ErrServerClosed from mutators and ErrServerDraining from readers,
+// while Level, NodeFaulty and CurrentFaults read the last published
+// snapshot. Close does not wait for in-flight requests — use Shutdown
+// for an ordered drain.
 func (s *Server) Close() { s.svc.Close() }
 
-// Shutdown drains the Server gracefully: new context-aware requests
-// are refused with ErrServerDraining, every request already admitted
-// completes against its pinned snapshot, churn accepted before the
-// drain is flushed into a final published snapshot, and only then the
-// applier stops. If ctx expires first, the Server hard-closes and
-// Shutdown returns ctx.Err(). Context-free readers keep serving the
-// final snapshot either way.
+// Shutdown drains the Server gracefully: new requests are refused with
+// ErrServerDraining, every request already admitted completes against
+// its pinned snapshot, churn accepted before the drain is flushed into
+// a final published snapshot, and only then the applier stops. If ctx
+// expires first, the Server hard-closes and Shutdown returns ctx.Err().
+// Level, NodeFaulty and CurrentFaults read the final snapshot either
+// way.
 func (s *Server) Shutdown(ctx context.Context) error { return s.svc.Shutdown(ctx) }
 
 // Serving errors, re-exported from the engine.
@@ -236,11 +217,11 @@ var (
 	// ErrServerBacklog is returned when the churn queue is full and the
 	// caller asked not to block — writer-side backpressure.
 	ErrServerBacklog = serve.ErrBacklog
-	// ErrServerOverload is returned by the context-aware readers when
-	// admission control sheds the request — reader-side load shedding,
+	// ErrServerOverload is returned by the readers when admission
+	// control sheds the request — reader-side load shedding,
 	// deliberately distinct from ErrServerBacklog.
 	ErrServerOverload = serve.ErrOverload
-	// ErrServerDraining is returned by the context-aware readers once
-	// Shutdown (or Close) has begun.
+	// ErrServerDraining is returned by the readers once Shutdown (or
+	// Close) has begun.
 	ErrServerDraining = serve.ErrDraining
 )

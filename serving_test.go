@@ -1,6 +1,7 @@
 package safecube
 
 import (
+	"context"
 	"testing"
 )
 
@@ -21,11 +22,15 @@ func TestServeFacadeCube(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	ctx := context.Background()
 
 	// Parity with the direct facade on the identical fault set.
 	for s := 0; s < c.Nodes(); s++ {
 		for d := 0; d < c.Nodes(); d++ {
-			got := srv.Unicast(NodeID(s), NodeID(d))
+			got, err := srv.UnicastCtx(ctx, NodeID(s), NodeID(d))
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := c.Unicast(NodeID(s), NodeID(d))
 			if got.Outcome != want.Outcome || got.Condition != want.Condition ||
 				got.Hamming != want.Hamming || len(got.Path) != len(want.Path) {
@@ -41,7 +46,10 @@ func TestServeFacadeCube(t *testing.T) {
 
 	// Batch answers in request order; fan-out indexed by destination.
 	pairs := []TrafficPair{{0, 31}, {2, 9}, {31, 0}}
-	routes := srv.BatchUnicast(pairs)
+	routes, err := srv.BatchUnicastCtx(ctx, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(routes) != len(pairs) {
 		t.Fatalf("batch returned %d routes, want %d", len(routes), len(pairs))
 	}
@@ -51,7 +59,10 @@ func TestServeFacadeCube(t *testing.T) {
 				i, routes[i].Source, routes[i].Dest, p.Src, p.Dst)
 		}
 	}
-	all := srv.RouteAll(0)
+	all, err := srv.RouteAllCtx(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(all) != c.Nodes() {
 		t.Fatalf("RouteAll returned %d slots, want %d", len(all), c.Nodes())
 	}
@@ -72,8 +83,8 @@ func TestServeFacadeCube(t *testing.T) {
 	if srv.Generation() <= gen {
 		t.Fatalf("generation did not advance past %d", gen)
 	}
-	if srv.Unicast(3, 0).Outcome == Failure && c.Connected() {
-		t.Fatal("recovered node still unroutable")
+	if r, err := srv.UnicastCtx(ctx, 3, 0); err != nil || r.Outcome == Failure && c.Connected() {
+		t.Fatalf("recovered node still unroutable: %+v, %v", r, err)
 	}
 	if !c.NodeFaulty(3) {
 		t.Fatal("server churn leaked into the facade's fault set")
@@ -112,10 +123,14 @@ func TestServeFacadeGeneralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	ctx := context.Background()
 
 	for s := 0; s < g.Nodes(); s++ {
 		for d := 0; d < g.Nodes(); d++ {
-			got := srv.Unicast(GNodeID(s), GNodeID(d))
+			got, err := srv.UnicastCtx(ctx, GNodeID(s), GNodeID(d))
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := g.Unicast(GNodeID(s), GNodeID(d))
 			if got.Outcome != want.Outcome || got.Hamming != want.Hamming ||
 				len(got.Path) != len(want.Path) {
@@ -130,9 +145,12 @@ func TestServeFacadeGeneralized(t *testing.T) {
 				a, srv.Level(GNodeID(a)), lv.Level(GNodeID(a)))
 		}
 	}
-	cond, out := srv.Feasibility(0, 23)
+	r, err := srv.UnicastCtx(ctx, 0, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wc, wo := g.Feasibility(0, 23)
-	if cond != wc || out != wo {
-		t.Fatalf("feasibility mismatch: (%v,%v) vs (%v,%v)", cond, out, wc, wo)
+	if r.Condition != wc || r.Outcome != wo {
+		t.Fatalf("feasibility mismatch: (%v,%v) vs (%v,%v)", r.Condition, r.Outcome, wc, wo)
 	}
 }
