@@ -202,6 +202,15 @@ func (as *Assignment) NodeFaulty(a topo.NodeID) bool {
 	return as.own.at(int(a)) == 0
 }
 
+// faultyAt is NodeFaulty(a) for a node whose own level lv the caller
+// has read: a detached copy answers from lv without reading it again.
+func (as *Assignment) faultyAt(a topo.NodeID, lv int) bool {
+	if as.set != nil {
+		return as.set.NodeFaulty(a)
+	}
+	return lv == 0
+}
+
 // linkFaulty reports whether the link (a, b) is faulty: in the live
 // set, or in the link slice a detached copy took.
 func (as *Assignment) linkFaulty(a, b topo.NodeID) bool {

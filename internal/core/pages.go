@@ -30,6 +30,25 @@ func pageCount(nodes int) int { return (nodes + pageMask) >> pageShift }
 // at returns node a's level.
 func (t levelTable) at(a int) uint8 { return t[a>>pageShift][a&pageMask] }
 
+// gatherBlock is the most pairs Router.Summaries gathers the source
+// levels of before deciding the first of them.
+const gatherBlock = 64
+
+// gather loads the level of each pair's source into lv, and 0 for a
+// source at or beyond nodes, which it does not read. The loads do not
+// depend on one another, so on a table larger than the caches their
+// misses overlap instead of stalling one at a time. pairs holds at most
+// gatherBlock pairs.
+func (t levelTable) gather(pairs []Pair, nodes int, lv *[gatherBlock]uint8) {
+	for i, p := range pairs {
+		var v uint8
+		if int(p.Src) < nodes {
+			v = t.at(int(p.Src))
+		}
+		lv[i] = v
+	}
+}
+
 // cutPages returns a table whose pages are cut from buf and alias it:
 // one contiguous allocation backs a cold run's whole table.
 func cutPages(buf []uint8) levelTable {

@@ -207,7 +207,7 @@ func (rt *Router) Observe(o *obs.RouteObserver) *Router {
 // every input: an endpoint outside the topology or a faulty source
 // answers (CondNone, Failure).
 func (rt *Router) Feasibility(s, d topo.NodeID) (Condition, Outcome) {
-	cond, out, _, _ := rt.source(s, d)
+	cond, out, _, _ := rt.source(s, d, -1)
 	return cond, out
 }
 
@@ -220,7 +220,7 @@ func (rt *Router) Feasibility(s, d topo.NodeID) (Condition, Outcome) {
 // hops in one update, and the outcome with a note on an error exit. A
 // traced observer records no hop events.
 func (rt *Router) Summary(s, d topo.NodeID) Summary {
-	sum, _ := rt.summary(s, d)
+	sum, _ := rt.summary(s, d, -1)
 	if o := rt.obs; o != nil {
 		rt.observeAdmit(s, sum)
 		at, note := s, ""
@@ -238,23 +238,78 @@ func (rt *Router) Summary(s, d topo.NodeID) Summary {
 	return sum
 }
 
+// Pair is one unicast for Summaries to decide: from Src to Dst.
+type Pair struct {
+	Src, Dst topo.NodeID
+}
+
+// Summaries decides each pair at the source, in order, as Summary does,
+// and appends the answers to out. Before it decides a block of up to
+// gatherBlock pairs it loads every source's own level in one loop whose
+// loads do not depend on one another (levelTable.gather), so on a table
+// larger than the caches the block's misses overlap instead of stalling
+// one pair at a time. The observer sees what Summary's sees of every
+// answer, in one update per counter and histogram bucket once the last
+// pair is decided (count, obs.RouteTally); a traced observer records
+// no events. A non-nil stop is asked before each pair, and once it
+// reports true Summaries returns the answers decided so far, which are
+// counted too.
+func (rt *Router) Summaries(pairs []Pair, out []Summary, stop func() bool) []Summary {
+	var (
+		tally obs.RouteTally
+		lv    [gatherBlock]uint8
+	)
+	nodes := rt.as.t.Nodes()
+decide:
+	for len(pairs) > 0 {
+		blk := pairs[:min(len(pairs), gatherBlock)]
+		pairs = pairs[len(blk):]
+		rt.as.own.gather(blk, nodes, &lv)
+		for i, p := range blk {
+			if stop != nil && stop() {
+				break decide
+			}
+			sum, _ := rt.summary(p.Src, p.Dst, int(lv[i]))
+			count(&tally, sum)
+			out = append(out, sum)
+		}
+	}
+	rt.obs.Publish(&tally)
+	return out
+}
+
+// count adds an answer's route_* updates to tally: the updates
+// Summary's observer makes for it, which
+// TestSummariesObserveLikeSummary holds equal.
+func count(tally *obs.RouteTally, sum Summary) {
+	tally.Count(obs.CondCode(sum.Condition), obs.OutcomeCode(sum.Outcome)+1, sum.Hamming, sum.Hops, sum.Detours(), sum.Err)
+}
+
 // source is the algorithm's source step, the one decision Feasibility,
 // Summary and Unicast share: the endpoint checks, then the admission
 // test over the navigation vector nav = N(s, d), which it returns for
-// the walk. bad reports an error exit of the endpoint checks.
-func (rt *Router) source(s, d topo.NodeID) (cond Condition, out Outcome, nav topo.NavVector, bad bool) {
+// the walk. lv is the source's own level when a gather has read it,
+// and negative when source is to read it; either way it is read once.
+// bad reports an error exit of the endpoint checks.
+func (rt *Router) source(s, d topo.NodeID, lv int) (cond Condition, out Outcome, nav topo.NavVector, bad bool) {
 	t := rt.as.t
 	nav = topo.NavIn(t, s, d)
-	if !t.Contains(s) || !t.Contains(d) || rt.as.NodeFaulty(s) {
+	if !t.Contains(s) || !t.Contains(d) {
 		return CondNone, Failure, nav, true
 	}
-	cond, out = rt.admit(s, d, nav)
+	if lv < 0 {
+		lv = rt.as.OwnLevel(s)
+	}
+	if rt.as.faultyAt(s, lv) {
+		return CondNone, Failure, nav, true
+	}
+	cond, out = rt.admit(s, d, nav, lv)
 	return cond, out, nav, false
 }
 
 // summary is the source step as a Summary, with nav for the walk.
-func (rt *Router) summary(s, d topo.NodeID) (Summary, topo.NavVector) {
-	cond, out, nav, bad := rt.source(s, d)
+func (rt *Router) summary(s, d topo.NodeID, lv int) (Summary, topo.NavVector) {
+	cond, out, nav, bad := rt.source(s, d, lv)
 	sum := Summary{Condition: cond, Outcome: out, Hamming: nav.Count(), Err: bad}
 	switch out {
 	case Optimal:
@@ -291,9 +346,10 @@ func (rt *Router) observeAdmit(s topo.NodeID, sum Summary) {
 	rt.obs.Admit(int(s), sum.Hamming, level, sum.Condition.String(), sum.Outcome.String())
 }
 
-// admit is Feasibility over the navigation vector nav = N(s, d): the
-// preferred dimensions are its set bits, the spare ones the rest.
-func (rt *Router) admit(s, d topo.NodeID, nav topo.NavVector) (Condition, Outcome) {
+// admit is Feasibility over the navigation vector nav = N(s, d) for a
+// nonfaulty source of own level own: the preferred dimensions are its
+// set bits, the spare ones the rest.
+func (rt *Router) admit(s, d topo.NodeID, nav topo.NavVector, own int) (Condition, Outcome) {
 	as, t := rt.as, rt.as.t
 	h := nav.Count()
 	if h == 0 {
@@ -305,7 +361,7 @@ func (rt *Router) admit(s, d topo.NodeID, nav topo.NavVector) (Condition, Outcom
 	// it can only be admitted suboptimally via C3.
 	deadLinkDest := h == 1 && as.linkFaulty(s, d)
 	if !deadLinkDest {
-		if as.OwnLevel(s) >= h {
+		if own >= h {
 			return CondC1, Optimal
 		}
 		for v := nav; v != 0; v &= v - 1 {
@@ -359,7 +415,7 @@ func (rt *Router) UnicastID(s, d topo.NodeID, id uint64) *Route {
 // spare hop sets one. Theorem 2 fixes the route's length at admission,
 // so Path and Hops are each allocated once.
 func (rt *Router) Unicast(s, d topo.NodeID) *Route {
-	sum, nav := rt.summary(s, d)
+	sum, nav := rt.summary(s, d, -1)
 	r := &Route{Source: s, Dest: d, Hamming: sum.Hamming, Outcome: sum.Outcome, Condition: sum.Condition}
 	if sum.Err {
 		r.Err = rt.sourceErr(s, d)

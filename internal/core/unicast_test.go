@@ -581,6 +581,52 @@ func TestSummaryObservesLikeAWalk(t *testing.T) {
 	}
 }
 
+// TestSummariesObserveLikeSummary decides every pair of each scenario,
+// with one node beyond the topology, through Summaries on one registry
+// and through Summary on another, on the live assignment and on its
+// detached copy. The answers must agree, and every route_* line must
+// read the same: count, which Summaries tallies through, and Summary's
+// observer calls are the two places an answer becomes metric updates.
+// The pairs go to Summaries in slices of 1, 3, 9, ... pairs, so gather
+// blocks both fill and fall short, under one stop that ends the run
+// three pairs before the last: the answers decided before it are
+// counted, the rest are neither answered nor counted.
+func TestSummariesObserveLikeSummary(t *testing.T) {
+	for _, sc := range diffScenarios() {
+		s := sc.set()
+		live := Compute(s, Options{})
+		for _, as := range []*Assignment{live, live.Detach()} {
+			batched, single := obs.NewRegistry(), obs.NewRegistry()
+			br := NewRouter(as, sc.tie).Observe(batched.RouteObserver())
+			sr := NewRouter(as, sc.tie).Observe(single.RouteObserver())
+			var pairs []Pair
+			for _, p := range allPairs(s.Topology(), 1) {
+				pairs = append(pairs, Pair{Src: p[0], Dst: p[1]})
+			}
+			left := len(pairs) - 3
+			stop := func() bool {
+				left--
+				return left < 0
+			}
+			var got []Summary
+			for lo, k := 0, 1; lo < len(pairs); lo, k = lo+k, 3*k {
+				got = br.Summaries(pairs[lo:min(lo+k, len(pairs))], got, stop)
+			}
+			if len(got) != len(pairs)-3 {
+				t.Fatalf("%s: %d answers before the stop, want %d", sc.name, len(got), len(pairs)-3)
+			}
+			for i, sum := range got {
+				if want := sr.Summary(pairs[i].Src, pairs[i].Dst); sum != want {
+					t.Fatalf("%s: pair %v: Summaries %+v, Summary %+v", sc.name, pairs[i], sum, want)
+				}
+			}
+			if b, o := routeMetrics(t, batched), routeMetrics(t, single); b != o {
+				t.Fatalf("%s: route metrics differ\nSummaries:\n%s\nSummary:\n%s", sc.name, b, o)
+			}
+		}
+	}
+}
+
 // routeMetrics renders the route_* lines of r's Prometheus exposition.
 func routeMetrics(t *testing.T, r *obs.Registry) string {
 	var b strings.Builder

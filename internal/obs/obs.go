@@ -15,9 +15,11 @@ type Counter struct {
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n (negative deltas are ignored to keep the counter monotone).
+// Add adds n in one atomic update, so a caller that counts a run of
+// events itself pays one per run. A zero delta costs nothing, and
+// negative ones are ignored to keep the counter monotone.
 func (c *Counter) Add(n int64) {
-	if c == nil || n < 0 {
+	if c == nil || n <= 0 {
 		return
 	}
 	c.v.Add(n)

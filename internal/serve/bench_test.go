@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/topo"
+	"repro/internal/wire"
 )
 
 // Throughput benchmarks of the lock-free read path: 1/4/16 concurrent
@@ -151,6 +153,62 @@ func BenchmarkServeBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServeWireBatchQ20 runs execute on 64-pair OpBatch frames
+// the way slserve serves the q20-batch workload: a Q20 service with
+// 2000 uniform faults, a registry and the flight recorder, and random
+// pairs of distinct nonfaulty nodes from a ring of 2^15, so the 1 MiB
+// level table does not stay in cache between frames as 64 fixed pairs
+// on Q10 would. It reports ns/route. Under -benchmem only the sampled
+// walk of one answer in summaryCheckEvery allocates, about 24 B per
+// frame.
+func BenchmarkServeWireBatchQ20(b *testing.B) {
+	const batch, ring = 64, 1 << 15
+	tp := topo.MustCube(20)
+	set := faults.NewSet(tp)
+	rng := stats.NewRNG(42)
+	if err := faults.InjectUniform(set, rng, 2000); err != nil {
+		b.Fatal(err)
+	}
+	svc, err := New(set, Options{Registry: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(svc.Close)
+	ws := bareWireServer(svc)
+	type frame struct {
+		hdr  wire.Header
+		body []byte
+	}
+	frames := make([]frame, 0, ring/batch)
+	pairs := make([]wire.Pair, batch)
+	for len(frames) < cap(frames) {
+		for i := range pairs {
+			for {
+				s, d := topo.NodeID(rng.Intn(tp.Nodes())), topo.NodeID(rng.Intn(tp.Nodes()))
+				if s != d && !set.NodeFaulty(s) && !set.NodeFaulty(d) {
+					pairs[i] = wire.Pair{Src: uint32(s), Dst: uint32(d)}
+					break
+				}
+			}
+		}
+		f := wire.AppendFrame(nil, wire.OpBatch, 0, uint64(len(frames)), wire.AppendBatchReq(nil, 0, pairs))
+		hdr, err := wire.ParseHeader(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames = append(frames, frame{hdr, f[wire.HeaderSize:]})
+	}
+	var cs connState
+	wire.PutBuf(ws.execute(frames[0].hdr, frames[0].body, &cs)) // size the scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := frames[i%len(frames)]
+		wire.PutBuf(ws.execute(f.hdr, f.body, &cs))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/route")
 }
 
 // BenchmarkServeSwap measures the writer path in isolation: apply one

@@ -272,8 +272,11 @@ func (s *Service) BatchUnicastCtx(ctx context.Context, reqs []Request) ([]*core.
 // generation of the snapshot every answer was decided on. It runs
 // BatchUnicastCtx's sequence: admission at one token per request, one
 // pinned snapshot, cancellation checked between items when ctx can be
-// done, and one flight record for the batch. Each answer sc picks is
-// also walked and compared (checkSummary).
+// done, and one flight record for the batch. The answers come from
+// core.Router.Summaries, which gathers each block's source levels
+// before deciding it and counts the batch's route_* updates in one
+// publish, including those of a batch cancelled part-way. Each answer
+// sc picks is also walked and compared (checkSummary).
 func (s *Service) batchAtSource(ctx context.Context, reqs []Request, out []core.Summary, sc *sampler) ([]core.Summary, uint64, error) {
 	start, err := s.admit(ctx, obs.ReqBatch, len(reqs))
 	if err != nil {
@@ -287,18 +290,21 @@ func (s *Service) batchAtSource(ctx context.Context, reqs []Request, out []core.
 	if stale {
 		s.mStale.Inc()
 	}
-	done := ctx.Done()
-	for _, q := range reqs {
-		if done != nil && ctx.Err() != nil {
-			err = s.ctxErr(ctx)
-			s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), err)
-			return out, 0, err
-		}
-		sum := sn.Summary(q.Src, q.Dst)
+	var stop func() bool
+	if ctx.Done() != nil {
+		stop = func() bool { return ctx.Err() != nil }
+	}
+	n := len(out)
+	out = sn.rt.Summaries(reqs, out, stop)
+	for i, sum := range out[n:] {
 		if sc.next() {
-			s.checkSummary(obs.ReqBatch, sn, q.Src, q.Dst, sum, stale)
+			s.checkSummary(obs.ReqBatch, sn, reqs[i].Src, reqs[i].Dst, sum, stale)
 		}
-		out = append(out, sum)
+	}
+	if len(out)-n < len(reqs) {
+		err = s.ctxErr(ctx)
+		s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), err)
+		return out, 0, err
 	}
 	s.flightServed(obs.ReqBatch, start, ctx, len(reqs), sn, stale, s.mLatBatch)
 	return out, sn.gen, nil

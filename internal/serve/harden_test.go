@@ -23,7 +23,7 @@ func TestServeDeadline(t *testing.T) {
 	if _, err := s.RouteCtx(ctx, 0, 31); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RouteCtx on canceled ctx: %v, want context.Canceled", err)
 	}
-	if _, err := s.BatchUnicastCtx(ctx, []Request{{0, 31}}); !errors.Is(err, context.Canceled) {
+	if _, err := s.BatchUnicastCtx(ctx, []Request{{Src: 0, Dst: 31}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("BatchUnicastCtx on canceled ctx: %v, want context.Canceled", err)
 	}
 	if _, err := s.RouteAllCtx(ctx, 0); !errors.Is(err, context.Canceled) {

@@ -21,9 +21,7 @@ var ErrClosed = errors.New("serve: service closed")
 var ErrBacklog = errors.New("serve: apply queue full")
 
 // Request is one unicast query of a batch.
-type Request struct {
-	Src, Dst topo.NodeID
-}
+type Request = core.Pair
 
 // Snapshot is one immutable published state: a safety-level assignment
 // detached from the live fault oracle (core.Assignment.Detach), stamped

@@ -260,7 +260,7 @@ func TestServeMetrics(t *testing.T) {
 	if _, err := s.RouteCtx(ctx, 0, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.BatchUnicastCtx(ctx, []Request{{0, 5}, {1, 6}}); err != nil {
+	if _, err := s.BatchUnicastCtx(ctx, []Request{{Src: 0, Dst: 5}, {Src: 1, Dst: 6}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.RouteAllCtx(ctx, 2); err != nil {

@@ -174,42 +174,55 @@ func TestWireAnswersCarryRoutedGeneration(t *testing.T) {
 
 // TestWireExecuteZeroAllocs pins the allocation-free wire data plane:
 // one OpUnicast frame and one 64-pair OpBatch frame through execute,
-// with the flight recorder on, allocate nothing in steady state.
+// with the flight recorder on, allocate nothing in steady state. With
+// a registry, as slserve always runs, that holds the unicast's route
+// observer and the batch's tally and publish to it too.
 func TestWireExecuteZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	tp := topo.MustCube(10)
-	svc := newService(t, tp, Options{}, 3, 12, 100, 513, 700)
-	if svc.Flight() == nil {
-		t.Fatal("flight recorder off")
-	}
-	ws := bareWireServer(svc)
-	// Routes that fail or detour are promoted as incidents, which
-	// allocate by design; keep to optimal ones.
-	sn := svc.Current()
-	var pairs []wire.Pair
-	for i := 0; len(pairs) < 64; i++ {
-		p := wire.Pair{Src: uint32(i * 37 % 1024), Dst: uint32(i * 101 % 1024)}
-		if sn.Summary(topo.NodeID(p.Src), topo.NodeID(p.Dst)).Outcome == core.Optimal {
-			pairs = append(pairs, p)
+	for _, tc := range []struct {
+		name string
+		reg  *obs.Registry
+	}{{"no registry", nil}, {"registry", obs.NewRegistry()}} {
+		tp := topo.MustCube(10)
+		svc := newService(t, tp, Options{Registry: tc.reg}, 3, 12, 100, 513, 700)
+		if svc.Flight() == nil {
+			t.Fatal("flight recorder off")
 		}
-	}
-	unicast := wire.AppendFrame(nil, wire.OpUnicast, 0, 1, wire.AppendUnicastReq(nil, wire.UnicastReq{Src: pairs[0].Src, Dst: pairs[0].Dst}))
-	batch := wire.AppendFrame(nil, wire.OpBatch, 0, 2, wire.AppendBatchReq(nil, 0, pairs))
-	var cs connState
-	run := func() {
-		for _, f := range [][]byte{unicast, batch} {
-			hdr, _ := wire.ParseHeader(f)
-			wire.PutBuf(ws.execute(hdr, f[wire.HeaderSize:], &cs))
+		ws := bareWireServer(svc)
+		// Routes that fail or detour are promoted as incidents, which
+		// allocate by design; keep to optimal ones.
+		sn := svc.Current()
+		var pairs []wire.Pair
+		for i := 0; len(pairs) < 64; i++ {
+			p := wire.Pair{Src: uint32(i * 37 % 1024), Dst: uint32(i * 101 % 1024)}
+			if sn.ref.Summary(topo.NodeID(p.Src), topo.NodeID(p.Dst)).Outcome == core.Optimal {
+				pairs = append(pairs, p)
+			}
 		}
-	}
-	run() // size the connection's scratch slices
-	if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
-		t.Fatalf("one unicast and one 64-pair batch allocate %v times, want 0", allocs)
-	}
-	if got := svc.Flight().Snapshot(0).Issued; got < 2000 {
-		t.Fatalf("flight recorder issued %d IDs, want one per frame", got)
+		unicast := wire.AppendFrame(nil, wire.OpUnicast, 0, 1, wire.AppendUnicastReq(nil, wire.UnicastReq{Src: pairs[0].Src, Dst: pairs[0].Dst}))
+		batch := wire.AppendFrame(nil, wire.OpBatch, 0, 2, wire.AppendBatchReq(nil, 0, pairs))
+		var cs connState
+		run := func() {
+			for _, f := range [][]byte{unicast, batch} {
+				hdr, _ := wire.ParseHeader(f)
+				wire.PutBuf(ws.execute(hdr, f[wire.HeaderSize:], &cs))
+			}
+		}
+		run() // size the connection's scratch slices
+		if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
+			t.Fatalf("%s: one unicast and one 64-pair batch allocate %v times, want 0", tc.name, allocs)
+		}
+		if got := svc.Flight().Snapshot(0).Issued; got < 2000 {
+			t.Fatalf("%s: flight recorder issued %d IDs, want one per frame", tc.name, got)
+		}
+		// 1002 runs: the sizing run, AllocsPerRun's warm-up and its 1000.
+		if tc.reg != nil {
+			if got, want := tc.reg.Counter(obs.MetricUnicastsTotal).Value(), int64(1002*65); got != want {
+				t.Fatalf("%s = %d, want %d", obs.MetricUnicastsTotal, got, want)
+			}
+		}
 	}
 }
 

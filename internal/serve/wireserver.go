@@ -25,7 +25,9 @@ import (
 // admission, drain and flight sequence the HTTP handlers get from
 // RouteCtx and BatchUnicastCtx — deadline budgets re-armed from the
 // frame, GCRA admission, drain awareness — but decides each pair at the
-// source (Snapshot.Summary) instead of walking it: a wire answer
+// source (Snapshot.Summary, or core.Router.Summaries for a batch,
+// which counts the frame's answers in one publish) instead of walking
+// it: a wire answer
 // carries no path, and on a served snapshot, always a fixpoint, the
 // source's decision fixes the rest (Theorem 3). A batch is answered on
 // the connection's goroutine. One answer in summaryCheckEvery is also
@@ -62,9 +64,12 @@ const MaxBatchPairs = 4096
 const wireIdleTimeout = 2 * time.Minute
 
 // wireMaxConns caps the connections a WireServer serves at once. Each
-// holds 64 KiB of bufio buffers, so the cap bounds them at 64 MiB. The
-// accept loop takes a slot before it accepts, so clients beyond the cap
-// wait in the kernel's listen backlog, not in server memory.
+// holds 64 KiB of bufio buffers and a frame buffer that keeps the size
+// of the largest frame it has read, up to wire.DefaultMaxPayload
+// (1 MiB), so at the cap they hold at most 64 MiB of bufio buffers and
+// 1 GiB of frame buffers. The accept loop takes a slot before it
+// accepts, so clients beyond the cap wait in the kernel's listen
+// backlog, not in server memory.
 const wireMaxConns = 1024
 
 // WireOptions tune a WireServer. Every server accepts request payloads
@@ -360,15 +365,17 @@ func (ws *WireServer) execute(hdr wire.Header, body []byte, cs *connState) []byt
 		return frame
 
 	case wire.OpBatch:
-		deadline, ps, err := wire.ParseBatchReq(body, cs.pairs[:0])
+		// The limit is checked before any pair is decoded, so an
+		// oversize frame leaves the connection's scratch at its size.
+		deadline, ps, err := wire.ParseBatchReq(body, cs.pairs[:0], MaxBatchPairs)
 		cs.pairs = ps
 		if err != nil {
 			ws.mErrors.Inc()
-			return errFrame(id, wire.CodeBadRequest, err.Error())
-		}
-		if len(ps) > MaxBatchPairs {
-			ws.mErrors.Inc()
-			return errFrame(id, wire.CodeTooLarge, fmt.Sprintf("batch of %d pairs exceeds limit %d", len(ps), MaxBatchPairs))
+			code := wire.CodeBadRequest
+			if errors.Is(err, wire.ErrTooLarge) {
+				code = wire.CodeTooLarge
+			}
+			return errFrame(id, code, err.Error())
 		}
 		rq := cs.reqs[:0]
 		for _, q := range ps {

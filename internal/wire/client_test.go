@@ -94,7 +94,7 @@ func echoRouter(h Header, payload []byte) (Op, []byte) {
 			Route: RouteInfo{Outcome: 0, Hamming: uint16(m.Src ^ m.Dst), Hops: uint16(m.Src ^ m.Dst)},
 		})
 	case OpBatch:
-		_, pairs, err := ParseBatchReq(payload, nil)
+		_, pairs, err := ParseBatchReq(payload, nil, DefaultMaxPayload)
 		if err != nil {
 			return OpError, AppendError(nil, CodeBadRequest, err.Error())
 		}
@@ -287,7 +287,7 @@ func TestCoalescerMergesCalls(t *testing.T) {
 	fs := newFakeServer(t, func(h Header, payload []byte) (Op, []byte) {
 		if h.Op == OpBatch {
 			batchFrames.Add(1)
-			_, pairs, _ := ParseBatchReq(payload, nil)
+			_, pairs, _ := ParseBatchReq(payload, nil, DefaultMaxPayload)
 			batchedPairs.Add(int64(len(pairs)))
 		}
 		return echoRouter(h, payload)

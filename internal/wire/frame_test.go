@@ -72,7 +72,7 @@ func TestMessageRoundTrips(t *testing.T) {
 func TestBatchRoundTrip(t *testing.T) {
 	pairs := []Pair{{1, 2}, {3, 4}, {5, 6}}
 	p := AppendBatchReq(nil, 777, pairs)
-	dl, got, err := ParseBatchReq(p, nil)
+	dl, got, err := ParseBatchReq(p, nil, DefaultMaxPayload)
 	if err != nil || dl != 777 {
 		t.Fatalf("batch req: deadline %d, err %v", dl, err)
 	}
@@ -101,13 +101,38 @@ func TestBatchLengthMismatch(t *testing.T) {
 	// Inflate the declared count beyond the bytes present: malformed,
 	// not a short read into garbage.
 	p[4] = 200
-	if _, _, err := ParseBatchReq(p, nil); !errors.Is(err, ErrShort) {
+	if _, _, err := ParseBatchReq(p, nil, DefaultMaxPayload); !errors.Is(err, ErrShort) {
 		t.Fatalf("inflated count: got %v, want ErrShort", err)
 	}
 	rp := AppendBatchResp(nil, 1, []RouteInfo{{}})
 	rp = rp[:len(rp)-1]
 	if _, _, err := ParseBatchResp(rp, nil); !errors.Is(err, ErrShort) {
 		t.Fatalf("truncated resp: got %v, want ErrShort", err)
+	}
+}
+
+// TestBatchReqPairLimit holds ParseBatchReq to its pair limit: a
+// request of exactly the limit decodes, and one pair more is refused as
+// ErrTooLarge, naming both counts, without decoding a pair, so the
+// caller's slice keeps its capacity. A malformed count is ErrShort
+// whatever the limit.
+func TestBatchReqPairLimit(t *testing.T) {
+	pairs := make([]Pair, 5)
+	p := AppendBatchReq(nil, 0, pairs)
+	if _, got, err := ParseBatchReq(p, nil, 5); err != nil || len(got) != 5 {
+		t.Fatalf("5 pairs under limit 5: %d pairs, %v", len(got), err)
+	}
+	scratch := make([]Pair, 0, 2)
+	_, got, err := ParseBatchReq(p, scratch, 4)
+	if !errors.Is(err, ErrTooLarge) || err.Error() != "batch of 5 pairs exceeds limit 4" {
+		t.Fatalf("5 pairs under limit 4: %v, want ErrTooLarge", err)
+	}
+	if len(got) != 0 || cap(got) != 2 {
+		t.Fatalf("refused request left %d pairs in a slice of capacity %d, want 0 and 2", len(got), cap(got))
+	}
+	p[4] = 200
+	if _, _, err := ParseBatchReq(p, nil, 4); !errors.Is(err, ErrShort) {
+		t.Fatalf("inflated count under a limit: got %v, want ErrShort", err)
 	}
 }
 
@@ -153,7 +178,7 @@ func TestParsersRejectShortPayloads(t *testing.T) {
 	checks["unicast req"] = err
 	_, err = ParseUnicastResp(short)
 	checks["unicast resp"] = err
-	_, _, err = ParseBatchReq(short, nil)
+	_, _, err = ParseBatchReq(short, nil, DefaultMaxPayload)
 	checks["batch req"] = err
 	_, _, err = ParseBatchResp(short, nil)
 	checks["batch resp"] = err
@@ -300,7 +325,7 @@ func TestWireCodecZeroAlloc(t *testing.T) {
 	breq := AppendBatchReq(nil, 0, pairs)
 	scratch := make([]Pair, 0, 8)
 	batchAllocs := testing.AllocsPerRun(1000, func() {
-		_, out, err := ParseBatchReq(breq, scratch)
+		_, out, err := ParseBatchReq(breq, scratch, DefaultMaxPayload)
 		if err != nil || len(out) != 4 {
 			t.Fatal(err)
 		}

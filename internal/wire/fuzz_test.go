@@ -70,7 +70,7 @@ func FuzzWireDecode(f *testing.F) {
 				_, _ = ParseUnicastReq(payload)
 				_, _ = ParseUnicastResp(payload)
 			case OpBatch:
-				_, pairs, err := ParseBatchReq(payload, nil)
+				_, pairs, err := ParseBatchReq(payload, nil, DefaultMaxPayload)
 				if err == nil && len(pairs)*pairSize+batchReqMin != len(payload) {
 					t.Fatalf("batch req size drift: %d pairs from %d bytes", len(pairs), len(payload))
 				}

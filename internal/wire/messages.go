@@ -132,11 +132,14 @@ func AppendBatchReq(b []byte, deadlineUS uint32, pairs []Pair) []byte {
 	return b
 }
 
-// ParseBatchReq decodes an OpBatch request into the caller's pairs
-// slice (reused when capacity allows). The declared count must match
-// the payload length exactly — a count that promises more pairs than
-// the payload carries is malformed, never a short read.
-func ParseBatchReq(p []byte, pairs []Pair) (deadlineUS uint32, out []Pair, err error) {
+// ParseBatchReq decodes an OpBatch request of at most limit pairs into
+// the caller's pairs slice (reused when capacity allows). The declared
+// count must match the payload length exactly — a count that promises
+// more pairs than the payload carries is malformed, never a short read.
+// A well-formed request of more than limit pairs is refused with an
+// error matching ErrTooLarge before any pair is decoded, so pairs never
+// grows past limit.
+func ParseBatchReq(p []byte, pairs []Pair, limit int) (deadlineUS uint32, out []Pair, err error) {
 	if len(p) < batchReqMin {
 		return 0, pairs, fmt.Errorf("%w: batch request %d < %d bytes", ErrShort, len(p), batchReqMin)
 	}
@@ -144,6 +147,9 @@ func ParseBatchReq(p []byte, pairs []Pair) (deadlineUS uint32, out []Pair, err e
 	n := int(binary.LittleEndian.Uint32(p[4:]))
 	if want := batchReqMin + n*pairSize; len(p) != want {
 		return 0, pairs, fmt.Errorf("%w: batch request declares %d pairs (%d bytes), has %d", ErrShort, n, want, len(p))
+	}
+	if n > limit {
+		return 0, pairs, pairLimitError{n, limit}
 	}
 	out = pairs[:0]
 	for i := 0; i < n; i++ {
@@ -155,6 +161,16 @@ func ParseBatchReq(p []byte, pairs []Pair) (deadlineUS uint32, out []Pair, err e
 	}
 	return deadlineUS, out, nil
 }
+
+// pairLimitError is ParseBatchReq's refusal of a request that declares
+// more pairs than its limit; it matches ErrTooLarge.
+type pairLimitError struct{ n, limit int }
+
+func (e pairLimitError) Error() string {
+	return fmt.Sprintf("batch of %d pairs exceeds limit %d", e.n, e.limit)
+}
+
+func (e pairLimitError) Is(target error) bool { return target == ErrTooLarge }
 
 // AppendBatchResp appends the OpBatch response payload: snapshot
 // generation, route count, then the compact per-route records in
