@@ -25,6 +25,8 @@
 //	/batch?pairs=A-B,C-D,...    many unicasts pinned to ONE snapshot
 //	                            (at most 4096 pairs; 413 above)
 //	/routeall?src=ADDR          fan-out from src to every other node
+//	                            (at most 4096 routes, so up to Q12;
+//	                            413 above)
 //	/fault?op=OP&a=ADDR[&b=ADDR]  enqueue churn: op is fail-node,
 //	                            recover-node, fail-link or recover-link
 //	/probe?node=ADDR            per-node health: 200 if the served
@@ -50,7 +52,7 @@
 //
 // The query endpoints accept an optional deadline=DURATION parameter,
 // clamped to the -deadline flag. Status codes on the query endpoints:
-// 200 served, 400 bad request, 413 batch over the pair limit, 429 shed
+// 200 served, 400 bad request, 413 batch or fan-out over the limit, 429 shed
 // by admission control (-rate), 503 draining after a shutdown signal,
 // 504 deadline exceeded. The listener closes a connection whose request
 // header is not complete within 10 s, or that sits idle for 2 minutes.
@@ -495,6 +497,13 @@ func newHandler(srv *safecube.Server, cube *safecube.Cube, reg *safecube.Registr
 		q := r.URL.Query()
 		src, ok := node(w, q, "src")
 		if !ok {
+			return
+		}
+		// A fan-out answers one route per other node, so on a cube past
+		// Q12 it holds more routes than a batch may.
+		if routes := cube.Nodes() - 1; routes > safecube.MaxBatchPairs {
+			httpErr(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("fan-out of %d routes exceeds limit %d", routes, safecube.MaxBatchPairs))
 			return
 		}
 		ctx, cancel, ok := reqCtx(w, r, q)

@@ -216,6 +216,54 @@ func TestRouteAllEndpoint(t *testing.T) {
 	}
 }
 
+// TestRouteAllEndpointLimit checks that /routeall shares the batch
+// limit: on a fault-free Q16 a fan-out would answer 65,535 routes (29
+// MB of JSON), so it is refused with a short 413 before any routing,
+// and the request allocates well under 1 MiB; a Q12 fan-out, 4095
+// routes, is served.
+func TestRouteAllEndpointLimit(t *testing.T) {
+	serveCube := func(n int) (*httptest.Server, *safecube.Registry) {
+		c := safecube.MustNew(n)
+		reg := safecube.NewRegistry()
+		srv, err := c.Serve(safecube.ServeOptions{Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(newHandler(srv, c, reg, handlerOpts{}))
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		return ts, reg
+	}
+	ts, reg := serveCube(16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Get(ts.URL + "/routeall?src=" + strings.Repeat("0", 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("a refused Q16 fan-out allocated %d bytes, want under 1 MiB", grew)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || len(body) > 200 ||
+		!strings.Contains(string(body), "fan-out of 65535 routes exceeds limit 4096") {
+		t.Fatalf("Q16 /routeall: status %d, %d bytes: %s", resp.StatusCode, len(body), body)
+	}
+	if got := reg.Counter(safecube.MetricUnicastsTotal).Value(); got != 0 {
+		t.Fatalf("a refused fan-out routed %d unicasts", got)
+	}
+
+	ts, _ = serveCube(12)
+	v := getJSON(t, ts.URL+"/routeall?src="+strings.Repeat("1", 12), http.StatusOK)
+	if got := len(v["routes"].([]any)); got != 4095 {
+		t.Fatalf("Q12 /routeall returned %d routes, want 4095", got)
+	}
+}
+
 func TestFaultAndHealthz(t *testing.T) {
 	ts, _ := testServer(t)
 	before := getJSON(t, ts.URL+"/healthz", http.StatusOK)

@@ -35,6 +35,21 @@ func BenchmarkGSColdQ16(b *testing.B) {
 	}
 }
 
+// BenchmarkGSColdQ20 runs a cold GLOBAL_STATUS run over Q20 with 2000
+// uniform faults, sequentially: the run serve.New makes at start-up and
+// the applier falls back to, on the q20-batch workload's shape.
+func BenchmarkGSColdQ20(b *testing.B) {
+	s := faults.NewSet(topo.MustCube(20))
+	if err := faults.InjectUniform(s, stats.NewRNG(42), 2000); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Compute(s, Options{})
+	}
+}
+
 // TestGSColdQ16Bytes ratchets the bytes a cold run allocates on the
 // BenchmarkGSColdQ16 workload: the one-byte-per-node level table plus
 // the few nodes the faults perturb, at most 2 bytes per node. A sweep

@@ -13,7 +13,9 @@
 // collapses to Definition 1 when every radix is 2, one evaluator serves
 // both. Cold runs (Compute) and the incremental RepairLevels used by the
 // serving layer share one synchronous engine that evaluates, each round,
-// only the nodes whose inputs changed in the previous one.
+// only the nodes whose inputs changed in the previous one; a cold run
+// also skips every node with at most one neighbor below n, which keeps
+// level n.
 //
 // Key invariant (Theorem 1): the GS iteration is monotonically
 // non-increasing from the all-n start and its fixpoint is unique, so

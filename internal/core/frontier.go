@@ -26,14 +26,20 @@ import (
 // marks on a dense bitset and drains in ascending node order, so
 // sequential and parallel runs walk identical work lists.
 //
+// A cold run prunes its frontiers further (touchCold). Its levels start
+// at n and only fall, and a node with at most one neighbor below n still
+// evaluates to n, so a node joins a frontier only from its second touch
+// on. A repair's levels also rise, and it keeps the plain rule (touch).
+//
 // Clamped nodes never evaluate and stay at level 0: the faulty nodes,
 // the N2 nodes (nonfaulty endpoints of faulty links), and during a
 // repair's descent the released set U (see repair.go). The working
 // state lives in a pooled scratch, so a run allocates little beyond
 // what its Assignment retains. The scratch's node sets are
 // bitset.Tracked, so a run clears and drains them in proportion to the
-// words it touched, and a repair writes its levels into a fork of its
-// predecessor's table that copies a page only on its first write
+// words it touched. A repair writes its levels into a fork of its
+// predecessor's table, and a cold run into a table that starts as one
+// shared all-n page; either copies a page only on its first write
 // (pages.go).
 
 // levelUpdate is one deferred level change of a frontier round; changes
@@ -60,6 +66,8 @@ type scratch struct {
 	// mark accumulates the next round's frontier; DrainInto empties it
 	// into dirty in ascending node order.
 	mark bitset.Tracked
+	// seen marks the nodes a cold run has touched once (touchCold).
+	seen bitset.Tracked
 	// owned[p] reports whether the table being written holds its own
 	// copy of page p (levelTable.write).
 	owned    []bool
@@ -89,6 +97,7 @@ func getScratch(t topo.Topology) *scratch {
 		sc.affected = bitset.NewTracked(nodes)
 		sc.nodeTog = bitset.NewTracked(nodes)
 		sc.mark = bitset.NewTracked(nodes)
+		sc.seen = bitset.NewTracked(nodes)
 		sc.owned = make([]bool, pageCount(nodes))
 		sc.sws = nil
 	}
@@ -101,6 +110,7 @@ func putScratch(sc *scratch) {
 	sc.affected.Reset()
 	sc.nodeTog.Reset()
 	sc.mark.Reset()
+	sc.seen.Reset()
 	scratchPool.Put(sc)
 }
 
@@ -161,12 +171,14 @@ func finalizeStable(entries []stableEntry) []stableEntry {
 }
 
 // frontier carries one engine run over the level table cur, whose
-// pages the run owns as sc.owned records.
+// pages the run owns as sc.owned records. cold selects touchCold for
+// the whole run.
 type frontier struct {
-	t   topo.Topology
-	set *faults.Set
-	cur levelTable
-	sc  *scratch
+	t    topo.Topology
+	set  *faults.Set
+	cur  levelTable
+	sc   *scratch
+	cold bool
 }
 
 // clamped reports whether node a is held at level 0.
@@ -188,6 +200,28 @@ func (f *frontier) touch(a topo.NodeID) {
 	}
 }
 
+// touchCold is touch for a cold run, which admits a sibling only from
+// its second touch on; the first sets the sibling's seen mark. A node
+// whose sorted neighbor levels are (x, n, ..., n) evaluates to n, the
+// level it holds, and each sibling that falls from n touches the node
+// as it falls, so no node that can change is left out. On a generalized
+// cube a touch counts a sibling rather than a dimension, so the rule
+// can only admit more nodes than it needs to.
+func (f *frontier) touchCold(a topo.NodeID) {
+	sc := f.sc
+	for i := 0; i < f.t.Dim(); i++ {
+		sc.sibs = f.t.Siblings(a, i, sc.sibs[:0])
+		for _, b := range sc.sibs {
+			switch {
+			case !sc.seen.Test(int(b)):
+				sc.seen.Add(int(b))
+			case !f.clamped(int(b)):
+				sc.mark.Add(int(b))
+			}
+		}
+	}
+}
+
 // run executes synchronous rounds from the frontier marked in sc.mark,
 // folding rounds, per-round deltas and stability entries into as. It
 // stops when a round changes no level or after roundCap rounds, and
@@ -197,6 +231,10 @@ func (f *frontier) run(as *Assignment, workers, roundCap int) (evals int, conver
 	sc := f.sc
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	touch := f.touch
+	if f.cold {
+		touch = f.touchCold
 	}
 	dirty := sc.mark.DrainInto(sc.dirty[:0])
 	updates := sc.updates[:0]
@@ -227,7 +265,7 @@ func (f *frontier) run(as *Assignment, workers, roundCap int) (evals int, conver
 		for _, u := range updates {
 			f.cur.write(sc.owned, int(u.node), u.level)
 			as.stableSparse = append(as.stableSparse, stableEntry{node: u.node, round: int32(as.rounds)})
-			f.touch(topo.NodeID(u.node))
+			touch(topo.NodeID(u.node))
 		}
 		dirty = sc.mark.DrainInto(dirty[:0])
 	}

@@ -337,40 +337,48 @@ type Options struct {
 //
 // Faulty nodes and the N2 nodes of EGS (nonfaulty endpoints of faulty
 // links, Section 4.1) are clamped at public level 0 throughout. Every
-// other node starts at n and can only change once a neighbor has, so
-// the run starts from the frontier of the clamped nodes' unclamped
-// siblings and evaluates, each round, only the siblings of the nodes the
-// previous round changed (frontier.run). In the final round each N2
-// node computes its own level once, treating the far end of each of its
-// faulty links as faulty but using its other neighbors' public levels.
+// other node starts at n and keeps it while at most one of its
+// neighbors is below n. A clamped node touches its siblings at the
+// start, and a node whose level changes touches them after its round;
+// a round evaluates only the unclamped nodes touched at the start or in
+// the previous round that have been touched at least twice in all
+// (frontier.touchCold). The table starts as one all-n page shared by
+// every slot, and a page is copied on its first write. In the final
+// round each N2 node computes its own level once, treating the far end
+// of each of its faulty links as faulty but using its other neighbors'
+// public levels.
 func Compute(set *faults.Set, opts Options) *Assignment {
+	as, _ := compute(set, opts)
+	return as
+}
+
+// compute is Compute, also returning the NODE_STATUS evaluations its
+// frontier made. Evals reports the synchronous algorithm's work instead.
+func compute(set *faults.Set, opts Options) (*Assignment, int) {
 	t := set.Topology()
-	n := uint8(t.Dim())
-	buf := make([]uint8, t.Nodes())
-	for a := range buf {
-		buf[a] = n
-	}
 	sc := getScratch(t)
 	defer putScratch(sc)
-	// The run owns every page of its fresh table.
-	for p := range sc.owned {
-		sc.owned[p] = true
-	}
-	f := &frontier{t: t, set: set, cur: cutPages(buf), sc: sc}
 	sc.fillN2(set)
-	set.ForEachFaultyNode(func(a topo.NodeID) {
-		buf[a] = 0
-		f.touch(a)
-	})
-	sc.n2.ForEach(func(a int) {
-		buf[a] = 0
-		f.touch(topo.NodeID(a))
-	})
+	// The clamped nodes, faulty then N2, seed the run. The table starts
+	// as the shared all-n page with a copy of each page a seed lies on.
+	seeds := sc.dirty[:0]
+	set.ForEachFaultyNode(func(a topo.NodeID) { seeds = append(seeds, int32(a)) })
+	sc.n2.ForEach(func(a int) { seeds = append(seeds, int32(a)) })
+	clear(sc.owned)
+	for _, a := range seeds {
+		sc.owned[a>>pageShift] = true
+	}
+	f := &frontier{t: t, set: set, cur: uniformTable(t.Nodes(), uint8(t.Dim()), sc.owned), sc: sc, cold: true}
+	for _, a := range seeds {
+		f.cur.write(sc.owned, int(a), 0)
+		f.touchCold(topo.NodeID(a))
+	}
+	sc.dirty = seeds
 
 	as := &Assignment{t: t, set: set}
 	as.deltas = as.deltaBuf[:0]
 	roundCap := maxRounds(t, opts)
-	f.run(as, opts.Workers, roundCap)
+	evals, _ := f.run(as, opts.Workers, roundCap)
 	// Evals reports the synchronous algorithm's work, not the frontier's.
 	sweeps := as.rounds + 1
 	if sweeps > roundCap {
@@ -378,7 +386,7 @@ func Compute(set *faults.Set, opts Options) *Assignment {
 	}
 	as.evals = (t.Nodes() - set.NodeFaults() - sc.n2.Count()) * sweeps
 	f.finish(as)
-	return as
+	return as, evals
 }
 
 func maxRounds(t topo.Topology, opts Options) int {

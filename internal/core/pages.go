@@ -5,9 +5,11 @@ import "slices"
 // Level tables are stored as directories of fixed-size pages. A page
 // never changes once the run that wrote it has returned, so assignments
 // share pages freely: a repair forks its predecessor's directory and
-// copies a page only on its first write to it, and Detach shares both
-// tables outright. Publishing a repaired assignment therefore costs the
-// pages the repair touched, not the 2^n-byte table.
+// copies a page only on its first write to it, a cold run starts from
+// one all-n page shared by every slot in the same way, and Detach shares
+// both tables outright. Publishing a repaired assignment therefore costs
+// the pages the repair touched, not the 2^n-byte table, and a cold run
+// pays only for the pages its faults reach.
 
 const (
 	// pageShift sets the page size: 4096 nodes, one byte each. A page
@@ -49,28 +51,39 @@ func (t levelTable) gather(pairs []Pair, nodes int, lv *[gatherBlock]uint8) {
 	}
 }
 
-// cutPages returns a table whose pages are cut from buf and alias it:
-// one contiguous allocation backs a cold run's whole table.
-func cutPages(buf []uint8) levelTable {
-	t := make(levelTable, pageCount(len(buf)))
-	for p := range t {
-		lo := p << pageShift
-		hi := min(lo+pageSize, len(buf))
-		t[p] = buf[lo:hi:hi]
-	}
-	return t
-}
-
 // uniformTable returns a table of nodes entries, all v, whose directory
-// points every slot at one shared page.
-func uniformTable(nodes int, v uint8) levelTable {
-	page := make([]uint8, min(nodes, pageSize))
-	for i := range page {
-		page[i] = v
-	}
+// points every slot at one shared page, except that each page p with
+// own[p] set is a private copy for the run about to write it. The shared
+// page and the copies are cut from one allocation; a write to any other
+// page copies it first (write). own may be nil.
+func uniformTable(nodes int, v uint8, own []bool) levelTable {
 	t := make(levelTable, pageCount(nodes))
+	size := min(nodes, pageSize)
+	slots := 0
+	for _, o := range own {
+		if o {
+			slots++
+		}
+	}
+	if slots < len(t) {
+		slots++ // the shared page
+	}
+	buf := make([]uint8, slots*size)
+	for i := range buf[:size] {
+		buf[i] = v
+	}
+	for off := size; off < len(buf); off += copy(buf[off:], buf[:off]) {
+	}
+	// The shared page, if any slot needs it, is the last one.
+	shared, next := buf[len(buf)-size:], 0
 	for p := range t {
-		t[p] = page[:min(nodes-p<<pageShift, pageSize)]
+		n := min(nodes-p<<pageShift, pageSize)
+		if p < len(own) && own[p] {
+			t[p] = buf[next : next+n : next+n]
+			next += size
+		} else {
+			t[p] = shared[:n]
+		}
 	}
 	return t
 }

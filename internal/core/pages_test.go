@@ -11,15 +11,27 @@ import (
 
 // TestLevelTablePages checks the page layout: full pages of pageSize
 // nodes, one page of its own size for a table smaller than a page, a
-// short last page otherwise, and copy-on-first-write that leaves the
-// forked-from table untouched.
+// short last page otherwise; that the pages a uniform table owns from
+// the start are its own, apart from the shared page and one another;
+// and copy-on-first-write that leaves the forked-from table untouched.
 func TestLevelTablePages(t *testing.T) {
 	for _, nodes := range []int{2, 9, pageSize, pageSize + 1, 3 * pageSize, 6561} {
-		buf := make([]uint8, nodes)
-		for a := range buf {
-			buf[a] = uint8(a % 7)
+		// half owns every other page from the start and writes the first
+		// node of each; tab owns none and is written node by node.
+		own := make([]bool, pageCount(nodes))
+		for p := range own {
+			own[p] = p%2 == 0
 		}
-		for _, tab := range []levelTable{cutPages(buf), uniformTable(nodes, 5)} {
+		half := uniformTable(nodes, 5, own)
+		tab := uniformTable(nodes, 5, nil)
+		owned := make([]bool, len(tab))
+		for a := 0; a < nodes; a++ {
+			if a&pageMask == 0 && own[a>>pageShift] {
+				half.write(own, a, uint8(a>>pageShift))
+			}
+			tab.write(owned, a, uint8(a%7))
+		}
+		for _, tab := range []levelTable{half, tab} {
 			if len(tab) != pageCount(nodes) {
 				t.Fatalf("nodes=%d: %d pages, want %d", nodes, len(tab), pageCount(nodes))
 			}
@@ -34,9 +46,17 @@ func TestLevelTablePages(t *testing.T) {
 				t.Fatalf("nodes=%d: pages hold %d nodes", nodes, total)
 			}
 		}
-		tab := cutPages(buf)
+		for a := 0; a < nodes; a++ {
+			want := uint8(5)
+			if a&pageMask == 0 && own[a>>pageShift] {
+				want = uint8(a >> pageShift)
+			}
+			if half.at(a) != want || tab.at(a) != uint8(a%7) {
+				t.Fatalf("nodes=%d: node %d reads %d and %d, want %d and %d", nodes, a, half.at(a), tab.at(a), want, a%7)
+			}
+		}
 		fork := slices.Clone(tab)
-		owned := make([]bool, len(fork))
+		clear(owned)
 		last := nodes - 1
 		fork.write(owned, last, 6)
 		fork.write(owned, 0, 6)

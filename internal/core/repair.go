@@ -76,7 +76,7 @@ func RepairLevels(prev *Assignment, set *faults.Set, delta []faults.Delta, opts 
 	// n-safe" with zero rounds, exactly what a cold run reports. One
 	// all-n page serves the whole directory.
 	if set.NodeFaults() == 0 && set.LinkFaults() == 0 {
-		cur := uniformTable(t.Nodes(), uint8(t.Dim()))
+		cur := uniformTable(t.Nodes(), uint8(t.Dim()), nil)
 		return &Assignment{
 			t: t, set: set,
 			public: cur, own: cur,

@@ -426,49 +426,77 @@ func (rt *Router) Unicast(s, d topo.NodeID) *Route {
 	if r.Outcome == Failure {
 		return rt.finishObs(r, s)
 	}
-	length := sum.Hops
-	r.Path = append(make(topo.Path, 0, length+1), s)
+	r.Path = append(make(topo.Path, 0, sum.Hops+1), s)
 	if s == d {
 		return rt.finishObs(r, s)
 	}
-	r.Hops = make([]Hop, 0, length)
+	r.Hops = make([]Hop, 0, sum.Hops)
+	at, _, err := rt.walk(s, d, nav, sum, r)
+	if err != nil {
+		r.Err, r.Outcome = err, Failure
+	}
+	return rt.finishObs(r, at)
+}
 
+// WalkSummary routes from s to d hop by hop as Unicast does and returns
+// Unicast(s, d).Summary() without building the route's Path and Hops:
+// it allocates only when the walk fails, and tells the observer
+// nothing. It checks an answer Summary decided at the source against
+// the walk that answer stands for (Theorem 3).
+func (rt *Router) WalkSummary(s, d topo.NodeID) Summary {
+	sum, nav := rt.summary(s, d, -1)
+	if sum.Outcome == Failure || s == d {
+		return sum
+	}
+	_, hops, err := rt.walk(s, d, nav, sum, nil)
+	if err != nil {
+		sum.Outcome, sum.Err = Failure, true
+	}
+	sum.Hops = hops
+	return sum
+}
+
+// walk forwards a message that the source step admitted as sum, from s
+// toward d along the navigation vector nav, and appends each hop to r's
+// Hops and Path when r is non-nil. It returns the node the message
+// reached, the hops it made and, when a step found no usable neighbor
+// or the hops ran past maxHops, the error that ended it.
+func (rt *Router) walk(s, d topo.NodeID, nav topo.NavVector, sum Summary, r *Route) (cur topo.NodeID, hops int, err error) {
 	t, cur := rt.as.t, s
-	if r.Condition == CondC3 {
+	if sum.Condition == CondC3 {
 		// Suboptimal first hop: the spare neighbor with the highest
 		// safety level among those meeting the C3 threshold.
-		dim, next, ok := rt.pickSpare(cur, nav, r.Hamming)
+		dim, next, ok := rt.pickSpare(cur, nav, sum.Hamming)
 		if !ok {
 			// Unreachable when admit just admitted C3 on the same oracle;
 			// kept as a guard for inconsistent ablations.
-			r.Err = fmt.Errorf("core: node %s has no usable spare neighbor", t.Format(cur))
-			r.Outcome = Failure
-			return rt.finishObs(r, cur)
+			return cur, hops, fmt.Errorf("core: node %s has no usable spare neighbor", t.Format(cur))
 		}
 		nav = nav.Flip(dim)
-		r.Hops = append(r.Hops, Hop{From: cur, To: next, Dim: dim, Nav: nav, Spare: true})
-		r.Path = append(r.Path, next)
-		cur = next
+		if r != nil {
+			r.Hops = append(r.Hops, Hop{From: cur, To: next, Dim: dim, Nav: nav, Spare: true})
+			r.Path = append(r.Path, next)
+		}
+		cur, hops = next, 1
 	}
-	for hops := 0; nav != 0; hops++ {
-		if hops > rt.maxHops {
-			r.Err = fmt.Errorf("core: forwarding exceeded %d hops (inconsistent levels?)", rt.maxHops)
-			r.Outcome = Failure
-			return rt.finishObs(r, cur)
+	for k := 0; nav != 0; k++ {
+		if k > rt.maxHops {
+			return cur, hops, fmt.Errorf("core: forwarding exceeded %d hops (inconsistent levels?)", rt.maxHops)
 		}
 		dim, next, ok := rt.pickPreferred(cur, d, nav)
 		if !ok {
-			r.Err = fmt.Errorf("core: node %s has no usable preferred neighbor (nav %0*b)",
+			return cur, hops, fmt.Errorf("core: node %s has no usable preferred neighbor (nav %0*b)",
 				t.Format(cur), t.Dim(), nav)
-			r.Outcome = Failure
-			return rt.finishObs(r, cur)
 		}
 		nav = nav.Flip(dim)
-		r.Hops = append(r.Hops, Hop{From: cur, To: next, Dim: dim, Nav: nav})
-		r.Path = append(r.Path, next)
+		if r != nil {
+			r.Hops = append(r.Hops, Hop{From: cur, To: next, Dim: dim, Nav: nav})
+			r.Path = append(r.Path, next)
+		}
 		cur = next
+		hops++
 	}
-	return rt.finishObs(r, cur)
+	return cur, hops, nil
 }
 
 // finishObs emits the route's hop and terminal observations and returns

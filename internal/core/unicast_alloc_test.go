@@ -48,6 +48,8 @@ func BenchmarkUnicastQ20(b *testing.B) {
 
 // TestUnicastAllocs ratchets the router's allocations per route: the
 // Route itself, its Path and its Hops, each allocated once at admission.
+// WalkSummary walks the same routes without building them and allocates
+// nothing.
 func TestUnicastAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -62,6 +64,14 @@ func TestUnicastAllocs(t *testing.T) {
 		})
 		if allocs > 3 {
 			t.Errorf("Q%d: %.1f allocs per route, want <= 3", sz.n, allocs)
+		}
+		allocs = testing.AllocsPerRun(len(ring), func() {
+			q := ring[i%len(ring)]
+			i++
+			rt.WalkSummary(q[0], q[1])
+		})
+		if allocs != 0 {
+			t.Errorf("Q%d: %.2f allocs per walked summary, want 0", sz.n, allocs)
 		}
 	}
 }

@@ -521,6 +521,10 @@ func TestFeasibilityMatchesUnicastQnAndGH(t *testing.T) {
 							t.Fatalf("%v with faults %s, detached %v: %d -> %d: Summary %+v (detours %d), Feasibility %v/%v, walk %+v, live walk %+v (detours %d)",
 								set.Topology(), set, rt == det, a, b, sum, sum.Detours(), cond, out, walked, want, detours)
 						}
+						if ws := rt.WalkSummary(a, b); ws != want {
+							t.Fatalf("%v with faults %s, detached %v: %d -> %d: WalkSummary %+v, walk %+v",
+								set.Topology(), set, rt == det, a, b, ws, want)
+						}
 					}
 					checked++
 				}
@@ -528,6 +532,43 @@ func TestFeasibilityMatchesUnicastQnAndGH(t *testing.T) {
 			t.Logf("%d pairs", checked)
 		})
 	}
+}
+
+// TestWalkSummaryOnTruncatedAssignments checks WalkSummary against
+// Unicast(s, d).Summary() for every pair of cubes and generalized cubes
+// whose GS runs were cut after one round, where some admitted walks
+// fail midway: the walked summary must then carry the failure, the
+// error and the hops made before it.
+func TestWalkSummaryOnTruncatedAssignments(t *testing.T) {
+	rng := stats.NewRNG(4242)
+	failed := 0
+	for _, tp := range []topo.Topology{topo.MustCube(5), topo.MustCube(6), topo.MustCube(7), topo.MustMixed(3, 3, 2, 2), topo.MustMixed(4, 3, 3)} {
+		for trial := 0; trial < 6; trial++ {
+			s := faults.NewSet(tp)
+			if err := faults.InjectUniform(s, rng, tp.Nodes()/5); err != nil {
+				t.Fatal(err)
+			}
+			if err := faults.InjectUniformLinks(s, rng, trial); err != nil {
+				t.Fatal(err)
+			}
+			as := Compute(s, Options{MaxRounds: 1})
+			for _, rt := range []*Router{NewRouter(as, LowestDim), NewRouter(as.Detach(), HighestDim)} {
+				for _, p := range allPairs(tp, 1) {
+					want := rt.Unicast(p[0], p[1]).Summary()
+					if got := rt.WalkSummary(p[0], p[1]); got != want {
+						t.Fatalf("%v with faults %s: %d -> %d: WalkSummary %+v, walk %+v", tp, s, p[0], p[1], got, want)
+					}
+					if want.Err && want.Hops > 0 {
+						failed++
+					}
+				}
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no walk failed midway; the truncated assignments exercise nothing")
+	}
+	t.Logf("%d walks failed midway", failed)
 }
 
 // allPairs returns every ordered pair of tp's nodes and of extra node

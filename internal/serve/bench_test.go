@@ -160,9 +160,8 @@ func BenchmarkServeBatch(b *testing.B) {
 // 2000 uniform faults, a registry and the flight recorder, and random
 // pairs of distinct nonfaulty nodes from a ring of 2^15, so the 1 MiB
 // level table does not stay in cache between frames as 64 fixed pairs
-// on Q10 would. It reports ns/route. Under -benchmem only the sampled
-// walk of one answer in summaryCheckEvery allocates, about 24 B per
-// frame.
+// on Q10 would. It reports ns/route. Under -benchmem it reads 0 B/op:
+// the sampled walk of one answer in summaryCheckEvery builds no route.
 func BenchmarkServeWireBatchQ20(b *testing.B) {
 	const batch, ring = 64, 1 << 15
 	tp := topo.MustCube(20)

@@ -85,17 +85,19 @@ func (c *sampler) next() bool {
 }
 
 // checkSummary walks a pair already answered at the source, on the same
-// snapshot, and compares the walk's summary with the answer. Theorem 3
-// says they agree on every consistent snapshot, so a mismatch means a
-// broken level invariant: it counts in serve_summary_mismatch_total and
-// is promoted as an incident carrying the walked trace.
+// snapshot, and compares the walk's summary with the answer. The walk
+// builds no route, so a check allocates nothing. Theorem 3 says they
+// agree on every consistent snapshot, so a mismatch means a broken
+// level invariant: it counts in serve_summary_mismatch_total and is
+// promoted as an incident carrying the trace of a second walk that
+// builds the route.
 func (s *Service) checkSummary(kind obs.ReqKind, sn *Snapshot, src, dst topo.NodeID, sum core.Summary, stale bool) {
-	r := sn.ref.Unicast(src, dst)
-	if r.Summary() == sum {
+	if sn.ref.WalkSummary(src, dst) == sum {
 		return
 	}
 	s.mMismatch.Inc()
 	if fl := s.flight; fl != nil {
+		r := sn.ref.Unicast(src, dst)
 		r.FlightID = fl.NextID()
 		rec := routeRecord(kind, r.FlightID, sn, sum, stale)
 		fl.Promote(&rec, "summary-mismatch", traceOfRoute(r, sn.as, r.FlightID, sn.gen))

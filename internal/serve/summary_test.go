@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -16,6 +17,21 @@ import (
 // Tests of the wire answers decided at the source: the generation they
 // carry, their allocations, the sampled walk that checks them, and the
 // detached fault view they route on.
+
+// totalAllocs is testing.AllocsPerRun without the division: the heap
+// allocations of runs calls of f after one warm-up call, at GOMAXPROCS
+// 1, in total, so that a rare allocation is not rounded away.
+func totalAllocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
 
 // executeFrame runs one encoded request frame through ws's execute
 // path, as a connection's goroutine does, and returns the parsed
@@ -176,7 +192,11 @@ func TestWireAnswersCarryRoutedGeneration(t *testing.T) {
 // one OpUnicast frame and one 64-pair OpBatch frame through execute,
 // with the flight recorder on, allocate nothing in steady state. With
 // a registry, as slserve always runs, that holds the unicast's route
-// observer and the batch's tally and publish to it too.
+// observer and the batch's tally and publish to it too. The 1000
+// measured runs answer 65,000 pairs, so the sampled walk of one answer
+// in summaryCheckEvery runs dozens of times, and the total must be 0:
+// testing.AllocsPerRun would round a walk's few allocations per 1000
+// runs down to 0.
 func TestWireExecuteZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -211,8 +231,12 @@ func TestWireExecuteZeroAllocs(t *testing.T) {
 			}
 		}
 		run() // size the connection's scratch slices
-		if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
-			t.Fatalf("%s: one unicast and one 64-pair batch allocate %v times, want 0", tc.name, allocs)
+		const runs = 1000
+		if runs*65 < 2*summaryCheckEvery {
+			t.Fatalf("%d runs hold fewer than two sampled walks", runs)
+		}
+		if allocs := totalAllocs(runs, run); allocs != 0 {
+			t.Fatalf("%s: %d unicasts and %d 64-pair batches allocate %d times, want 0", tc.name, runs, runs, allocs)
 		}
 		if got := svc.Flight().Snapshot(0).Issued; got < 2000 {
 			t.Fatalf("%s: flight recorder issued %d IDs, want one per frame", tc.name, got)
