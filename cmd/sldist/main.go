@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	safecube "repro"
@@ -20,18 +21,37 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 7, "cube dimension")
-	nFaults := flag.Int("faults", 0, "uniform random node faults")
-	unicasts := flag.Int("unicasts", 20, "random unicasts per batch")
-	kills := flag.Int("kills", 0, "fail-stop events (each followed by a GS recomputation and another batch)")
-	seed := flag.Uint64("seed", 1, "RNG seed")
-	async := flag.Bool("async", false, "use the asynchronous GS protocol (quiescence-driven) instead of n-1 synchronous rounds")
-	flag.Parse()
+	code, err := run(os.Args[1:], os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sldist:", err)
+	}
+	os.Exit(code)
+}
+
+// run executes one invocation and returns the process exit code: 2
+// with the error on a bad flag or cube. Split from main so the CLI is
+// testable.
+func run(args []string, out io.Writer) (int, error) {
+	fs := flag.NewFlagSet("sldist", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	n := fs.Int("n", 7, "cube dimension")
+	nFaults := fs.Int("faults", 0, "uniform random node faults")
+	unicasts := fs.Int("unicasts", 20, "random unicasts per batch")
+	kills := fs.Int("kills", 0, "fail-stop events (each followed by a GS recomputation and another batch)")
+	seed := fs.Uint64("seed", 1, "RNG seed")
+	async := fs.Bool("async", false, "use the asynchronous GS protocol (quiescence-driven) instead of n-1 synchronous rounds")
+	if err := fs.Parse(args); err != nil {
+		return 2, err
+	}
 
 	c, err := safecube.New(*n)
-	fatal(err)
+	if err != nil {
+		return 2, err
+	}
 	if *nFaults > 0 {
-		fatal(c.InjectRandomFaults(*seed, *nFaults))
+		if err := c.InjectRandomFaults(*seed, *nFaults); err != nil {
+			return 2, err
+		}
 	}
 	rng := stats.NewRNG(*seed ^ 0xD15717)
 
@@ -46,12 +66,12 @@ func main() {
 		}
 	}
 	runGS()
-	fmt.Printf("%s\n", c)
+	fmt.Fprintf(out, "%s\n", c)
 	if *async {
-		fmt.Printf("distributed async GS: %d level updates, %d messages\n",
+		fmt.Fprintf(out, "distributed async GS: %d level updates, %d messages\n",
 			d.Updates(), d.MessagesSent())
 	} else {
-		fmt.Printf("distributed GS: stabilized at round %d (bound n-1 = %d), %d messages\n",
+		fmt.Fprintf(out, "distributed GS: stabilized at round %d (bound n-1 = %d), %d messages\n",
 			d.StableRound(), *n-1, d.MessagesSent())
 	}
 
@@ -81,7 +101,7 @@ func main() {
 		if delivered > 0 {
 			avg = float64(hops) / float64(delivered)
 		}
-		fmt.Printf("%s: delivered %d (optimal %d), aborted-at-source %d, avg hops %.2f\n",
+		fmt.Fprintf(out, "%s: delivered %d (optimal %d), aborted-at-source %d, avg hops %.2f\n",
 			label, delivered, optimal, failed, avg)
 	}
 	batch("batch 0")
@@ -94,18 +114,14 @@ func main() {
 				break
 			}
 		}
-		fatal(d.KillNode(victim))
+		if err := d.KillNode(victim); err != nil {
+			return 2, err
+		}
 		before := d.MessagesSent()
 		runGS()
-		fmt.Printf("killed %s; state-change-driven GS recomputation: +%d messages\n",
+		fmt.Fprintf(out, "killed %s; state-change-driven GS recomputation: +%d messages\n",
 			c.Format(victim), d.MessagesSent()-before)
 		batch(fmt.Sprintf("batch %d", k))
 	}
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sldist:", err)
-		os.Exit(2)
-	}
+	return 0, nil
 }

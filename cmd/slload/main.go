@@ -34,7 +34,10 @@
 //	-deadline D   per-request context deadline (0 = none)
 //	-mix SPEC     request mix weights, e.g. route:8,batch:1,routeall:1
 //	              (default route:1)
-//	-batch N      pairs per batch request (default 16)
+//	-batch N      pairs per batch request (default 16). Against -target
+//	              or -wire a batch may carry at most the server's 4096
+//	              pairs and routeall needs -n 12 or less; slload exits 2
+//	              before connecting otherwise
 //	-seed N       RNG seed; same seed, same offered request stream
 //
 // Churn storm:
@@ -61,7 +64,7 @@
 //
 //	-o FILE       write the JSON report to FILE instead of stdout
 //	-min-ok N     exit 1 unless at least N requests completed OK
-//	              (the CI smoke gate)
+//	              (a smoke gate)
 //	-only-ok      exit 1 if ANY request finished in a non-OK class
 //	              (the only-OK digest gate)
 //	-flight       after the run, print the target's flight-recorder
@@ -145,6 +148,12 @@ func run(argv []string, stdout, stderr *os.File) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "slload:", err)
 		return 2
+	}
+	if *target != "" || *wireAddr != "" {
+		if err := checkRemoteShapes(mix, *batch, cube.Nodes()); err != nil {
+			fmt.Fprintln(stderr, "slload:", err)
+			return 2
+		}
 	}
 
 	cfg := loadgen.Config{
@@ -349,6 +358,20 @@ func fetchCount(url, field string) (int64, error) {
 		return 0, fmt.Errorf("%s: bad %q field: %v", url, field, err)
 	}
 	return n, nil
+}
+
+// checkRemoteShapes refuses a mix whose requests a remote slserve
+// would refuse (HTTP 413, wire CodeTooLarge): a batch of more than
+// serve.MaxBatchPairs pairs, or a fan-out of more than that many
+// routes. The in-process engine has no such limit.
+func checkRemoteShapes(mix loadgen.Mix, batch, nodes int) error {
+	if mix.Batch > 0 && batch > serve.MaxBatchPairs {
+		return fmt.Errorf("-batch %d exceeds the server's limit of %d pairs per batch", batch, serve.MaxBatchPairs)
+	}
+	if routes := nodes - 1; mix.RouteAll > 0 && routes > serve.MaxBatchPairs {
+		return fmt.Errorf("routeall fans out %d routes, past the server's limit of %d routes", routes, serve.MaxBatchPairs)
+	}
+	return nil
 }
 
 // parseMix parses "route:8,batch:1,routeall:1" into a Mix.

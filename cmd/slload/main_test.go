@@ -2,10 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	safecube "repro"
 )
@@ -278,4 +280,55 @@ func TestRunUsageErrors(t *testing.T) {
 			t.Fatalf("run(%v) exit %d, want 2", argv, code)
 		}
 	}
+}
+
+// TestRunRefusesOversizeForRemote: against a remote target, a batch or
+// a fan-out past serve.MaxBatchPairs exits 2 and names the limit before
+// any connection is made, since slserve would refuse every such
+// request. The in-process engine has no limit and runs both.
+func TestRunRefusesOversizeForRemote(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+	stderr := filepath.Join(t.TempDir(), "stderr")
+	// The listener never answers, so a run that did connect ends by
+	// its deadlines.
+	short := []string{"-duration", "100ms", "-warmup", "0", "-deadline", "100ms", "-o", os.DevNull}
+	for _, tc := range []struct {
+		argv  []string
+		limit string
+	}{
+		{[]string{"-target", "http://" + addr, "-n", "13", "-mix", "routeall:1"}, "limit of 4096 routes"},
+		{[]string{"-wire", addr, "-batch", "4097", "-mix", "batch:1"}, "limit of 4096 pairs"},
+	} {
+		f, err := os.Create(stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code := run(append(tc.argv, short...), f, f)
+		f.Close()
+		if code != 2 {
+			t.Errorf("run(%v) exit %d, want 2", tc.argv, code)
+		}
+		msg, err := os.ReadFile(stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(msg), tc.limit) {
+			t.Errorf("run(%v) printed %q, want it to name the %s", tc.argv, msg, tc.limit)
+		}
+	}
+	// A dial would have completed its handshake before run returned, so
+	// its connection would be waiting here.
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(50 * time.Millisecond))
+	if c, err := ln.Accept(); err == nil {
+		c.Close()
+		t.Fatal("slload connected to the target before refusing the mix")
+	}
+
+	smoke(t, "-n", "13", "-mix", "routeall:1", "-workers", "1", "-duration", "50ms", "-warmup", "0", "-min-ok", "1")
+	smoke(t, "-n", "6", "-batch", "4097", "-mix", "batch:1", "-workers", "1", "-duration", "50ms", "-warmup", "0", "-min-ok", "1")
 }

@@ -61,7 +61,7 @@ func TestScenarioChurnChaosAllProfiles(t *testing.T) {
 // sequential and with the 4-worker sharded repair — and requires not
 // just that both pass the differential but that their work accounting
 // is identical, pinning the bit-identical Workers contract on the
-// correlated shapes. Under -race (the CI churn job) this doubles as the
+// correlated shapes. Under -race (CI's test job) this doubles as the
 // data-race check for scenario replays.
 func TestScenarioChurnChaosParallelEquality(t *testing.T) {
 	tp := topo.MustCube(5)

@@ -174,32 +174,68 @@ func BenchmarkRepairQ16(b *testing.B) {
 	}
 }
 
-// BenchmarkRepairChurnReplayQ10 replays the exact BENCH_3/BENCH_7
-// schedule (Q10, 40 fail/recover events with link faults, seed 3) once
-// per op, maintaining the table by incremental repair. Its bytes/op is
-// the number BENCH_7.json records against BENCH_3's map-based core.
-func BenchmarkRepairChurnReplayQ10(b *testing.B) {
+// churnReplayQ10 is the churn schedule BENCH_3.json and BENCH_7.json
+// recorded: Q10, 40 fail/recover events with link faults, seed 3.
+func churnReplayQ10() (topo.Topology, []faults.ChurnEvent) {
 	tp := topo.MustCube(10)
-	events := faults.ChurnSchedule(tp, 3, 40, faults.ChurnOptions{Links: true})
+	return tp, faults.ChurnSchedule(tp, 3, 40, faults.ChurnOptions{Links: true})
+}
+
+// replayChurn applies events to a fault-free set one at a time and
+// keeps its level table by incremental repair.
+func replayChurn(tb testing.TB, tp topo.Topology, events []faults.ChurnEvent) {
+	set := faults.NewSet(tp)
+	prev := Compute(set, Options{})
+	gen := set.Generation()
+	for _, ev := range events {
+		if err := set.Apply(ev); err != nil {
+			tb.Fatal(err)
+		}
+		delta, ok := set.Since(gen)
+		if !ok {
+			tb.Fatal("journal gap")
+		}
+		as, ok := RepairLevels(prev, set, delta, Options{})
+		if !ok {
+			tb.Fatal("repair refused")
+		}
+		prev, gen = as, set.Generation()
+	}
+}
+
+// BenchmarkRepairChurnReplayQ10 replays churnReplayQ10 once per op,
+// keeping the table by incremental repair.
+// TestRepairChurnReplayQ10Bytes holds its bytes/op.
+func BenchmarkRepairChurnReplayQ10(b *testing.B) {
+	tp, events := churnReplayQ10()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		set := faults.NewSet(tp)
-		prev := Compute(set, Options{})
-		gen := set.Generation()
-		for _, ev := range events {
-			if err := set.Apply(ev); err != nil {
-				b.Fatal(err)
-			}
-			delta, ok := set.Since(gen)
-			if !ok {
-				b.Fatal("journal gap")
-			}
-			as, ok := RepairLevels(prev, set, delta, Options{})
-			if !ok {
-				b.Fatal("repair refused")
-			}
-			prev, gen = as, set.Generation()
-		}
+		replayChurn(b, tp, events)
+	}
+}
+
+// TestRepairChurnReplayQ10Bytes holds BENCH_7.json's claim: one replay
+// of churnReplayQ10 allocates at least 10x fewer bytes than the
+// 1,105,011 B the map-based core spent on the same loop in BENCH_3.json.
+// The flat core reads about 95 KB.
+func TestRepairChurnReplayQ10Bytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	tp, events := churnReplayQ10()
+	replayChurn(t, tp, events) // fill the scratch pool
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		replayChurn(t, tp, events)
+	}
+	runtime.ReadMemStats(&after)
+	perReplay := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per replay", perReplay)
+	const maxBytes = 1105011 / 10
+	if perReplay > maxBytes {
+		t.Errorf("a churn replay allocates %d bytes, want <= %d", perReplay, maxBytes)
 	}
 }

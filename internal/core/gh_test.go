@@ -2,8 +2,8 @@ package core
 
 // Section 4.2 on the generic core: generalized hypercubes
 // GH(m_{n-1} x ... x m_0) as topo.Mixed, with the same Compute and
-// Router that serve binary cubes. Every test name carries "GH" so the
-// generalized CI job runs it.
+// Router that serve binary cubes. Every test name carries "GH", so
+// `go test -run GH ./...` runs the generalized suite alone.
 
 import (
 	"testing"

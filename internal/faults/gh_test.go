@@ -1,7 +1,8 @@
 package faults
 
 // Fault sets over generalized hypercubes (topo.Mixed). Every test name
-// carries "GH" so the generalized CI job runs it.
+// carries "GH", so `go test -run GH ./...` runs the generalized suite
+// alone.
 
 import (
 	"testing"

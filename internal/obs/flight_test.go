@@ -60,7 +60,7 @@ func TestFlightPackClamps(t *testing.T) {
 }
 
 // TestFlightEnumText round-trips every enum value through its text form,
-// which is what the JSON endpoints and the smoke checker rely on.
+// which is what the JSON endpoints rely on.
 func TestFlightEnumText(t *testing.T) {
 	for k := ReqRoute; k < numReqKinds; k++ {
 		b, err := k.MarshalText()

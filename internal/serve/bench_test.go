@@ -19,10 +19,9 @@ import (
 
 // Throughput benchmarks of the lock-free read path: 1/4/16 concurrent
 // readers, with and without a background churn storm feeding the apply
-// queue. The BENCH_4.json emitter (bench_json4_test.go at the repo
-// root) additionally measures the same workloads against the
-// mutex-guarded facade baseline; here we only track the engine itself
-// so bench-gate can watch it without the baseline's noise.
+// queue. BENCH_4.json records, as history, these workloads against a
+// mutex-guarded facade; here only the engine itself is tracked, so
+// bench-gate can watch it without the baseline's noise.
 
 // benchService builds a Q10 service with a representative fault load.
 func benchService(b *testing.B, opts Options) *Service {
