@@ -71,6 +71,15 @@
 //	              summary (records and incidents) to stderr; against a
 //	              -target it scrapes /debug/flight and /debug/incidents
 //
+// The JSON report's "lag" object, present in open loop, and a
+// "# generator lag" line on stderr give the p99 of the time from each
+// request's scheduled start to its issue and how many requests were
+// issued more than one interval late: a cell where these are not near
+// zero did not offer the -rate it was asked to. A request still
+// unanswered loadgen.LateGrace (2s) after the measured window closes
+// is cut off and counted in the deadline class, so a silent server
+// cannot hold slload.
+//
 // Exit status: 0 on success, 1 if -min-ok is not met, 2 on usage or
 // setup errors.
 package main
@@ -275,6 +284,10 @@ func run(argv []string, stdout, stderr *os.File) int {
 	fmt.Fprintf(stderr, "# %s loop: %d ops (%.0f ok/s), classes %v, churn %d, p50 %.0fµs p99 %.0fµs p999 %.0fµs\n",
 		rep.Mode, rep.Ops, rep.OKPerSec, rep.Classes, rep.ChurnEvents,
 		rep.Latency.P50Us, rep.Latency.P99Us, rep.Latency.P999Us)
+	if rep.Lag != nil {
+		fmt.Fprintf(stderr, "# generator lag: p99 %.0fµs, %d of %d requests issued more than one interval late\n",
+			rep.Lag.P99Us, rep.Lag.Behind, rep.Ops)
+	}
 	if *scenario != "" {
 		label := *scenario
 		if *diagnosed {

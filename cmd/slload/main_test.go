@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	safecube "repro"
+	"repro/internal/loadgen"
 )
 
 func TestParseMix(t *testing.T) {
@@ -331,4 +333,64 @@ func TestRunRefusesOversizeForRemote(t *testing.T) {
 
 	smoke(t, "-n", "13", "-mix", "routeall:1", "-workers", "1", "-duration", "50ms", "-warmup", "0", "-min-ok", "1")
 	smoke(t, "-n", "6", "-batch", "4097", "-mix", "batch:1", "-workers", "1", "-duration", "50ms", "-warmup", "0", "-min-ok", "1")
+}
+
+// TestRunCutsOffSilentServer drives a :0 listener that accepts every
+// connection and never answers, over HTTP and over the wire, with no
+// -deadline. Each run must return within its window plus
+// loadgen.LateGrace, with every request it issued counted in the
+// deadline class.
+func TestRunCutsOffSilentServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	addr := ln.Addr().String()
+	const window = 200 * time.Millisecond
+	for _, target := range [][]string{{"-target", "http://" + addr}, {"-wire", addr}} {
+		report := filepath.Join(t.TempDir(), "report.json")
+		argv := append(target, "-n", "6", "-workers", "2", "-duration", window.String(), "-warmup", "0", "-o", report)
+		start := time.Now()
+		code := run(argv, os.Stdout, os.Stderr)
+		if took, limit := time.Since(start), window+loadgen.LateGrace+time.Second; took > limit {
+			t.Errorf("slload %v returned after %v, want within %v", target, took, limit)
+		}
+		if code != 0 {
+			t.Fatalf("slload %v: exit %d", target, code)
+		}
+		raw, err := os.ReadFile(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep loadgen.Report
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Ops == 0 || rep.Classes[loadgen.ClassDeadline] != rep.Ops {
+			t.Errorf("slload %v: %d ops in classes %v, want all in %q", target, rep.Ops, rep.Classes, loadgen.ClassDeadline)
+		}
+	}
 }

@@ -330,11 +330,19 @@ func run(args []string, out io.Writer) (int, error) {
 }
 
 // Timeouts of the HTTP listener. A client has httpReadHeaderTimeout to
-// send its request header, and a keep-alive connection left idle for
-// httpIdleTimeout is closed, so a client that stalls mid-request or
-// walks away does not hold a connection goroutine for ever.
+// send its request header and httpReadTimeout to send the whole
+// request, body included; an answer must be written within
+// httpWriteTimeout of its request's header; and a keep-alive
+// connection left idle for httpIdleTimeout is closed. So a client that
+// stalls mid-request, stops reading its answer or walks away does not
+// hold a connection goroutine for ever. httpWriteTimeout also bounds a
+// handler's own time, so it stays past the 30 s CPU profile -pprof's
+// /debug/pprof/profile takes by default, which pprof refuses at or
+// beyond the server's WriteTimeout.
 const (
 	httpReadHeaderTimeout = 10 * time.Second
+	httpReadTimeout       = 30 * time.Second
+	httpWriteTimeout      = time.Minute
 	httpIdleTimeout       = 2 * time.Minute
 )
 
@@ -345,6 +353,8 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		WriteTimeout:      httpWriteTimeout,
 		IdleTimeout:       httpIdleTimeout,
 	}
 }

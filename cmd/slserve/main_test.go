@@ -204,6 +204,80 @@ func TestHTTPListenerTimeouts(t *testing.T) {
 	}
 }
 
+// TestHTTPAnswerAndRequestDeadlines checks the read and write deadlines
+// on a :0 port: a client that pipelines large answers and never reads
+// them, and a client that stalls in the middle of a request's body,
+// are each disconnected within the shortened deadline, and the server's
+// goroutine and in-flight counts return to their baselines. The
+// defaults leave -pprof's 30 s CPU profile inside the write deadline.
+func TestHTTPAnswerAndRequestDeadlines(t *testing.T) {
+	c := safecube.MustNew(12)
+	srv, err := c.Serve(safecube.ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	hs := newHTTPServer("", newHandler(srv, c, safecube.NewRegistry(), handlerOpts{queueCap: 8}))
+	if hs.ReadTimeout != httpReadTimeout || hs.WriteTimeout != httpWriteTimeout {
+		t.Fatalf("read and write timeouts %v/%v, want %v/%v", hs.ReadTimeout, hs.WriteTimeout, httpReadTimeout, httpWriteTimeout)
+	}
+	if httpWriteTimeout <= 30*time.Second {
+		t.Fatalf("write timeout %v leaves no room for pprof's default 30s profile", httpWriteTimeout)
+	}
+	const short = 300 * time.Millisecond
+	hs.ReadTimeout, hs.WriteTimeout = short, short
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	t.Cleanup(func() {
+		hs.Close()
+		<-served
+	})
+	base := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * short); runtime.NumGoroutine() > base || srv.Inflight() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: goroutines %d (baseline %d), in flight %d", what, runtime.NumGoroutine(), base, srv.Inflight())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	// Sixteen pipelined Q12 fan-outs answer about 16 MB, far past what
+	// the socket buffers hold while the client reads nothing.
+	deaf, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer deaf.Close()
+	deaf.(*net.TCPConn).SetReadBuffer(4096)
+	req := "GET /routeall?src=000000000000 HTTP/1.1\r\nHost: slserve\r\n\r\n"
+	if _, err := deaf.Write([]byte(strings.Repeat(req, 16))); err != nil {
+		t.Fatal(err)
+	}
+	settled("client that never reads its answers")
+
+	// A request that declares a body and sends half of it: the answer
+	// goes out, and the server then waits on the rest of the body.
+	stalled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := stalled.Write([]byte("GET /healthz HTTP/1.1\r\nHost: slserve\r\nContent-Length: 100\r\n\r\n" + strings.Repeat("x", 50))); err != nil {
+		t.Fatal(err)
+	}
+	stalled.SetReadDeadline(time.Now().Add(10 * short))
+	if _, err := io.Copy(io.Discard, stalled); err != nil {
+		t.Fatalf("stalled request: connection still open: %v", err)
+	}
+	settled("client stalled mid-request")
+}
+
 func TestRouteAllEndpoint(t *testing.T) {
 	ts, _ := testServer(t)
 	v := getJSON(t, ts.URL+"/routeall?src=0000", http.StatusOK)

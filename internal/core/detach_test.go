@@ -187,7 +187,7 @@ func TestVerifyRejectsNonfaultyOwnLevelZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	own := slices.Clone(as.own)
-	own.write(make([]bool, len(own)), 5, 0)
+	own.write(make([]bool, len(own)), 5, 0, 4)
 	as.own = own
 	if err := as.Verify(); err == nil || !strings.Contains(err.Error(), "own level 0") {
 		t.Fatalf("Verify = %v, want the own-level error", err)

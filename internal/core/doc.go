@@ -17,6 +17,15 @@
 // also skips every node with at most one neighbor below n, which keeps
 // level n.
 //
+// Levels live in pages of 4096 nodes that assignments share and copy
+// on write. Each page also carries one safe bit per node, set exactly
+// when the level is n, written with the level by the one write path,
+// and the source step answers a safe source from that bit alone: by
+// Theorem 2 with k = n it has an optimal path to every node, so C1
+// holds, except toward the far end of one of its faulty links at
+// distance 1 (Section 4.1), which the step leaves to the full
+// admission test.
+//
 // Key invariant (Theorem 1): the GS iteration is monotonically
 // non-increasing from the all-n start and its fixpoint is unique, so
 // Compute, its parallel rounds, and RepairLevels must all land on the

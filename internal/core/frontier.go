@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/faults"
@@ -85,10 +86,23 @@ type scratch struct {
 	parts [][]levelUpdate
 }
 
-var scratchPool = sync.Pool{New: func() interface{} { return &scratch{} }}
+// Scratches recycle through spare, which keeps the last one returned,
+// and through scratchPool for runs that overlap it. A sync.Pool drops
+// its per-P cache at every garbage collection and allocates a new one
+// on its next use, so a process that makes one run after another, as
+// the serving applier does, would pay that allocation after every
+// collection; spare survives collections, so such runs reuse one
+// scratch without it.
+var (
+	spare       atomic.Pointer[scratch]
+	scratchPool = sync.Pool{New: func() interface{} { return &scratch{} }}
+)
 
 func getScratch(t topo.Topology) *scratch {
-	sc := scratchPool.Get().(*scratch)
+	sc := spare.Swap(nil)
+	if sc == nil {
+		sc = scratchPool.Get().(*scratch)
+	}
 	nodes := t.Nodes()
 	if sc.nodes != nodes {
 		sc.nodes = nodes
@@ -111,7 +125,9 @@ func putScratch(sc *scratch) {
 	sc.nodeTog.Reset()
 	sc.mark.Reset()
 	sc.seen.Reset()
-	scratchPool.Put(sc)
+	if !spare.CompareAndSwap(nil, sc) {
+		scratchPool.Put(sc)
+	}
 }
 
 // fillN2 adds set's N2 nodes — the nonfaulty endpoints of its faulty
@@ -171,12 +187,14 @@ func finalizeStable(entries []stableEntry) []stableEntry {
 }
 
 // frontier carries one engine run over the level table cur, whose
-// pages the run owns as sc.owned records. cold selects touchCold for
+// pages the run owns as sc.owned records. n is the topology's dimension,
+// the level whose nodes write marks safe. cold selects touchCold for
 // the whole run.
 type frontier struct {
 	t    topo.Topology
 	set  *faults.Set
 	cur  levelTable
+	n    uint8
 	sc   *scratch
 	cold bool
 }
@@ -263,7 +281,7 @@ func (f *frontier) run(as *Assignment, workers, roundCap int) (evals int, conver
 		as.deltas = append(as.deltas, len(updates))
 		as.stableSparse = slices.Grow(as.stableSparse, len(updates))
 		for _, u := range updates {
-			f.cur.write(sc.owned, int(u.node), u.level)
+			f.cur.write(sc.owned, int(u.node), u.level, f.n)
 			as.stableSparse = append(as.stableSparse, stableEntry{node: u.node, round: int32(as.rounds)})
 			touch(topo.NodeID(u.node))
 		}
@@ -343,7 +361,7 @@ func (f *frontier) finish(as *Assignment) {
 		for i := 0; i < n; i++ {
 			neigh[i], sc.sibs = reduceObserved(f.t, f.set, as.public, id, i, sc.sibs)
 		}
-		own.write(sc.owned, a, uint8(LevelFromNeighbors(neigh, cnt)))
+		own.write(sc.owned, a, uint8(LevelFromNeighbors(neigh, cnt)), f.n)
 		as.evals++
 	})
 	as.own = own

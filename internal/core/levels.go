@@ -286,7 +286,7 @@ func (as *Assignment) TableBytes() int {
 }
 
 // Safe reports whether node a is safe, i.e. has the maximum level n.
-func (as *Assignment) Safe(a topo.NodeID) bool { return as.Level(a) == as.t.Dim() }
+func (as *Assignment) Safe(a topo.NodeID) bool { return as.public.safe(int(a)) }
 
 // SafeSet returns all safe nodes in ascending order.
 func (as *Assignment) SafeSet() []topo.NodeID {
@@ -368,9 +368,10 @@ func compute(set *faults.Set, opts Options) (*Assignment, int) {
 	for _, a := range seeds {
 		sc.owned[a>>pageShift] = true
 	}
-	f := &frontier{t: t, set: set, cur: uniformTable(t.Nodes(), uint8(t.Dim()), sc.owned), sc: sc, cold: true}
+	n := uint8(t.Dim())
+	f := &frontier{t: t, set: set, cur: uniformTable(t.Nodes(), n, sc.owned), n: n, sc: sc, cold: true}
 	for _, a := range seeds {
-		f.cur.write(sc.owned, int(a), 0)
+		f.cur.write(sc.owned, int(a), 0, n)
 		f.touchCold(topo.NodeID(a))
 	}
 	sc.dirty = seeds
@@ -484,7 +485,9 @@ func reduceObserved(t topo.Topology, set *faults.Set, cur levelTable, id topo.No
 // its node faults from), and every nonfaulty node's level equals
 // Definition 1 (Definition 4 for generalized cubes) applied to its
 // neighbors' levels. For EGS assignments the public view is checked
-// over N1 and the own view over N2. It returns nil when the assignment
+// over N1 and the own view over N2. On every node, each table's safe
+// bit must read its level == n: the source step decides a safe source
+// from the own table's bit alone. It returns nil when the assignment
 // is consistent; Theorem 1 guarantees the consistent assignment is
 // unique.
 func (as *Assignment) Verify() error {
@@ -497,14 +500,17 @@ func (as *Assignment) Verify() error {
 	for a := 0; a < t.Nodes(); a++ {
 		id := topo.NodeID(a)
 		pub, own := as.Level(id), as.OwnLevel(id)
-		if set.NodeFaulty(id) {
-			if pub != 0 || own != 0 {
-				return fmt.Errorf("core: faulty node %s has nonzero level", t.Format(id))
-			}
-			continue
-		}
-		if own < 1 {
+		faulty := set.NodeFaulty(id)
+		switch {
+		case faulty && (pub != 0 || own != 0):
+			return fmt.Errorf("core: faulty node %s has nonzero level", t.Format(id))
+		case !faulty && own < 1:
 			return fmt.Errorf("core: nonfaulty node %s has own level 0", t.Format(id))
+		case as.own.safe(a) != (own == n) || as.public.safe(a) != (pub == n):
+			return fmt.Errorf("core: node %s has own level %d and public level %d, safe bits %v and %v",
+				t.Format(id), own, pub, as.own.safe(a), as.public.safe(a))
+		case faulty:
+			continue
 		}
 		inN2 := len(set.AdjacentFaultyLinks(id)) > 0
 		if inN2 {

@@ -127,6 +127,7 @@ func newRepairState(prev *Assignment, set *faults.Set, delta []faults.Delta, sc 
 		t:   t,
 		set: set,
 		cur: sc.fork(prev.public),
+		n:   uint8(t.Dim()),
 		sc:  sc,
 	}
 	sc.fillN2(set)
@@ -209,7 +210,7 @@ func newRepairState(prev *Assignment, set *faults.Set, delta []faults.Delta, sc 
 		switch {
 		case newC && !oldC: // D: newly clamped
 			if f.cur.at(a) != 0 {
-				f.cur.write(sc.owned, a, 0)
+				f.cur.write(sc.owned, a, 0, f.n)
 				sc.dropped = append(sc.dropped, int32(a))
 			}
 		case oldC && !newC: // U: released (rises in phase 2)

@@ -626,12 +626,17 @@ func TestSummaryObservesLikeAWalk(t *testing.T) {
 // with one node beyond the topology, through Summaries on one registry
 // and through Summary on another, on the live assignment and on its
 // detached copy. The answers must agree, and every route_* line must
-// read the same: count, which Summaries tallies through, and Summary's
-// observer calls are the two places an answer becomes metric updates.
-// The pairs go to Summaries in slices of 1, 3, 9, ... pairs, so gather
-// blocks both fill and fall short, under one stop that ends the run
-// three pairs before the last: the answers decided before it are
-// counted, the rest are neither answered nor counted.
+// read the same: count and RouteTally.CountC1, which Summaries tallies
+// through, and Summary's observer calls are the places an answer
+// becomes metric updates. The pairs go to Summaries in slices of 1, 3,
+// 9, ... pairs, under one stop that ends the run three pairs before the
+// last: the answers decided before it are counted, the rest are
+// neither answered nor counted. Last, on a Q4
+// with one dead link, 0000-0001, and one faulty node, 1111, it pins the
+// answers the safe-bit rule must not give: 0000 is safe, own level 4,
+// yet reaches the far end of its dead link only by C3's detour
+// (Section 4.1); a pair from a node to itself is C1 at distance 0; and
+// a faulty source is an error exit.
 func TestSummariesObserveLikeSummary(t *testing.T) {
 	for _, sc := range diffScenarios() {
 		s := sc.set()
@@ -663,6 +668,35 @@ func TestSummariesObserveLikeSummary(t *testing.T) {
 			}
 			if b, o := routeMetrics(t, batched), routeMetrics(t, single); b != o {
 				t.Fatalf("%s: route metrics differ\nSummaries:\n%s\nSummary:\n%s", sc.name, b, o)
+			}
+		}
+	}
+
+	c := topo.MustCube(4)
+	s := faults.NewSet(c)
+	if err := s.FailLink(0b0000, 0b0001); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FailNode(0b1111); err != nil {
+		t.Fatal(err)
+	}
+	live := Compute(s, Options{})
+	pairs := []Pair{{0b0000, 0b0001}, {0b0000, 0b0000}, {0b1111, 0b0011}}
+	want := []Summary{
+		{Condition: CondC3, Outcome: Suboptimal, Hamming: 1, Hops: 3},
+		{Condition: CondC1, Outcome: Optimal},
+		{Condition: CondNone, Outcome: Failure, Hamming: 2, Err: true},
+	}
+	for _, as := range []*Assignment{live, live.Detach()} {
+		if !as.own.safe(0) || as.Level(0) != 0 {
+			t.Fatalf("0000: own level %d, public level %d, want a safe N2 node", as.OwnLevel(0), as.Level(0))
+		}
+		rt := NewRouter(as, nil)
+		got := rt.Summaries(pairs, nil, nil)
+		for i, p := range pairs {
+			if got[i] != want[i] || rt.Summary(p.Src, p.Dst) != want[i] || rt.Unicast(p.Src, p.Dst).Summary() != want[i] {
+				t.Fatalf("pair %v: Summaries %+v, Summary %+v, Unicast %+v; want %+v",
+					p, got[i], rt.Summary(p.Src, p.Dst), rt.Unicast(p.Src, p.Dst).Summary(), want[i])
 			}
 		}
 	}

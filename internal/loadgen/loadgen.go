@@ -167,6 +167,23 @@ type Report struct {
 	Latency     LatencyReport            `json:"latency"`
 	PerKind     map[string]LatencyReport `json:"per_kind"`
 	WarmupOps   int64                    `json:"warmup_ops"`
+	// Lag is the open-loop generator's own delay, absent in closed
+	// loop.
+	Lag *LagReport `json:"lag,omitempty"`
+}
+
+// LagReport is how far an open-loop generator fell behind its own
+// schedule over the measured window: a request's lag is the time from
+// its scheduled start to its issue. Latency is measured from the
+// scheduled start, so a generator that cannot offer the rate charges
+// its own lag to the target; a run whose Behind is more than a small
+// share of Ops did not offer the rate it was asked to.
+type LagReport struct {
+	// Behind counts the requests issued more than one interval (a
+	// worker's period, Workers/Rate) after their scheduled start.
+	Behind int64 `json:"behind"`
+	// P99Us is the 99th percentile of every request's lag.
+	P99Us float64 `json:"p99_us"`
 }
 
 // recorder aggregates measurements wait-free across workers.
@@ -177,6 +194,10 @@ type recorder struct {
 	ops     atomic.Int64
 	classes [6]atomic.Int64
 	warmOps atomic.Int64
+	// lag holds the open-loop requests' lag in microseconds, and
+	// behind counts those issued more than one interval late.
+	lag    *obs.Histogram
+	behind atomic.Int64
 }
 
 var classIndex = map[string]int{
@@ -189,6 +210,7 @@ var classNames = []string{ClassOK, ClassOverload, ClassDeadline, ClassDraining, 
 func newRecorder() *recorder {
 	return &recorder{
 		all: obs.NewLatencyHistogram(),
+		lag: obs.NewLatencyHistogram(),
 		perKind: map[string]*obs.Histogram{
 			"route":    obs.NewLatencyHistogram(),
 			"batch":    obs.NewLatencyHistogram(),
@@ -217,7 +239,25 @@ func (rec *recorder) record(kind string, class string, us int64, warm bool) {
 	}
 }
 
-// Run drives the target with cfg and returns the measured report.
+// LateGrace is how long Run waits past the end of the measured window
+// for the requests and churn events still in flight. Then it cuts them
+// off: a request cut off is counted in ClassDeadline, an event as a
+// churn error. Without it a server that accepts a request and never
+// answers would hold Run for ever when Config.Deadline is 0.
+const LateGrace = 2 * time.Second
+
+// recordLag adds one open-loop request's lag, issued late by lag on a
+// schedule of one request per interval.
+func (rec *recorder) recordLag(lag, interval time.Duration) {
+	rec.lag.Observe(lag.Microseconds())
+	if lag > interval {
+		rec.behind.Add(1)
+	}
+}
+
+// Run drives the target with cfg and returns the measured report. It
+// returns within LateGrace of the window's end however the target
+// behaves.
 func Run(t Target, cfg Config) *Report {
 	workers := cfg.Workers
 	if workers < 1 {
@@ -240,6 +280,13 @@ func Run(t Target, cfg Config) *Report {
 	begin := time.Now()
 	warmUntil := begin.Add(cfg.Warmup)
 	end := warmUntil.Add(cfg.Duration)
+	// cutoff is done LateGrace after the window closes. Every request
+	// and churn event runs under it, each worker under a child of its
+	// own, so the engine's checks of a request's context never contend
+	// on one lock across workers.
+	cutoff, cut := context.WithCancel(context.Background())
+	defer cut()
+	defer time.AfterFunc(time.Until(end.Add(LateGrace)), cut).Stop()
 
 	stopChurn := make(chan struct{})
 	var churnWg sync.WaitGroup
@@ -272,7 +319,7 @@ func Run(t Target, cfg Config) *Report {
 				// A failed apply (backlog, transport) is counted and the
 				// event dropped; later events may then be no-ops against
 				// the target's set, which the apply path tolerates.
-				if err := t.ApplyEvent(context.Background(), ev); err != nil {
+				if err := t.ApplyEvent(cutoff, ev); err != nil {
 					churnErrors.Add(1)
 					continue
 				}
@@ -306,8 +353,7 @@ func Run(t Target, cfg Config) *Report {
 				case <-tick.C:
 				}
 				v := i % len(set)
-				ctx := context.Background()
-				if err := t.Fault(ctx, set[v], !down[v]); err != nil {
+				if err := t.Fault(cutoff, set[v], !down[v]); err != nil {
 					churnErrors.Add(1)
 					continue
 				}
@@ -334,6 +380,8 @@ func Run(t Target, cfg Config) *Report {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			wctx, wcancel := context.WithCancel(cutoff)
+			defer wcancel()
 			rng := newWorkerRNG(cfg.Seed, id)
 			// Open-loop schedule: worker id fires at begin + offset +
 			// k*interval; the offset staggers workers uniformly.
@@ -359,9 +407,12 @@ func Run(t Target, cfg Config) *Report {
 					// queued request, not just the one in flight.
 					start = next
 					next = next.Add(interval)
+					if now := time.Now(); !now.Before(warmUntil) {
+						rec.recordLag(now.Sub(start), interval)
+					}
 				}
 				kind := pickKind(rng, mix)
-				ctx := context.Background()
+				ctx := wctx
 				cancel := func() {}
 				if cfg.Deadline > 0 {
 					ctx, cancel = context.WithDeadline(ctx, time.Now().Add(cfg.Deadline))
@@ -381,7 +432,11 @@ func Run(t Target, cfg Config) *Report {
 				}
 				cancel()
 				us := time.Since(start).Microseconds()
-				rec.record(kind, Classify(err), us, time.Now().Before(warmUntil))
+				class := Classify(err)
+				if err != nil && wctx.Err() != nil {
+					class = ClassDeadline // cut off LateGrace past the window
+				}
+				rec.record(kind, class, us, time.Now().Before(warmUntil))
 			}
 		}(w)
 	}
@@ -411,6 +466,9 @@ func Run(t Target, cfg Config) *Report {
 		}
 	}
 	rep.OKPerSec = float64(rep.Classes[ClassOK]) / elapsed.Seconds()
+	if interval > 0 {
+		rep.Lag = &LagReport{Behind: rec.behind.Load(), P99Us: rec.lag.Snapshot().Quantile(0.99)}
+	}
 	var zero atomic.Int64
 	for kind, h := range rec.perKind {
 		if s := h.Snapshot(); s.Count > 0 {

@@ -89,6 +89,41 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 }
 
+// sleepTarget answers every route after sleeping d; nothing else is
+// driven.
+type sleepTarget struct{ d time.Duration }
+
+func (s sleepTarget) Nodes() int { return 64 }
+func (s sleepTarget) Route(ctx context.Context, src, dst int) error {
+	time.Sleep(s.d)
+	return nil
+}
+func (s sleepTarget) Batch(context.Context, [][2]int) error               { return nil }
+func (s sleepTarget) RouteAll(context.Context, int) error                 { return nil }
+func (s sleepTarget) Fault(context.Context, int, bool) error              { return nil }
+func (s sleepTarget) ApplyEvent(context.Context, faults.ChurnEvent) error { return nil }
+
+// TestRunOpenLoopLag checks the open-loop generator's report of its own
+// lag. A target that takes 10 ms per request on a 2 ms schedule holds
+// the one worker back, so nearly every request is issued more than one
+// interval late; a target that answers at once on a 25 ms schedule
+// leaves the worker asleep between requests, so none is, and the lag's
+// p99 is a small part of the interval. A closed loop has no schedule
+// and reports no lag.
+func TestRunOpenLoopLag(t *testing.T) {
+	slow := Run(sleepTarget{10 * time.Millisecond}, Config{Workers: 1, Rate: 500, Duration: 150 * time.Millisecond})
+	if slow.Lag == nil || slow.Lag.Behind < slow.Ops/2 || slow.Lag.P99Us < 2000 {
+		t.Fatalf("slow target: %d ops, lag %+v; want most requests more than 2ms late", slow.Ops, slow.Lag)
+	}
+	fast := Run(sleepTarget{}, Config{Workers: 1, Rate: 40, Duration: 300 * time.Millisecond})
+	if fast.Lag == nil || fast.Lag.Behind != 0 || fast.Lag.P99Us > 12500 || fast.Ops == 0 {
+		t.Fatalf("fast target: %d ops, lag %+v; want none late and p99 under half the 25ms interval", fast.Ops, fast.Lag)
+	}
+	if closed := Run(sleepTarget{}, Config{Workers: 1, Duration: 10 * time.Millisecond}); closed.Lag != nil {
+		t.Fatalf("closed loop reports lag %+v", closed.Lag)
+	}
+}
+
 // TestRunShedding: a tiny admission bucket turns most of the offered
 // load into ClassOverload without contaminating the OK latency digest.
 func TestRunShedding(t *testing.T) {

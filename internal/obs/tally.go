@@ -40,6 +40,19 @@ func (t *RouteTally) Count(cond CondCode, out OutcomeCode, hamming, hops, spares
 	}
 }
 
+// CountC1 adds n unicasts that C1 admitted and that were delivered on
+// optimal paths of hamming hops: what n calls of Count(CondCodeC1,
+// OutcomeOptimal, hamming, hamming, 0, false) add, in one update per
+// field.
+func (t *RouteTally) CountC1(hamming int, n uint32) {
+	t.cond[CondCodeC1] += int64(n)
+	t.outcome[OutcomeOptimal-1] += int64(n)
+	t.hops += int64(hamming) * int64(n)
+	t.hamming.addN(hamming, n)
+	t.pathHops.addN(hamming, n)
+	t.stretch.addN(0, n)
+}
+
 // Publish adds t's counts to the observer's metrics and empties t. The
 // observer's metrics take the whole tally in one update per touched
 // counter and histogram bucket; a traced observer records no events
@@ -72,8 +85,11 @@ type valueCounts struct {
 	n    [64]uint32
 }
 
-func (c *valueCounts) add(v int) {
-	c.n[v]++
+func (c *valueCounts) add(v int) { c.addN(v, 1) }
+
+// addN adds n observations of v.
+func (c *valueCounts) addN(v int, n uint32) {
+	c.n[v] += n
 	c.seen |= 1 << uint(v)
 }
 

@@ -13,14 +13,16 @@ import (
 // the longest route any topology has (a NavVector has 32 bits, so 32
 // preferred hops plus a detour's two). One registry's route_hamming
 // holds odd bounds, a duplicate and a gap among them, so a tally's
-// values merge into buckets the way Observe files them.
+// values merge into buckets the way Observe files them. The routes
+// marked byC1 reach the tally through one CountC1 call for all their
+// copies, the others through one Count call per copy.
 func TestRouteTallyPublishesLikeObserver(t *testing.T) {
 	type route struct {
-		cond           CondCode
-		out            OutcomeCode
-		hamming, hops  int
-		spares         int
-		errExit, twice bool
+		cond                 CondCode
+		out                  OutcomeCode
+		hamming, hops        int
+		spares               int
+		errExit, twice, byC1 bool
 	}
 	routes := []route{
 		{cond: CondCodeC1, out: OutcomeOptimal, hamming: 3, hops: 3},
@@ -29,7 +31,8 @@ func TestRouteTallyPublishesLikeObserver(t *testing.T) {
 		{cond: CondCodeC3, out: OutcomeSuboptimal, hamming: 4, hops: 6, spares: 1},
 		{cond: CondCodeNone, out: OutcomeFailure, hamming: 6},
 		{cond: CondCodeNone, out: OutcomeFailure, hamming: 2, errExit: true},
-		{cond: CondCodeC1, out: OutcomeOptimal, hamming: 32, hops: 32},
+		{cond: CondCodeC1, out: OutcomeOptimal, hamming: 32, hops: 32, byC1: true},
+		{cond: CondCodeC1, out: OutcomeOptimal, hamming: 7, hops: 7, twice: true, byC1: true},
 		{cond: CondCodeC3, out: OutcomeSuboptimal, hamming: 32, hops: 34, spares: 1, twice: true},
 		{cond: CondCodeC2, out: OutcomeOptimal, hamming: 9, hops: 9},
 	}
@@ -50,7 +53,12 @@ func TestRouteTallyPublishesLikeObserver(t *testing.T) {
 					note = "error exit"
 				}
 				o.Done(0, r.cond.String(), r.out.String(), r.hops, r.hamming, 0, note)
-				tally.Count(r.cond, r.out, r.hamming, r.hops, r.spares, r.errExit)
+				if !r.byC1 {
+					tally.Count(r.cond, r.out, r.hamming, r.hops, r.spares, r.errExit)
+				}
+			}
+			if r.byC1 {
+				tally.CountC1(r.hamming, uint32(1+btoi(r.twice)))
 			}
 		}
 		p.Publish(&tally)
@@ -62,8 +70,8 @@ func TestRouteTallyPublishesLikeObserver(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("bounds %v: tally published\n%v\nobserver counted\n%v", bounds, got, want)
 		}
-		if n := got.Counters[MetricUnicastsTotal]; n != 11 {
-			t.Fatalf("%s = %d, want 11", MetricUnicastsTotal, n)
+		if n := got.Counters[MetricUnicastsTotal]; n != 13 {
+			t.Fatalf("%s = %d, want 13", MetricUnicastsTotal, n)
 		}
 	}
 }

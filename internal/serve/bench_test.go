@@ -157,16 +157,25 @@ func BenchmarkServeBatch(b *testing.B) {
 // BenchmarkServeWireBatchQ20 runs execute on 64-pair OpBatch frames
 // the way slserve serves the q20-batch workload: a Q20 service with
 // 2000 uniform faults, a registry and the flight recorder, and random
-// pairs of distinct nonfaulty nodes from a ring of 2^15, so the 1 MiB
-// level table does not stay in cache between frames as 64 fixed pairs
-// on Q10 would. It reports ns/route. Under -benchmem it reads 0 B/op:
-// the sampled walk of one answer in summaryCheckEvery builds no route.
-func BenchmarkServeWireBatchQ20(b *testing.B) {
+// pairs of distinct nonfaulty nodes from a ring of 2^15, so the level
+// table does not stay in cache between frames as 64 fixed pairs on Q10
+// would. Almost every source is safe, so Summaries decides almost every
+// pair from its source's safe bit. It reports ns/route. Under -benchmem
+// it reads 0 B/op: the sampled walk of one answer in summaryCheckEvery
+// builds no route.
+func BenchmarkServeWireBatchQ20(b *testing.B) { benchWireBatchQ20(b, 2000) }
+
+// BenchmarkServeWireBatchQ20Dense is BenchmarkServeWireBatchQ20 with
+// 100,000 faults, where no source is safe: every pair takes the full
+// source step, whose own-level read goes to the 1 MiB level table.
+func BenchmarkServeWireBatchQ20Dense(b *testing.B) { benchWireBatchQ20(b, 100_000) }
+
+func benchWireBatchQ20(b *testing.B, nfaults int) {
 	const batch, ring = 64, 1 << 15
 	tp := topo.MustCube(20)
 	set := faults.NewSet(tp)
 	rng := stats.NewRNG(42)
-	if err := faults.InjectUniform(set, rng, 2000); err != nil {
+	if err := faults.InjectUniform(set, rng, nfaults); err != nil {
 		b.Fatal(err)
 	}
 	svc, err := New(set, Options{Registry: obs.NewRegistry()})
@@ -181,12 +190,16 @@ func BenchmarkServeWireBatchQ20(b *testing.B) {
 	}
 	frames := make([]frame, 0, ring/batch)
 	pairs := make([]wire.Pair, batch)
+	as, safe := svc.Current().Assignment(), 0
 	for len(frames) < cap(frames) {
 		for i := range pairs {
 			for {
 				s, d := topo.NodeID(rng.Intn(tp.Nodes())), topo.NodeID(rng.Intn(tp.Nodes()))
 				if s != d && !set.NodeFaulty(s) && !set.NodeFaulty(d) {
 					pairs[i] = wire.Pair{Src: uint32(s), Dst: uint32(d)}
+					if as.OwnLevel(s) == tp.Dim() {
+						safe++
+					}
 					break
 				}
 			}
@@ -197,6 +210,9 @@ func BenchmarkServeWireBatchQ20(b *testing.B) {
 			b.Fatal(err)
 		}
 		frames = append(frames, frame{hdr, f[wire.HeaderSize:]})
+	}
+	if nfaults == 100_000 && safe > 0 {
+		b.Fatalf("%d of the %d sources are safe, want none", safe, ring)
 	}
 	var cs connState
 	wire.PutBuf(ws.execute(frames[0].hdr, frames[0].body, &cs)) // size the scratch

@@ -273,8 +273,8 @@ func (s *Service) BatchUnicastCtx(ctx context.Context, reqs []Request) ([]*core.
 // BatchUnicastCtx's sequence: admission at one token per request, one
 // pinned snapshot, cancellation checked between items when ctx can be
 // done, and one flight record for the batch. The answers come from
-// core.Router.Summaries, which gathers each block's source levels
-// before deciding it and counts the batch's route_* updates in one
+// core.Router.Summaries, which decides a safe source from its safe bit
+// without a call and counts the batch's route_* updates in one
 // publish, including those of a batch cancelled part-way. Each answer
 // sc picks is also walked and compared (checkSummary).
 func (s *Service) batchAtSource(ctx context.Context, reqs []Request, out []core.Summary, sc *sampler) ([]core.Summary, uint64, error) {

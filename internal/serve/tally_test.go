@@ -126,8 +126,7 @@ func executeBatch(t testing.TB, ws *WireServer, cs *connState, pairs []wire.Pair
 // TestWireBatchCountsLikeSummary serves every pair of each scenario
 // through wire batch frames on one registry and through per-route
 // Snapshot.Summary on another: the answers and every route_* line must
-// be identical. The frames hold 64 pairs, then one, then 100, so the
-// gather blocks both fill and fall short.
+// be identical. The frames hold 64 pairs, then one, then 100.
 func TestWireBatchCountsLikeSummary(t *testing.T) {
 	for name, set := range countScenarios(t) {
 		bs, batched := registered(t, set)
@@ -288,7 +287,7 @@ func TestWireOversizeBatchKeepsScratch(t *testing.T) {
 	if want := "batch of 131071 pairs exceeds limit 4096"; detail != want {
 		t.Fatalf("detail %q, want %q", detail, want)
 	}
-	if c := cap(cs.pairs); c > MaxBatchPairs {
+	if c := cap(cs.reqs); c > MaxBatchPairs {
 		t.Fatalf("connection keeps room for %d pairs after the refusal, want at most %d", c, MaxBatchPairs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,11 +28,14 @@ import (
 // frame, GCRA admission, drain awareness — but decides each pair at the
 // source (Snapshot.Summary, or core.Router.Summaries for a batch,
 // which counts the frame's answers in one publish) instead of walking
-// it: a wire answer
-// carries no path, and on a served snapshot, always a fixpoint, the
-// source's decision fixes the rest (Theorem 3). A batch is answered on
-// the connection's goroutine. One answer in summaryCheckEvery is also
-// walked and compared, so a broken level invariant stays visible.
+// it: a wire answer carries no path, and on a served snapshot, always
+// a fixpoint, the source's decision fixes the rest (Theorem 3). A
+// batch is answered on the connection's goroutine in two passes over
+// its pairs: one validates and decodes them into the requests
+// Summaries decides, the other appends one record per answer to the
+// response frame, which wire.AppendBatchRespFrame opens. One answer in
+// summaryCheckEvery is also walked and compared, so a broken level
+// invariant stays visible.
 //
 // Answers leave in request order because frames run one at a time, and
 // a client that pipelines faster than the server routes is held back
@@ -321,15 +325,13 @@ func budgetCtx(deadlineUS uint32) (context.Context, context.CancelFunc) {
 }
 
 // connState is what a connection keeps between frames: the batch
-// scratch slices, which amortize decode, answers and encode across the
-// connection's lifetime, and the sampler that picks the answers to
-// check.
+// scratch slices, the decoded requests and their answers, which
+// amortize a batch across the connection's lifetime, and the sampler
+// that picks the answers to check.
 type connState struct {
-	pairs  []wire.Pair
-	reqs   []Request
-	sums   []core.Summary
-	routes []wire.RouteInfo
-	check  sampler
+	reqs  []Request
+	sums  []core.Summary
+	check sampler
 }
 
 // execute runs one request frame and returns its encoded response
@@ -365,10 +367,12 @@ func (ws *WireServer) execute(hdr wire.Header, body []byte, cs *connState) []byt
 		return frame
 
 	case wire.OpBatch:
-		// The limit is checked before any pair is decoded, so an
-		// oversize frame leaves the connection's scratch at its size.
-		deadline, ps, err := wire.ParseBatchReq(body, cs.pairs[:0], MaxBatchPairs)
-		cs.pairs = ps
+		// Two passes over the pairs: validate and decode them straight
+		// into the requests Summaries decides, then encode one answer
+		// per pair into the response frame. The limit is checked before
+		// any pair is decoded, so an oversize frame leaves the
+		// connection's scratch at its size.
+		deadline, n, err := wire.ParseBatchReqHeader(body, MaxBatchPairs)
 		if err != nil {
 			ws.mErrors.Inc()
 			code := wire.CodeBadRequest
@@ -377,16 +381,17 @@ func (ws *WireServer) execute(hdr wire.Header, body []byte, cs *connState) []byt
 			}
 			return errFrame(id, code, err.Error())
 		}
-		rq := cs.reqs[:0]
-		for _, q := range ps {
-			if !ws.svc.t.Contains(topo.NodeID(q.Src)) || !ws.svc.t.Contains(topo.NodeID(q.Dst)) {
+		nodes := uint32(ws.svc.t.Nodes())
+		rq := slices.Grow(cs.reqs[:0], n)[:n]
+		cs.reqs = rq
+		for i := range rq {
+			q := wire.BatchReqPair(body, i)
+			if q.Src >= nodes || q.Dst >= nodes {
 				ws.mErrors.Inc()
-				cs.reqs = rq
 				return errFrame(id, wire.CodeBadRequest, "node outside topology")
 			}
-			rq = append(rq, Request{Src: topo.NodeID(q.Src), Dst: topo.NodeID(q.Dst)})
+			rq[i] = Request{Src: topo.NodeID(q.Src), Dst: topo.NodeID(q.Dst)}
 		}
-		cs.reqs = rq
 		ctx, cancel := budgetCtx(deadline)
 		sums, gen, err := ws.svc.batchAtSource(ctx, rq, cs.sums[:0], &cs.check)
 		cancel()
@@ -395,14 +400,10 @@ func (ws *WireServer) execute(hdr wire.Header, body []byte, cs *connState) []byt
 			ws.mErrors.Inc()
 			return errFrame(id, wireErrCode(err), "")
 		}
-		out := cs.routes[:0]
+		frame := wire.AppendBatchRespFrame(wire.GetBuf(), id, gen, len(sums))
 		for _, sum := range sums {
-			out = append(out, routeInfoOf(sum))
+			frame = wire.AppendRouteInfo(frame, routeInfoOf(sum))
 		}
-		cs.routes = out
-		payload := wire.AppendBatchResp(wire.GetBuf(), gen, out)
-		frame := wire.AppendFrame(wire.GetBuf(), wire.OpBatch, wire.FlagResponse, id, payload)
-		wire.PutBuf(payload)
 		return frame
 
 	case wire.OpFeasibility:

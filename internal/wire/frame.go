@@ -240,17 +240,25 @@ func PutBuf(b []byte) {
 
 // AppendFrame appends a complete frame — header stamped with this
 // package's version and the payload's length, then the payload — to b
-// and returns the extended slice. This is the single encode entry both
-// sides use; payload is built by the message appenders in messages.go.
+// and returns the extended slice. Both sides encode every frame through
+// it, with the payload built by the message appenders in messages.go,
+// except a server's batch response, whose routes AppendBatchRespFrame
+// lets it append straight after the frame header.
 func AppendFrame(b []byte, op Op, flags Flags, reqID uint64, payload []byte) []byte {
+	b = appendFrameHeader(b, op, flags, reqID, len(payload))
+	return append(b, payload...)
+}
+
+// appendFrameHeader appends the header AppendFrame stamps on a payload
+// of size bytes.
+func appendFrameHeader(b []byte, op Op, flags Flags, reqID uint64, size int) []byte {
 	var hdr [HeaderSize]byte
 	PutHeader(hdr[:], Header{
 		Major: Major, Minor: Minor,
 		Op: op, Flags: flags, ReqID: reqID,
-		Len: uint32(len(payload)),
+		Len: uint32(size),
 	})
-	b = append(b, hdr[:]...)
-	return append(b, payload...)
+	return append(b, hdr[:]...)
 }
 
 // ReadFrame reads one frame from r: the fixed header, then exactly

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Payload layouts, all little-endian with fixed offsets. Appenders
@@ -79,13 +80,13 @@ type UnicastResp struct {
 
 // AppendUnicastResp appends the OpUnicast response payload.
 func AppendUnicastResp(b []byte, m UnicastResp) []byte {
-	var p [unicastRespSize]byte
+	var p [16]byte // Gen, then FlightID
 	binary.LittleEndian.PutUint64(p[0:], m.Gen)
 	binary.LittleEndian.PutUint64(p[8:], m.FlightID)
-	putRouteInfo(p[16:], m.Route)
+	b = AppendRouteInfo(append(b, p[:]...), m.Route)
 	// Two trailing pad bytes keep the payload 8-byte aligned for v1.x
 	// extensions; they must be zero.
-	return append(b, p[:]...)
+	return append(b, 0, 0)
 }
 
 // ParseUnicastResp decodes an OpUnicast response payload.
@@ -98,13 +99,6 @@ func ParseUnicastResp(p []byte) (UnicastResp, error) {
 		FlightID: binary.LittleEndian.Uint64(p[8:]),
 		Route:    routeInfoAt(p[16:]),
 	}, nil
-}
-
-func putRouteInfo(p []byte, r RouteInfo) {
-	p[0] = r.Outcome
-	p[1] = r.Cond
-	binary.LittleEndian.PutUint16(p[2:], r.Hamming)
-	binary.LittleEndian.PutUint16(p[4:], r.Hops)
 }
 
 func routeInfoAt(p []byte) RouteInfo {
@@ -140,26 +134,41 @@ func AppendBatchReq(b []byte, deadlineUS uint32, pairs []Pair) []byte {
 // error matching ErrTooLarge before any pair is decoded, so pairs never
 // grows past limit.
 func ParseBatchReq(p []byte, pairs []Pair, limit int) (deadlineUS uint32, out []Pair, err error) {
-	if len(p) < batchReqMin {
-		return 0, pairs, fmt.Errorf("%w: batch request %d < %d bytes", ErrShort, len(p), batchReqMin)
-	}
-	deadlineUS = binary.LittleEndian.Uint32(p[0:])
-	n := int(binary.LittleEndian.Uint32(p[4:]))
-	if want := batchReqMin + n*pairSize; len(p) != want {
-		return 0, pairs, fmt.Errorf("%w: batch request declares %d pairs (%d bytes), has %d", ErrShort, n, want, len(p))
-	}
-	if n > limit {
-		return 0, pairs, pairLimitError{n, limit}
+	deadlineUS, n, err := ParseBatchReqHeader(p, limit)
+	if err != nil {
+		return 0, pairs, err
 	}
 	out = pairs[:0]
 	for i := 0; i < n; i++ {
-		off := batchReqMin + i*pairSize
-		out = append(out, Pair{
-			Src: binary.LittleEndian.Uint32(p[off:]),
-			Dst: binary.LittleEndian.Uint32(p[off+4:]),
-		})
+		out = append(out, BatchReqPair(p, i))
 	}
 	return deadlineUS, out, nil
+}
+
+// ParseBatchReqHeader checks an OpBatch request payload as
+// ParseBatchReq does, without decoding a pair, and returns its
+// deadline budget and pair count n. Pair i, for i < n, is then
+// BatchReqPair(p, i), so a server decodes the pairs straight into its
+// own request type.
+func ParseBatchReqHeader(p []byte, limit int) (deadlineUS uint32, n int, err error) {
+	if len(p) < batchReqMin {
+		return 0, 0, fmt.Errorf("%w: batch request %d < %d bytes", ErrShort, len(p), batchReqMin)
+	}
+	n = int(binary.LittleEndian.Uint32(p[4:]))
+	if want := batchReqMin + n*pairSize; len(p) != want {
+		return 0, 0, fmt.Errorf("%w: batch request declares %d pairs (%d bytes), has %d", ErrShort, n, want, len(p))
+	}
+	if n > limit {
+		return 0, 0, pairLimitError{n, limit}
+	}
+	return binary.LittleEndian.Uint32(p[0:]), n, nil
+}
+
+// BatchReqPair decodes pair i of an OpBatch request payload that
+// ParseBatchReqHeader accepted.
+func BatchReqPair(p []byte, i int) Pair {
+	q := p[batchReqMin+i*pairSize:]
+	return Pair{Src: binary.LittleEndian.Uint32(q[0:]), Dst: binary.LittleEndian.Uint32(q[4:8])}
 }
 
 // pairLimitError is ParseBatchReq's refusal of a request that declares
@@ -176,16 +185,43 @@ func (e pairLimitError) Is(target error) bool { return target == ErrTooLarge }
 // generation, route count, then the compact per-route records in
 // request order.
 func AppendBatchResp(b []byte, gen uint64, routes []RouteInfo) []byte {
-	var hd [batchRespMin]byte
-	binary.LittleEndian.PutUint64(hd[0:], gen)
-	binary.LittleEndian.PutUint32(hd[8:], uint32(len(routes)))
-	b = append(b, hd[:]...)
+	b = appendBatchRespHeader(b, gen, len(routes))
 	for _, r := range routes {
-		var p [routeInfoSize]byte
-		putRouteInfo(p[:], r)
-		b = append(b, p[:]...)
+		b = AppendRouteInfo(b, r)
 	}
 	return b
+}
+
+// AppendBatchRespFrame appends the start of an OpBatch response frame
+// for request reqID: the frame header and the payload's own header, for
+// snapshot generation gen and n routes. The caller then appends the n
+// routes in request order with AppendRouteInfo, which completes the
+// frame byte for byte as AppendFrame(b, OpBatch, FlagResponse, reqID,
+// AppendBatchResp(nil, gen, routes)) would, without building the
+// payload apart. b is grown once to hold the whole frame.
+func AppendBatchRespFrame(b []byte, reqID, gen uint64, n int) []byte {
+	size := batchRespMin + n*routeInfoSize
+	b = slices.Grow(b, HeaderSize+size)
+	b = appendFrameHeader(b, OpBatch, FlagResponse, reqID, size)
+	return appendBatchRespHeader(b, gen, n)
+}
+
+// appendBatchRespHeader appends an OpBatch response payload's header:
+// the generation and the count of the n routes that follow.
+func appendBatchRespHeader(b []byte, gen uint64, n int) []byte {
+	var hd [batchRespMin]byte
+	binary.LittleEndian.PutUint64(hd[0:], gen)
+	binary.LittleEndian.PutUint32(hd[8:], uint32(n))
+	return append(b, hd[:]...)
+}
+
+// AppendRouteInfo appends one compact route record: outcome,
+// condition, then the Hamming distance and the hop count as
+// little-endian uint16s. It appends the bytes one by one: staged in an
+// array, they would be six narrow stores that the wide copy out of it
+// has to wait on.
+func AppendRouteInfo(b []byte, r RouteInfo) []byte {
+	return append(b, r.Outcome, r.Cond, byte(r.Hamming), byte(r.Hamming>>8), byte(r.Hops), byte(r.Hops>>8))
 }
 
 // ParseBatchResp decodes an OpBatch response into the caller's routes
