@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -86,5 +88,55 @@ func TestComputeFaultFreeQ20Bytes(t *testing.T) {
 	t.Logf("%d bytes per fault-free Q20 Compute", perRun)
 	if perRun >= 64<<10 {
 		t.Errorf("a fault-free Q20 Compute allocates %d bytes, want under 64 KiB", perRun)
+	}
+}
+
+// TestConcurrentRunsShareScratch runs cold runs and repairs from four
+// goroutines at once, on two topologies of different sizes, so the
+// engine's scratch passes between them through spare and scratchPool
+// and is resized on the way. Every run must equal the one made alone
+// before. Run it under -race.
+func TestConcurrentRunsShareScratch(t *testing.T) {
+	type job struct {
+		set  *faults.Set
+		prev *Assignment
+		d    []faults.Delta
+		want *Assignment
+	}
+	var jobs []job
+	for i, tp := range []topo.Topology{topo.MustCube(13), topo.MustMixed(3, 4, 5)} {
+		set := faults.NewSet(tp)
+		if err := faults.InjectUniform(set, stats.NewRNG(uint64(60+i)), 6); err != nil {
+			t.Fatal(err)
+		}
+		prev := Compute(set, Options{})
+		gen := set.Generation()
+		if err := set.FailNode(topo.NodeID(tp.Nodes() / 2)); err != nil {
+			t.Fatal(err)
+		}
+		d, _ := set.Since(gen)
+		jobs = append(jobs, job{set, prev, d, Compute(set, Options{})})
+	}
+	done := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			for k := 0; k < 20; k++ {
+				j := jobs[(g+k)%len(jobs)]
+				got, ok := Compute(j.set, Options{}), true
+				if k%2 == 1 {
+					got, ok = RepairLevels(j.prev, j.set, j.d, Options{})
+				}
+				if !ok || !slices.Equal(got.Levels(), j.want.Levels()) || !slices.Equal(ownLevels(got), ownLevels(j.want)) {
+					done <- fmt.Errorf("goroutine %d run %d on %v: levels differ from the run made alone", g, k, j.set.Topology())
+					return
+				}
+			}
+			done <- nil
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
 	}
 }

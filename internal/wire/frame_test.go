@@ -94,6 +94,17 @@ func TestBatchRoundTrip(t *testing.T) {
 	if len(rgot) != len(routes) || rgot[0] != routes[0] || rgot[1] != routes[1] {
 		t.Fatalf("batch resp: got %+v, want %+v", rgot, routes)
 	}
+	// A server opens the response frame and appends the routes to it;
+	// the bytes must be those of the payload framed whole.
+	for _, rs := range [][]RouteInfo{nil, routes} {
+		f := AppendBatchRespFrame([]byte{0xAA}, 5, 9, len(rs))
+		for _, r := range rs {
+			f = AppendRouteInfo(f, r)
+		}
+		if want := AppendFrame([]byte{0xAA}, OpBatch, FlagResponse, 5, AppendBatchResp(nil, 9, rs)); !bytes.Equal(f, want) {
+			t.Fatalf("%d routes: opened frame % x, framed payload % x", len(rs), f, want)
+		}
+	}
 }
 
 func TestBatchLengthMismatch(t *testing.T) {
