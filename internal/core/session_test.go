@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
@@ -313,6 +315,61 @@ func TestDisjointPathsImplyRoutability(t *testing.T) {
 					t.Fatalf("all rotation paths hit by %d < %d faults", nf, h)
 				}
 			}
+		}
+	}
+}
+
+// TestSessionTraceMatchesRouteTrace checks the two trace builders
+// against each other: with no mid-flight events, a traced session run
+// to its end records what Route.Trace builds from the walked route, on
+// binary and generalized cubes with node and link faults, and both
+// count the same route_* updates and keep the same traces. Faulty
+// sources are left out, since only Route.Trace carries the source
+// step's error.
+func TestSessionTraceMatchesRouteTrace(t *testing.T) {
+	rng := stats.NewRNG(29)
+	for _, tp := range []topo.Topology{topo.MustCube(5), topo.MustMixed(3, 2, 4)} {
+		set := faults.NewSet(tp)
+		if err := faults.InjectUniform(set, rng, 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := faults.InjectUniformLinks(set, rng, 3); err != nil {
+			t.Fatal(err)
+		}
+		as := Compute(set, Options{})
+		walked, stepped := obs.NewRegistry(), obs.NewRegistry()
+		walked.KeepTraces(1 << 12)
+		stepped.KeepTraces(1 << 12)
+		rt := NewRouter(as, nil).Observe(walked.RouteObserver())
+		st := NewRouter(as, nil).Observe(stepped.RouteObserver())
+		suboptimal := 0
+		for s := 0; s < tp.Nodes(); s++ {
+			if set.NodeFaulty(topo.NodeID(s)) {
+				continue
+			}
+			for d := 0; d < tp.Nodes(); d++ {
+				r := rt.Unicast(topo.NodeID(s), topo.NodeID(d))
+				want := r.Trace(as, 7)
+				walked.RouteObserver().Keep(want)
+				sess, got, _, out := st.StartTraced(topo.NodeID(s), topo.NodeID(d), 7)
+				if out != Failure {
+					if _, err := sess.Run(); err != nil {
+						t.Fatalf("%s: %d -> %d: %v", tp, s, d, err)
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %d -> %d: session trace\n%+v\nroute trace\n%+v", tp, s, d, got, want)
+				}
+				if r.Outcome == Suboptimal {
+					suboptimal++
+				}
+			}
+		}
+		if suboptimal == 0 {
+			t.Errorf("%s: no pair needed a detour", tp)
+		}
+		if w, s := walked.Snapshot(), stepped.Snapshot(); !reflect.DeepEqual(w, s) {
+			t.Errorf("%s: walked routes left\n%+v\nsessions left\n%+v", tp, w, s)
 		}
 	}
 }

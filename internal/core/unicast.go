@@ -126,7 +126,8 @@ type Route struct {
 	Gen uint64
 }
 
-// Len returns the number of hops traveled, or 0 for a failed unicast.
+// Len returns the number of hops traveled: 0 for a unicast refused at
+// the source, and the hops made for a walk that failed part-way.
 func (r *Route) Len() int { return r.Path.Len() }
 
 // Summary returns what the route's answer carries besides its path:
@@ -182,8 +183,8 @@ type Router struct {
 	// maxHops guards against forwarding loops if the caller routes on a
 	// deliberately inconsistent assignment.
 	maxHops int
-	// obs, when non-nil, receives admission/hop/outcome events. The
-	// nil case costs one branch per decision point.
+	// obs, when non-nil, receives each answer's route_* updates as a
+	// published tally. The nil case costs one branch per answer.
 	obs *obs.RouteObserver
 }
 
@@ -202,8 +203,8 @@ func NewRouter(as *Assignment, tie TieBreak) *Router {
 func (rt *Router) Assignment() *Assignment { return rt.as }
 
 // Observe attaches a route observer (nil detaches) and returns the
-// router for chaining. A traced observer must not be shared between
-// concurrent unicasts; counter-only observers may be.
+// router for chaining. Any number of routers may share one observer,
+// and route on it concurrently.
 func (rt *Router) Observe(o *obs.RouteObserver) *Router {
 	rt.obs = o
 	return rt
@@ -224,25 +225,12 @@ func (rt *Router) Feasibility(s, d topo.NodeID) (Condition, Outcome) {
 // without walking a hop or allocating. On a consistent assignment it
 // equals Unicast(s, d).Summary() (Theorem 3); on a deliberately
 // inconsistent one, such as truncated GS rounds, the walk can still
-// fail where the summary promised a route. The observer sees what a
-// counter-only observer sees of the walk: the admission, the route's
-// hops in one update, and the outcome with a note on an error exit. A
-// traced observer records no hop events.
+// fail where the summary promised a route. The observer counts the
+// answer as it counts the walk's.
 func (rt *Router) Summary(s, d topo.NodeID) Summary {
 	sum, _ := rt.summary(s, d)
-	if o := rt.obs; o != nil {
-		rt.observeAdmit(s, sum)
-		at, note := s, ""
-		if sum.Err {
-			note = sourceExitNote
-		}
-		if sum.Outcome != Failure {
-			at = d
-			if sum.Hops > 0 {
-				o.CountHops(sum.Hops, sum.Detours())
-			}
-		}
-		o.Done(int(at), sum.Condition.String(), sum.Outcome.String(), sum.Hops, sum.Hamming, 0, note)
+	if rt.obs != nil {
+		rt.observe(sum)
 	}
 	return sum
 }
@@ -256,12 +244,12 @@ type Pair struct {
 // and appends the answers to out. A pair whose source is safe
 // (safeSource) is decided in the loop itself, from the source's safe
 // bit, without a call; any other pair takes the full source step. The
-// observer sees what Summary's sees of every answer, in one update per
+// observer counts every answer as Summary does, in one update per
 // counter and histogram bucket once the last pair is decided (an
-// obs.RouteTally filled by count, and by CountC1 for the safe
-// sources' answers); a traced observer records no events. A non-nil stop
-// is asked before each pair, and once it reports true Summaries
-// returns the answers decided so far, which are counted too.
+// obs.RouteTally filled by count, and by CountC1 for the safe sources'
+// answers). A non-nil stop is asked before each pair, and once it
+// reports true Summaries returns the answers decided so far, which are
+// counted too.
 func (rt *Router) Summaries(pairs []Pair, out []Summary, stop func() bool) []Summary {
 	var (
 		tally obs.RouteTally
@@ -296,11 +284,20 @@ func (rt *Router) Summaries(pairs []Pair, out []Summary, stop func() bool) []Sum
 	return out
 }
 
-// count adds an answer's route_* updates to tally: the updates
-// Summary's observer makes for it, which
-// TestSummariesObserveLikeSummary holds equal.
+// count adds an answer's route_* updates to tally. For a walked route
+// sum is Route.Summary, whose Hops are the hops the walk made, also
+// when it failed part-way.
 func count(tally *obs.RouteTally, sum Summary) {
 	tally.Count(obs.CondCode(sum.Condition), obs.OutcomeCode(sum.Outcome)+1, sum.Hamming, sum.Hops, sum.Detours(), sum.Err)
+}
+
+// observe publishes one answer's route_* updates to the attached
+// observer. Its callers check that one is attached, so an unobserved
+// answer does no counting work.
+func (rt *Router) observe(sum Summary) {
+	var tally obs.RouteTally
+	count(&tally, sum)
+	rt.obs.Publish(&tally)
 }
 
 // source is the algorithm's source step, the one decision Feasibility,
@@ -365,10 +362,6 @@ func (rt *Router) summary(s, d topo.NodeID) (Summary, topo.NavVector) {
 // errOutside is the error exit of an endpoint outside the topology.
 var errOutside = errors.New("core: node outside cube")
 
-// sourceExitNote is the observer's note on a summarized error exit:
-// Summary reports the exit without building Unicast's error.
-const sourceExitNote = "core: source faulty or outside the topology"
-
 // sourceErr is Route.Err for an error exit of the source step.
 func (rt *Router) sourceErr(s, d topo.NodeID) error {
 	t := rt.as.t
@@ -376,16 +369,6 @@ func (rt *Router) sourceErr(s, d topo.NodeID) error {
 		return errOutside
 	}
 	return fmt.Errorf("core: source %s is faulty", t.Format(s))
-}
-
-// observeAdmit reports the source step to the observer; the source's
-// own level is 0 on an error exit.
-func (rt *Router) observeAdmit(s topo.NodeID, sum Summary) {
-	level := 0
-	if !sum.Err {
-		level = rt.as.OwnLevel(s)
-	}
-	rt.obs.Admit(int(s), sum.Hamming, level, sum.Condition.String(), sum.Outcome.String())
 }
 
 // admit is Feasibility over the navigation vector nav = N(s, d) for a
@@ -462,22 +445,19 @@ func (rt *Router) Unicast(s, d topo.NodeID) *Route {
 	if sum.Err {
 		r.Err = rt.sourceErr(s, d)
 	}
+	if r.Outcome != Failure {
+		r.Path = append(make(topo.Path, 0, sum.Hops+1), s)
+		if s != d {
+			r.Hops = make([]Hop, 0, sum.Hops)
+			if _, err := rt.walk(s, d, nav, sum, r); err != nil {
+				r.Err, r.Outcome = err, Failure
+			}
+		}
+	}
 	if rt.obs != nil {
-		rt.observeAdmit(s, sum)
+		rt.observe(r.Summary())
 	}
-	if r.Outcome == Failure {
-		return rt.finishObs(r, s)
-	}
-	r.Path = append(make(topo.Path, 0, sum.Hops+1), s)
-	if s == d {
-		return rt.finishObs(r, s)
-	}
-	r.Hops = make([]Hop, 0, sum.Hops)
-	at, _, err := rt.walk(s, d, nav, sum, r)
-	if err != nil {
-		r.Err, r.Outcome = err, Failure
-	}
-	return rt.finishObs(r, at)
+	return r
 }
 
 // WalkSummary routes from s to d hop by hop as Unicast does and returns
@@ -490,7 +470,7 @@ func (rt *Router) WalkSummary(s, d topo.NodeID) Summary {
 	if sum.Outcome == Failure || s == d {
 		return sum
 	}
-	_, hops, err := rt.walk(s, d, nav, sum, nil)
+	hops, err := rt.walk(s, d, nav, sum, nil)
 	if err != nil {
 		sum.Outcome, sum.Err = Failure, true
 	}
@@ -500,10 +480,10 @@ func (rt *Router) WalkSummary(s, d topo.NodeID) Summary {
 
 // walk forwards a message that the source step admitted as sum, from s
 // toward d along the navigation vector nav, and appends each hop to r's
-// Hops and Path when r is non-nil. It returns the node the message
-// reached, the hops it made and, when a step found no usable neighbor
-// or the hops ran past maxHops, the error that ended it.
-func (rt *Router) walk(s, d topo.NodeID, nav topo.NavVector, sum Summary, r *Route) (cur topo.NodeID, hops int, err error) {
+// Hops and Path when r is non-nil. It returns the hops it made and,
+// when a step found no usable neighbor or the hops ran past maxHops,
+// the error that ended it.
+func (rt *Router) walk(s, d topo.NodeID, nav topo.NavVector, sum Summary, r *Route) (hops int, err error) {
 	t, cur := rt.as.t, s
 	if sum.Condition == CondC3 {
 		// Suboptimal first hop: the spare neighbor with the highest
@@ -512,7 +492,7 @@ func (rt *Router) walk(s, d topo.NodeID, nav topo.NavVector, sum Summary, r *Rou
 		if !ok {
 			// Unreachable when admit just admitted C3 on the same oracle;
 			// kept as a guard for inconsistent ablations.
-			return cur, hops, fmt.Errorf("core: node %s has no usable spare neighbor", t.Format(cur))
+			return hops, fmt.Errorf("core: node %s has no usable spare neighbor", t.Format(cur))
 		}
 		nav = nav.Flip(dim)
 		if r != nil {
@@ -523,11 +503,11 @@ func (rt *Router) walk(s, d topo.NodeID, nav topo.NavVector, sum Summary, r *Rou
 	}
 	for k := 0; nav != 0; k++ {
 		if k > rt.maxHops {
-			return cur, hops, fmt.Errorf("core: forwarding exceeded %d hops (inconsistent levels?)", rt.maxHops)
+			return hops, fmt.Errorf("core: forwarding exceeded %d hops (inconsistent levels?)", rt.maxHops)
 		}
 		dim, next, ok := rt.pickPreferred(cur, d, nav)
 		if !ok {
-			return cur, hops, fmt.Errorf("core: node %s has no usable preferred neighbor (nav %0*b)",
+			return hops, fmt.Errorf("core: node %s has no usable preferred neighbor (nav %0*b)",
 				t.Format(cur), t.Dim(), nav)
 		}
 		nav = nav.Flip(dim)
@@ -538,35 +518,49 @@ func (rt *Router) walk(s, d topo.NodeID, nav topo.NavVector, sum Summary, r *Rou
 		cur = next
 		hops++
 	}
-	return cur, hops, nil
+	return hops, nil
 }
 
-// finishObs emits the route's hop and terminal observations and returns
-// the route unchanged. It is a no-op without an observer. A traced
-// observer gets one event per hop; a counter-only one, shared by every
-// concurrent unicast, gets the route's hops in a single update.
-func (rt *Router) finishObs(r *Route, at topo.NodeID) *Route {
-	o := rt.obs
-	if o == nil {
-		return r
+// Trace returns the route's decision trace, for the route as walked on
+// assignment as and served at fault-set generation gen: the admission
+// at the source, one event per hop, and the outcome, stamped with the
+// route's FlightID. The admission reports the source's own level, or 0
+// on an error exit of the source step. A hop reports the public level,
+// in as, of the node it reached, not the sender's link-adjusted view,
+// which is what an operator comparing against the levels sees.
+func (r *Route) Trace(as *Assignment, gen uint64) *obs.RouteTrace {
+	cond, out := r.Condition.String(), r.Outcome.String()
+	t := &obs.RouteTrace{
+		Source: int(r.Source), Dest: int(r.Dest), Hamming: r.Hamming,
+		RequestID: r.FlightID, Generation: gen,
+		Cond: cond, Outcome: out, PathLen: r.Len(),
+		Events: make([]obs.RouteEvent, 0, len(r.Hops)+2),
 	}
-	if o.Trace() != nil {
-		for _, h := range r.Hops {
-			o.Hop(int(h.From), int(h.To), h.Dim, rt.as.Level(h.To), h.Spare)
-		}
-	} else if len(r.Hops) > 0 {
-		spares := 0
-		if r.Hops[0].Spare {
-			spares = 1
-		}
-		o.CountHops(len(r.Hops), spares)
+	// The source step's error exits are the routes with an error and
+	// no path.
+	level := 0
+	if r.Err == nil || r.Path != nil {
+		level = as.OwnLevel(r.Source)
+	}
+	t.Events = append(t.Events, obs.RouteEvent{
+		Kind: obs.EvAdmit, Node: int(r.Source), Hamming: r.Hamming, Level: level, Cond: cond, Outcome: out,
+	})
+	at := r.Source
+	for _, h := range r.Hops {
+		t.Events = append(t.Events, obs.RouteEvent{
+			Kind: obs.EvHop, Node: int(h.To), From: int(h.From), Dim: h.Dim, Level: as.Level(h.To), Spare: h.Spare,
+		})
+		at = h.To
 	}
 	note := ""
 	if r.Err != nil {
 		note = r.Err.Error()
 	}
-	o.Done(int(at), r.Condition.String(), r.Outcome.String(), r.Path.Len(), r.Hamming, 0, note)
-	return r
+	t.Events = append(t.Events, obs.RouteEvent{Kind: obs.EvDone, Node: int(at), Cond: cond, Outcome: out, Note: note})
+	if r.Outcome != Failure {
+		t.Stretch = t.PathLen - r.Hamming
+	}
+	return t
 }
 
 // pickPreferred chooses, in one pass over the set bits of nav = N(cur, d),

@@ -123,9 +123,9 @@ func TestHopNavCarried(t *testing.T) {
 	}
 }
 
-// TestObserverHopCounts checks that a counter-only observer, which gets
-// each route's hops in one update, and a traced observer, which gets one
-// event per hop, count the same hops and spare hops as the routes hold.
+// TestObserverHopCounts checks that an observer, which gets each
+// route's hops in one update, counts the same hops and spare hops as
+// the routes hold.
 func TestObserverHopCounts(t *testing.T) {
 	set := faults.NewSet(topo.MustMixed(4, 2, 3))
 	rng := stats.NewRNG(11)
@@ -136,9 +136,8 @@ func TestObserverHopCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	as := Compute(set, Options{})
-	counted, traced := obs.NewRegistry(), obs.NewRegistry()
+	counted := obs.NewRegistry()
 	rt := NewRouter(as, LowestDim).Observe(counted.RouteObserver())
-	ro := traced.RouteObserver()
 	var hops, spares int64
 	nodes := set.Topology().Nodes()
 	for s := 0; s < nodes; s++ {
@@ -148,17 +147,14 @@ func TestObserverHopCounts(t *testing.T) {
 			if len(r.Hops) > 0 && r.Hops[0].Spare {
 				spares++
 			}
-			NewRouter(as, LowestDim).Observe(ro.WithTrace(s, d, r.Hamming)).Unicast(topo.NodeID(s), topo.NodeID(d))
 		}
 	}
 	if spares == 0 {
 		t.Fatal("fault set admits no C3 route")
 	}
-	for _, reg := range []*obs.Registry{counted, traced} {
-		c := reg.Snapshot().Counters
-		if c[obs.MetricHopsTotal] != hops || c[obs.MetricSpareHopsTotal] != spares {
-			t.Errorf("hops %d spares %d, want %d and %d",
-				c[obs.MetricHopsTotal], c[obs.MetricSpareHopsTotal], hops, spares)
-		}
+	c := counted.Snapshot().Counters
+	if c[obs.MetricHopsTotal] != hops || c[obs.MetricSpareHopsTotal] != spares {
+		t.Errorf("hops %d spares %d, want %d and %d",
+			c[obs.MetricHopsTotal], c[obs.MetricSpareHopsTotal], hops, spares)
 	}
 }

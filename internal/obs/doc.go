@@ -14,6 +14,14 @@
 // is read atomically; cross-metric skew is possible by design), which
 // keeps the fast path free of locks and safe under `go test -race`.
 //
+// Routing reaches the route_* metrics one way: a RouteTally counts the
+// answers of one unicast, batch or session call in plain fields, and
+// RouteObserver.Publish adds it to the shared metrics, so one observer
+// serves any number of concurrent routers. A unicast's decision trace
+// (RouteTrace) is built by the router that walked it, outside obs, and
+// enters the registry's ring of recent traces through
+// RouteObserver.Keep.
+//
 // Latency measurement lives in latency.go: fixed-boundary log-spaced
 // (1-2-5 per decade) microsecond histograms whose tail quantiles
 // (p50/p90/p99/p999) are estimated at exposition time and are exact to

@@ -35,14 +35,10 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if o != nil {
 		t.Fatal("nil registry must yield a nil observer")
 	}
-	o.Admit(0, 1, 2, "C1", "optimal")
-	o.Hop(0, 1, 0, 3, false)
-	o.Blocked(1)
-	o.Reroute(1, 2, "C3", "suboptimal", false)
-	o.Done(2, "C3", "suboptimal", 4, 2, 1, "")
-	if o.WithTrace(0, 1, 1) != nil || o.Trace() != nil {
-		t.Error("nil observer must stay nil through WithTrace")
-	}
+	var tally RouteTally
+	tally.Count(CondCodeC3, OutcomeSuboptimal, 2, 4, 1, false)
+	o.Publish(&tally)
+	o.Keep(&RouteTrace{})
 	snap := r.Snapshot()
 	if snap == nil || len(snap.Counters) != 0 {
 		t.Error("nil registry snapshot must be empty but marshalable")
@@ -211,38 +207,34 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// TestTracedObserverSharesCounters checks that a published tally feeds
+// the observer's counters and leaves the trace ring alone, which only
+// Keep fills.
 func TestTracedObserverSharesCounters(t *testing.T) {
 	r := NewRegistry()
 	r.KeepTraces(8)
 	base := r.RouteObserver()
-	tr1 := base.WithTrace(0, 3, 2)
-	tr1.Admit(0, 2, 4, "C1", "optimal")
-	tr1.Hop(0, 1, 0, 4, false)
-	tr1.Hop(1, 3, 1, 4, false)
-	tr1.Done(3, "C1", "optimal", 2, 2, 0, "")
-	// The untraced base observer feeds the same counters without events.
-	base.Admit(5, 1, 4, "C2", "optimal")
-	base.Hop(5, 4, 0, 3, false)
-	base.Done(4, "C2", "optimal", 1, 1, 0, "")
+	// A published tally feeds the counters and enqueues no trace.
+	var tally RouteTally
+	tally.Count(CondCodeC2, OutcomeOptimal, 1, 1, 0, false)
+	base.Publish(&tally)
 
 	s := r.Snapshot()
-	if s.Counters[MetricUnicastsTotal] != 2 || s.Counters[MetricHopsTotal] != 3 {
+	if s.Counters[MetricUnicastsTotal] != 1 || s.Counters[MetricHopsTotal] != 1 {
 		t.Errorf("shared counters: %+v", s.Counters)
 	}
-	if base.Trace() != nil {
-		t.Error("base observer must not accumulate events")
-	}
-	if got := tr1.Trace(); len(got.Events) != 4 || got.Outcome != "optimal" || got.Stretch != 0 {
-		t.Errorf("trace = %+v", got)
-	}
-	if len(s.Traces) != 1 {
-		t.Errorf("ring holds %d traces, want 1 (untraced Done must not enqueue)", len(s.Traces))
+	if len(s.Traces) != 0 {
+		t.Errorf("ring holds %d traces, want 0 (a publish must not enqueue)", len(s.Traces))
 	}
 	// Failure outcomes stay out of the hop/stretch histograms.
-	base.Admit(6, 3, 0, "none", "failure")
-	base.Done(6, "none", "failure", 0, 3, 0, "")
-	if h := r.Snapshot().Histograms[MetricHopsHist]; h.Count != 2 {
+	tally.Count(CondCodeNone, OutcomeFailure, 3, 0, 0, false)
+	base.Publish(&tally)
+	if h := r.Snapshot().Histograms[MetricHopsHist]; h.Count != 1 {
 		t.Errorf("failure leaked into path-hops histogram: %+v", h)
+	}
+	base.Keep(&RouteTrace{Source: 5, Dest: 4})
+	if tr := r.Snapshot().Traces; len(tr) != 1 || tr[0].Source != 5 {
+		t.Errorf("ring after Keep: %+v", tr)
 	}
 }
 

@@ -2,42 +2,73 @@ package obs
 
 import "math/bits"
 
-// RouteTally holds the route_* updates of a run of unicasts in plain
-// fields, for the one goroutine that fills it, until
-// RouteObserver.Publish adds them to the shared metrics at once. A
+// RouteTally holds route_* updates in plain fields, for the one
+// goroutine that fills it, until RouteObserver.Publish adds them to the
+// shared metrics at once. It is the one place an answer becomes route_*
+// updates: a unicast decided at the source or walked, a batch of them,
+// and a session's admission, hops, blockages, reroutes and outcome. A
 // route costs the tally a few plain increments; a publish costs one
-// atomic add per counter and histogram bucket the run touched. A
-// counter-only observer pays about thirteen atomic read-modify-writes
-// and three bucket searches per route, on metrics every connection
-// shares. A tally counts fewer than 2^32 routes between publishes.
+// atomic add per counter and histogram bucket the tally touched. A
+// tally counts fewer than 2^32 routes between publishes.
 type RouteTally struct {
-	cond                 [4]int64 // by CondCode
-	outcome              [3]int64 // by OutcomeCode - 1
-	hops, spares, errors int64
+	cond    [4]int64 // by CondCode
+	outcome [3]int64 // by OutcomeCode - 1
+
+	hops, spares, errors      int64
+	blocked, reroutes, aborts int64
 
 	hamming, pathHops, stretch valueCounts
 }
 
-// Count adds one unicast: cond and out are its admission condition and
-// outcome (OutcomeOptimal to OutcomeFailure), hamming its distance,
-// hops its length and spares its detour hops, and errExit marks an
-// error exit. These are the updates a counter-only observer's Admit,
-// CountHops and Done make for the route. The distance and the length
-// are below 64: a NavVector has 32 bits, so no route has more than 34
-// hops.
-func (t *RouteTally) Count(cond CondCode, out OutcomeCode, hamming, hops, spares int, errExit bool) {
+// Admit adds one admission at the source: cond is the condition that
+// held (CondCodeNone when none did) and hamming the distance.
+func (t *RouteTally) Admit(cond CondCode, hamming int) {
 	t.cond[cond]++
 	t.hamming.add(hamming)
+}
+
+// Hops adds hops link crossings, spares of them detour hops.
+func (t *RouteTally) Hops(hops, spares int) {
+	t.hops += int64(hops)
+	t.spares += int64(spares)
+}
+
+// Outcome adds one resolved unicast: out is its outcome (OutcomeOptimal
+// to OutcomeFailure), pathLen the hops it traveled, hamming the
+// distance it was admitted at, and errExit marks an error exit. A
+// failure adds to neither the path-length nor the stretch histogram.
+func (t *RouteTally) Outcome(out OutcomeCode, pathLen, hamming int, errExit bool) {
 	t.outcome[out-1]++
 	if errExit {
 		t.errors++
 	}
 	if out != OutcomeFailure {
-		t.hops += int64(hops)
-		t.spares += int64(spares)
-		t.pathHops.add(hops)
-		t.stretch.add(hops - hamming)
+		t.pathHops.add(pathLen)
+		t.stretch.add(pathLen - hamming)
 	}
+}
+
+// Blocked adds one mid-flight blockage: no usable preferred neighbor
+// remained.
+func (t *RouteTally) Blocked() { t.blocked++ }
+
+// Reroute adds one re-admission from the node holding the message;
+// failed marks the paper's abort branch.
+func (t *RouteTally) Reroute(failed bool) {
+	if failed {
+		t.aborts++
+	} else {
+		t.reroutes++
+	}
+}
+
+// Count adds one unicast: Admit(cond, hamming), Hops(hops, spares) and
+// Outcome(out, hops, hamming, errExit). A walk that failed part-way
+// counts the hops it made.
+func (t *RouteTally) Count(cond CondCode, out OutcomeCode, hamming, hops, spares int, errExit bool) {
+	t.Admit(cond, hamming)
+	t.Hops(hops, spares)
+	t.Outcome(out, hops, hamming, errExit)
 }
 
 // CountC1 adds n unicasts that C1 admitted and that were delivered on
@@ -53,23 +84,24 @@ func (t *RouteTally) CountC1(hamming int, n uint32) {
 	t.stretch.addN(0, n)
 }
 
-// Publish adds t's counts to the observer's metrics and empties t. The
-// observer's metrics take the whole tally in one update per touched
-// counter and histogram bucket; a traced observer records no events
-// from a tally.
+// Publish adds t's counts to the observer's metrics and empties t. It
+// is the only writer of the route_* metrics: they take the whole tally
+// in one update per touched counter and histogram bucket.
 func (o *RouteObserver) Publish(t *RouteTally) {
 	if o != nil {
 		o.unicasts.Add(t.cond[0] + t.cond[1] + t.cond[2] + t.cond[3])
-		o.admitNone.Add(t.cond[CondCodeNone])
-		o.admitC1.Add(t.cond[CondCodeC1])
-		o.admitC2.Add(t.cond[CondCodeC2])
-		o.admitC3.Add(t.cond[CondCodeC3])
-		o.optimal.Add(t.outcome[OutcomeOptimal-1])
-		o.suboptimal.Add(t.outcome[OutcomeSuboptimal-1])
-		o.failure.Add(t.outcome[OutcomeFailure-1])
+		for c, n := range t.cond {
+			o.cond[c].Add(n)
+		}
+		for i, n := range t.outcome {
+			o.outcome[i].Add(n)
+		}
 		o.hops.Add(t.hops)
 		o.spares.Add(t.spares)
 		o.errors.Add(t.errors)
+		o.blocked.Add(t.blocked)
+		o.reroutes.Add(t.reroutes)
+		o.aborts.Add(t.aborts)
 		o.hammingH.addCounts(&t.hamming)
 		o.hopsH.addCounts(&t.pathHops)
 		o.stretchH.addCounts(&t.stretch)
@@ -79,15 +111,25 @@ func (o *RouteObserver) Publish(t *RouteTally) {
 
 // valueCounts counts one histogram's observations by value: n[v]
 // observations of v, with bit v of seen set once n[v] > 0, so a publish
-// visits only the values seen.
+// visits only the values seen. A value of 64 or more goes to long
+// instead: no unicast has more than 34 hops (a NavVector has 32 bits),
+// but a session that rerouted many times can.
 type valueCounts struct {
 	seen uint64
 	n    [64]uint32
+	long []int64
 }
 
-func (c *valueCounts) add(v int) { c.addN(v, 1) }
+// add adds one observation of v >= 0.
+func (c *valueCounts) add(v int) {
+	if v >= len(c.n) {
+		c.long = append(c.long, int64(v))
+		return
+	}
+	c.addN(v, 1)
+}
 
-// addN adds n observations of v.
+// addN adds n observations of v < 64.
 func (c *valueCounts) addN(v int, n uint32) {
 	c.n[v] += n
 	c.seen |= 1 << uint(v)
@@ -96,7 +138,13 @@ func (c *valueCounts) addN(v int, n uint32) {
 // addCounts adds the observations c counts: one atomic add per bucket
 // they fall in, plus one each for the sum and the count.
 func (h *Histogram) addCounts(c *valueCounts) {
-	if h == nil || c.seen == 0 {
+	if h == nil {
+		return
+	}
+	for _, v := range c.long {
+		h.Observe(v)
+	}
+	if c.seen == 0 {
 		return
 	}
 	var sum, count, run int64

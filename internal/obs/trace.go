@@ -147,38 +147,21 @@ func (t *RouteTrace) Format(fmtNode func(int) string) string {
 	return b.String()
 }
 
-// RouteObserver instruments unicast routing: it always maintains the
-// aggregate counters and, when armed with WithTrace, additionally
-// records the structured per-hop event sequence. A nil observer is a
-// no-op; the non-trace counter path is safe for concurrent use by many
-// routers sharing one observer.
+// RouteObserver holds the route_* metrics of one registry, resolved
+// once. Publish, its only writer, adds a RouteTally to them; Keep adds a
+// finished trace to the registry's ring. A nil observer is a no-op, and
+// one observer is safe for concurrent use by any number of routers and
+// sessions.
 type RouteObserver struct {
 	reg *Registry
 
-	unicasts  *Counter
-	admitC1   *Counter
-	admitC2   *Counter
-	admitC3   *Counter
-	admitNone *Counter
+	unicasts *Counter
+	cond     [4]*Counter // admissions by CondCode
+	outcome  [3]*Counter // by OutcomeCode - 1
 
-	optimal    *Counter
-	suboptimal *Counter
-	failure    *Counter
+	hops, spares, blocked, reroutes, aborts, errors *Counter
 
-	hops     *Counter
-	spares   *Counter
-	blocked  *Counter
-	reroutes *Counter
-	aborts   *Counter
-	errors   *Counter
-
-	hammingH *Histogram
-	hopsH    *Histogram
-	stretchH *Histogram
-
-	// trace, when non-nil, is the single-unicast event recorder. A
-	// traced observer must not be shared across concurrent unicasts.
-	trace *RouteTrace
+	hammingH, hopsH, stretchH *Histogram
 }
 
 // Route metric names (see the README metric reference table).
@@ -285,178 +268,35 @@ func (r *Registry) RouteObserver() *RouteObserver {
 		return nil
 	}
 	return &RouteObserver{
-		reg:        r,
-		unicasts:   r.Counter(MetricUnicastsTotal),
-		admitC1:    r.Counter(MetricAdmitC1Total),
-		admitC2:    r.Counter(MetricAdmitC2Total),
-		admitC3:    r.Counter(MetricAdmitC3Total),
-		admitNone:  r.Counter(MetricAdmitNoneTotal),
-		optimal:    r.Counter(MetricOutcomeOptimal),
-		suboptimal: r.Counter(MetricOutcomeSuboptimal),
-		failure:    r.Counter(MetricOutcomeFailure),
-		hops:       r.Counter(MetricHopsTotal),
-		spares:     r.Counter(MetricSpareHopsTotal),
-		blocked:    r.Counter(MetricBlockedTotal),
-		reroutes:   r.Counter(MetricReroutesTotal),
-		aborts:     r.Counter(MetricRerouteAbortsTotal),
-		errors:     r.Counter(MetricForwardErrorsTotal),
-		hammingH:   r.Histogram(MetricHammingHist),
-		hopsH:      r.Histogram(MetricHopsHist),
-		stretchH:   r.Histogram(MetricStretchHist, 0, 1, 2, 3, 4, 8),
+		reg:      r,
+		unicasts: r.Counter(MetricUnicastsTotal),
+		cond: [4]*Counter{
+			CondCodeNone: r.Counter(MetricAdmitNoneTotal),
+			CondCodeC1:   r.Counter(MetricAdmitC1Total),
+			CondCodeC2:   r.Counter(MetricAdmitC2Total),
+			CondCodeC3:   r.Counter(MetricAdmitC3Total),
+		},
+		outcome: [3]*Counter{
+			OutcomeOptimal - 1:    r.Counter(MetricOutcomeOptimal),
+			OutcomeSuboptimal - 1: r.Counter(MetricOutcomeSuboptimal),
+			OutcomeFailure - 1:    r.Counter(MetricOutcomeFailure),
+		},
+		hops:     r.Counter(MetricHopsTotal),
+		spares:   r.Counter(MetricSpareHopsTotal),
+		blocked:  r.Counter(MetricBlockedTotal),
+		reroutes: r.Counter(MetricReroutesTotal),
+		aborts:   r.Counter(MetricRerouteAbortsTotal),
+		errors:   r.Counter(MetricForwardErrorsTotal),
+		hammingH: r.Histogram(MetricHammingHist),
+		hopsH:    r.Histogram(MetricHopsHist),
+		stretchH: r.Histogram(MetricStretchHist, 0, 1, 2, 3, 4, 8),
 	}
 }
 
-// WithTrace returns a copy of the observer armed with a fresh trace for
-// one unicast from src to dst. The copy shares the parent's counters.
-func (o *RouteObserver) WithTrace(src, dst, hamming int) *RouteObserver {
-	return o.WithTraceGen(src, dst, hamming, 0)
-}
-
-// WithTraceGen is WithTrace with the fault-set generation of the level
-// snapshot the unicast will route against, so the trace stays
-// attributable to one level state under churn.
-func (o *RouteObserver) WithTraceGen(src, dst, hamming int, gen uint64) *RouteObserver {
-	if o == nil {
-		return nil
-	}
-	cp := *o
-	cp.trace = &RouteTrace{Source: src, Dest: dst, Hamming: hamming, Generation: gen}
-	return &cp
-}
-
-// Trace returns the recorded trace (nil when not tracing).
-func (o *RouteObserver) Trace() *RouteTrace {
-	if o == nil {
-		return nil
-	}
-	return o.trace
-}
-
-// Admit records the source-side admission decision.
-func (o *RouteObserver) Admit(node, hamming, srcLevel int, cond, outcome string) {
-	if o == nil {
-		return
-	}
-	o.unicasts.Inc()
-	o.hammingH.Observe(int64(hamming))
-	o.countCond(cond)
-	if o.trace != nil {
-		o.trace.Events = append(o.trace.Events, RouteEvent{
-			Kind: EvAdmit, Node: node, Hamming: hamming, Level: srcLevel,
-			Cond: cond, Outcome: outcome,
-		})
-	}
-}
-
-func (o *RouteObserver) countCond(cond string) {
-	switch cond {
-	case "C1":
-		o.admitC1.Inc()
-	case "C2":
-		o.admitC2.Inc()
-	case "C3":
-		o.admitC3.Inc()
-	default:
-		o.admitNone.Inc()
-	}
-}
-
-// Hop records one link crossing; level is the chosen neighbor's observed
-// safety level and spare marks the C3 detour hop.
-func (o *RouteObserver) Hop(from, to, dim, level int, spare bool) {
-	if o == nil {
-		return
-	}
-	o.hops.Inc()
-	if spare {
-		o.spares.Inc()
-	}
-	if o.trace != nil {
-		o.trace.Events = append(o.trace.Events, RouteEvent{
-			Kind: EvHop, Node: to, From: from, Dim: dim, Level: level, Spare: spare,
-		})
-	}
-}
-
-// CountHops adds one route's link crossings to the hop counters in a
-// single update: the counter-only alternative to calling Hop per hop.
-func (o *RouteObserver) CountHops(hops, spares int) {
-	if o == nil {
-		return
-	}
-	o.hops.Add(int64(hops))
-	if spares > 0 {
-		o.spares.Add(int64(spares))
-	}
-}
-
-// Blocked records a mid-flight blockage (ErrBlocked).
-func (o *RouteObserver) Blocked(at int) {
-	if o == nil {
-		return
-	}
-	o.blocked.Inc()
-	if o.trace != nil {
-		o.trace.Events = append(o.trace.Events, RouteEvent{Kind: EvBlocked, Node: at})
-	}
-}
-
-// Reroute records a re-admission attempt from node at; a Failure outcome
-// is the paper's abort branch.
-func (o *RouteObserver) Reroute(at, hamming int, cond, outcome string, failed bool) {
-	if o == nil {
-		return
-	}
-	if failed {
-		o.aborts.Inc()
-		if o.trace != nil {
-			o.trace.Events = append(o.trace.Events, RouteEvent{
-				Kind: EvAbort, Node: at, Hamming: hamming, Cond: cond, Outcome: outcome,
-			})
-		}
-		return
-	}
-	o.reroutes.Inc()
-	if o.trace != nil {
-		o.trace.Events = append(o.trace.Events, RouteEvent{
-			Kind: EvReroute, Node: at, Hamming: hamming, Cond: cond, Outcome: outcome,
-		})
-	}
-}
-
-// Done resolves the attempt: outcome is the final class, pathLen the
-// hops traveled, note an optional transport anomaly. It finalizes the
-// trace (if any) and hands it to the registry's ring buffer.
-func (o *RouteObserver) Done(at int, cond, outcome string, pathLen, hamming, reroutes int, note string) {
-	if o == nil {
-		return
-	}
-	switch outcome {
-	case "optimal":
-		o.optimal.Inc()
-	case "suboptimal":
-		o.suboptimal.Inc()
-	default:
-		o.failure.Inc()
-	}
-	if note != "" {
-		o.errors.Inc()
-	}
-	if outcome != "failure" {
-		o.hopsH.Observe(int64(pathLen))
-		o.stretchH.Observe(int64(pathLen - hamming))
-	}
-	if o.trace != nil {
-		o.trace.Events = append(o.trace.Events, RouteEvent{
-			Kind: EvDone, Node: at, Cond: cond, Outcome: outcome, Note: note,
-		})
-		o.trace.Cond = cond
-		o.trace.Outcome = outcome
-		o.trace.PathLen = pathLen
-		if outcome != "failure" {
-			o.trace.Stretch = pathLen - hamming
-		}
-		o.trace.Reroutes = reroutes
-		o.reg.keepTrace(o.trace)
+// Keep adds a finished trace to the registry's ring of recent traces,
+// when KeepTraces enabled it.
+func (o *RouteObserver) Keep(t *RouteTrace) {
+	if o != nil {
+		o.reg.keepTrace(t)
 	}
 }

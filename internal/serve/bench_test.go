@@ -101,7 +101,9 @@ func BenchmarkServeRoute(b *testing.B) {
 // on); noflight is the same path with the recorder disabled, so the
 // bare−noflight delta is the recorder's hot-path cost (the ≤5% budget
 // BENCH_6.json documents); the full cell adds a deadline context and
-// an (unsaturated) bucket.
+// an (unsaturated) bucket; the registry cell is bare with a metrics
+// registry, so each route's route_* updates are counted as slserve
+// counts them.
 func BenchmarkServeRouteCtx(b *testing.B) {
 	run := func(b *testing.B, opts Options, withDeadline bool) {
 		s := benchService(b, opts)
@@ -128,6 +130,7 @@ func BenchmarkServeRouteCtx(b *testing.B) {
 	b.Run("deadline+admission", func(b *testing.B) {
 		run(b, Options{Rate: 1e12, Burst: 1 << 20}, true)
 	})
+	b.Run("registry", func(b *testing.B) { run(b, Options{Registry: obs.NewRegistry()}, false) })
 }
 
 // BenchmarkServeBatch measures the batched path: one admission, one

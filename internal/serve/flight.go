@@ -11,14 +11,14 @@ import (
 )
 
 // Flight-recorder glue for the serving path: classify serving errors
-// into compact obs.ErrClass codes, pack a unicast's core.Summary into
-// the record fields, and — only when a record is promoted to an
-// incident — reconstruct the full per-hop RouteTrace from the route's
-// decision record and the snapshot's level assignment. Nothing here
-// allocates on the healthy hot path; see obs/flight.go for the cost
-// model.
+// into compact obs.ErrClass codes, and pack a unicast's core.Summary
+// into the record fields. Only a record promoted to an incident gets
+// the full per-hop trace (core.Route.Trace). Nothing here allocates on
+// the healthy hot path; see obs/flight.go for the cost model.
 
-// errClass maps a serving-path error to its flight-record class.
+// errClass maps a serving-path error to its flight-record class. It is
+// the one place a refusal is classified: the wire code is looked up
+// from the class (wireErrCode).
 func errClass(err error) obs.ErrClass {
 	switch {
 	case err == nil:
@@ -100,7 +100,7 @@ func (s *Service) checkSummary(kind obs.ReqKind, sn *Snapshot, src, dst topo.Nod
 		r := sn.ref.Unicast(src, dst)
 		r.FlightID = fl.NextID()
 		rec := routeRecord(kind, r.FlightID, sn, sum, stale)
-		fl.Promote(&rec, "summary-mismatch", traceOfRoute(r, sn.as, r.FlightID, sn.gen))
+		fl.Promote(&rec, "summary-mismatch", r.Trace(sn.as, sn.gen))
 	}
 }
 
@@ -177,58 +177,4 @@ func (s *Service) flightServed(kind obs.ReqKind, start time.Time, ctx context.Co
 	if reason := fl.Record(&rec); reason != "" {
 		fl.Promote(&rec, reason, nil)
 	}
-}
-
-// traceOfRoute rebuilds the full decision trace of a served route for
-// incident promotion: the admission decision at the source, every hop
-// with its dimension, spare role and the hopped-to node's public level
-// in the served snapshot, and the final outcome. Levels shown for hops
-// are the snapshot's public levels (not the sender's link-adjusted
-// view), which is what an operator comparing against /levels sees.
-func traceOfRoute(r *core.Route, as *core.Assignment, id, gen uint64) *obs.RouteTrace {
-	t := &obs.RouteTrace{
-		Source:     int(r.Source),
-		Dest:       int(r.Dest),
-		Hamming:    r.Hamming,
-		RequestID:  id,
-		Generation: gen,
-		Cond:       r.Condition.String(),
-		Outcome:    r.Outcome.String(),
-		PathLen:    r.Len(),
-	}
-	t.Events = append(t.Events, obs.RouteEvent{
-		Kind:    obs.EvAdmit,
-		Node:    int(r.Source),
-		Hamming: r.Hamming,
-		Level:   as.OwnLevel(r.Source),
-		Cond:    r.Condition.String(),
-		Outcome: r.Outcome.String(),
-	})
-	at := r.Source
-	for _, h := range r.Hops {
-		t.Events = append(t.Events, obs.RouteEvent{
-			Kind:  obs.EvHop,
-			Node:  int(h.To),
-			From:  int(h.From),
-			Dim:   h.Dim,
-			Spare: h.Spare,
-			Level: as.Level(h.To),
-		})
-		at = h.To
-	}
-	note := ""
-	if r.Err != nil {
-		note = r.Err.Error()
-	}
-	t.Events = append(t.Events, obs.RouteEvent{
-		Kind:    obs.EvDone,
-		Node:    int(at),
-		Cond:    r.Condition.String(),
-		Outcome: r.Outcome.String(),
-		Note:    note,
-	})
-	if r.Outcome != core.Failure {
-		t.Stretch = t.PathLen - r.Hamming
-	}
-	return t
 }

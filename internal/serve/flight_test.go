@@ -313,3 +313,33 @@ func TestFlightDisabled(t *testing.T) {
 		t.Errorf("disabled recorder issued ID %d", r.FlightID)
 	}
 }
+
+// TestRouteOutsideTopology routes from a source and to a destination
+// outside a Q4 with the default flight recorder. Each must answer
+// Failure with Err set, and the error exit must leave an error:other
+// incident whose trace admits at level 0, the level an error exit
+// reports: an outside node has no level to read.
+func TestRouteOutsideTopology(t *testing.T) {
+	for _, p := range [][2]topo.NodeID{{1 << 20, 3}, {3, 1 << 20}} {
+		s, err := New(faults.NewSet(topo.MustCube(4)), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.RouteCtx(context.Background(), p[0], p[1])
+		s.Close()
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		if r.Outcome != core.Failure || r.Err == nil {
+			t.Fatalf("%v: outcome %v, err %v; want failure with an error", p, r.Outcome, r.Err)
+		}
+		inc := s.Flight().Incidents().Incidents
+		if len(inc) != 1 || inc[0].Reason != "error:other" || inc[0].Trace == nil {
+			t.Fatalf("%v: incidents %+v, want one error:other with a trace", p, inc)
+		}
+		tr := inc[0].Trace
+		if tr.RequestID != r.FlightID || len(tr.Events) != 2 || tr.Events[0].Kind != obs.EvAdmit || tr.Events[0].Level != 0 {
+			t.Errorf("%v: trace %+v, want admit at level 0 then done, under request %d", p, tr, r.FlightID)
+		}
+	}
+}

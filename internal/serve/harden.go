@@ -245,7 +245,7 @@ func (s *Service) routeCtx(ctx context.Context, src, dst topo.NodeID, mode route
 			if r == nil {
 				r = sn.ref.UnicastID(src, dst, a.FlightID)
 			}
-			fl.Promote(&rec, reason, traceOfRoute(r, sn.as, a.FlightID, sn.gen))
+			fl.Promote(&rec, reason, r.Trace(sn.as, sn.gen))
 		}
 	}
 	if mode == atSourceChecked {

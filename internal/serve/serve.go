@@ -44,8 +44,8 @@ type Snapshot struct {
 
 // newSnapshot builds a snapshot around a detached assignment. The
 // routers are shared by every reader of the snapshot: core.Router
-// carries no per-unicast state, and the observer is the counter-only
-// kind, which is safe for concurrent use.
+// carries no per-unicast state, and a route observer is safe for
+// concurrent use.
 func newSnapshot(gen uint64, det *core.Assignment, ro *obs.RouteObserver) *Snapshot {
 	return &Snapshot{
 		gen:      gen,

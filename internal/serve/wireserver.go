@@ -297,23 +297,23 @@ func errFrame(reqID uint64, code wire.ErrCode, detail string) []byte {
 	return frame
 }
 
+// wireCodes is the typed frame code of each refusal class (errClass).
+var wireCodes = [...]wire.ErrCode{
+	obs.ErrClassOverload: wire.CodeOverload,
+	obs.ErrClassBacklog:  wire.CodeBacklog,
+	obs.ErrClassDeadline: wire.CodeDeadline,
+	obs.ErrClassCanceled: wire.CodeCanceled,
+	obs.ErrClassDraining: wire.CodeDraining,
+}
+
 // wireErrCode maps a serving-path error to the typed frame code the
-// HTTP layer would have mapped to a status.
+// HTTP layer would have mapped to a status: the code of its flight
+// class, and CodeInternal for a class with none.
 func wireErrCode(err error) wire.ErrCode {
-	switch {
-	case errors.Is(err, ErrOverload):
-		return wire.CodeOverload
-	case errors.Is(err, ErrBacklog):
-		return wire.CodeBacklog
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
-		return wire.CodeDraining
-	case errors.Is(err, context.DeadlineExceeded):
-		return wire.CodeDeadline
-	case errors.Is(err, context.Canceled):
-		return wire.CodeCanceled
-	default:
-		return wire.CodeInternal
+	if c := errClass(err); int(c) < len(wireCodes) && wireCodes[c] != 0 {
+		return wireCodes[c]
 	}
+	return wire.CodeInternal
 }
 
 // budgetCtx re-arms a request's deadline budget as a context.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -625,6 +626,27 @@ func TestWireServerQueueBackpressure(t *testing.T) {
 		}
 		if h.ReqID != uint64(i+1) {
 			t.Fatalf("response %d has ID %d", i, h.ReqID)
+		}
+	}
+}
+
+// TestWireErrCodeOfEachRefusal pins the frame code of every engine
+// refusal, wrapped as a caller may wrap it, and of an unclassified
+// error: the wire code is looked up from the flight class.
+func TestWireErrCodeOfEachRefusal(t *testing.T) {
+	for err, want := range map[error]wire.ErrCode{
+		ErrOverload:                  wire.CodeOverload,
+		ErrBacklog:                   wire.CodeBacklog,
+		ErrDraining:                  wire.CodeDraining,
+		ErrClosed:                    wire.CodeDraining,
+		context.DeadlineExceeded:     wire.CodeDeadline,
+		context.Canceled:             wire.CodeCanceled,
+		errors.New("something else"): wire.CodeInternal,
+	} {
+		for _, e := range []error{err, fmt.Errorf("wrapped: %w", err)} {
+			if got := wireErrCode(e); got != want {
+				t.Errorf("%v: code %v, want %v", e, got, want)
+			}
 		}
 	}
 }

@@ -142,30 +142,19 @@ func (c *Cube) Instrument(r *Registry) *Cube {
 // Registry returns the attached registry (nil when uninstrumented).
 func (c *Cube) Registry() *Registry { return c.reg }
 
-// traceObserver builds a single-use traced observer for one unicast,
-// backed by the cube's registry (or a throwaway one, so tracing works on
-// uninstrumented cubes too).
-func (c *Cube) traceObserver(s, d NodeID) *obs.RouteObserver {
-	ro := c.routeObs
-	if ro == nil {
-		ro = obs.NewRegistry().RouteObserver()
-	}
-	// Stamp the trace with the fault-set generation the unicast routes
-	// against, so traces collected under churn stay attributable to one
-	// level state.
-	return ro.WithTraceGen(int(s), int(d), c.t.Distance(s, d), c.set.Generation())
-}
-
 // UnicastTraced routes like Unicast and additionally records the full
 // decision trace: the admission condition that held, every hop with its
 // dimension and preferred-vs-spare role, and the final outcome with path
-// length vs distance. Tracing allocates per event; use Unicast on hot
-// paths.
+// length vs distance. The trace is stamped with the fault-set
+// generation the unicast routed against, so traces collected under
+// churn stay attributable to one level state. Tracing allocates per
+// event; use Unicast on hot paths.
 func (c *Cube) UnicastTraced(s, d NodeID) (*Route, *RouteTrace) {
 	lv := c.ComputeLevels()
-	ro := c.traceObserver(s, d)
-	r := core.NewRouter(lv.as, nil).Observe(ro).Unicast(s, d)
-	return routeOf(r), ro.Trace()
+	r := core.NewRouter(lv.as, nil).Observe(c.routeObs).Unicast(s, d)
+	tr := r.Trace(lv.as, c.set.Generation())
+	c.routeObs.Keep(tr)
+	return routeOf(r), tr
 }
 
 // StartUnicastTraced admits a unicast like StartUnicast and returns the
@@ -175,10 +164,9 @@ func (c *Cube) UnicastTraced(s, d NodeID) (*Route, *RouteTrace) {
 // session is Done (or abandoned after a failed Reroute).
 func (c *Cube) StartUnicastTraced(s, d NodeID) (*RouteSession, *RouteTrace, Condition, Outcome) {
 	lv := c.ComputeLevels()
-	ro := c.traceObserver(s, d)
-	sess, cond, out := core.NewRouter(lv.as, nil).Observe(ro).Start(s, d)
+	sess, tr, cond, out := core.NewRouter(lv.as, nil).Observe(c.routeObs).StartTraced(s, d, c.set.Generation())
 	if sess == nil {
-		return nil, ro.Trace(), cond, out
+		return nil, tr, cond, out
 	}
-	return &RouteSession{sess: sess, cube: c}, ro.Trace(), cond, out
+	return &RouteSession{sess: sess, cube: c}, tr, cond, out
 }

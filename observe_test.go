@@ -1,6 +1,9 @@
 package safecube
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -331,5 +334,208 @@ func TestTracedFailureAdmission(t *testing.T) {
 	}
 	if tr.Outcome != "failure" || tr.PathLen != 0 {
 		t.Errorf("trace = %+v", tr)
+	}
+}
+
+// sessionSteps drives, on cubes instrumented with reg, the two Section
+// 2.2 sessions of TestTracedRerouteEvents and TestTracedRerouteAbort, a
+// session refused at admission across a partition, one from a source
+// outside the cube, and one from a node to itself, starting each traced
+// when traced is set. After every Start, Step, Reroute and Run it
+// records the nonzero route_* counters and the number of traces in
+// reg's ring.
+func sessionSteps(t *testing.T, reg *Registry, traced bool) (counts []string, ring []int) {
+	t.Helper()
+	mark := func(call string) {
+		snap := reg.Snapshot()
+		var names []string
+		for name, v := range snap.Counters {
+			if strings.HasPrefix(name, "route_") && v != 0 {
+				names = append(names, fmt.Sprintf("%s=%d", strings.TrimSuffix(strings.TrimPrefix(name, "route_"), "_total"), v))
+			}
+		}
+		sort.Strings(names)
+		counts = append(counts, call+" "+strings.Join(names, " "))
+		ring = append(ring, len(snap.Traces))
+	}
+	start := func(c *Cube, s, d string) *RouteSession {
+		var sess *RouteSession
+		src, dst := NodeID(c.Nodes()+1), c.MustParse(d)
+		if s != "" {
+			src = c.MustParse(s)
+		}
+		if traced {
+			sess, _, _, _ = c.StartUnicastTraced(src, dst)
+		} else {
+			sess, _, _ = c.StartUnicast(src, dst)
+		}
+		mark("start")
+		return sess
+	}
+
+	c := MustNew(5).Instrument(reg)
+	sess := start(c, "00000", "00111")
+	sess.Step()
+	mark("step")
+	if err := c.FailNamed("00011", "00101"); err != nil {
+		t.Fatal(err)
+	}
+	sess.Step()
+	mark("step")
+	sess.Reroute()
+	mark("reroute")
+	sess.Run()
+	mark("run")
+
+	c = MustNew(4).Instrument(reg)
+	sess = start(c, "0000", "1111")
+	sess.Step()
+	mark("step")
+	at := sess.At()
+	for d := 0; d < c.Dim(); d++ {
+		if err := c.FailNode(at ^ NodeID(1<<d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess.Step()
+	mark("step")
+	sess.Reroute()
+	mark("reroute")
+
+	c = MustNew(4).Instrument(reg)
+	if err := c.FailNamed("0110", "1010", "1100", "1111"); err != nil {
+		t.Fatal(err)
+	}
+	if start(c, "0111", "1110") != nil || start(c, "", "0000") != nil {
+		t.Fatal("a refused session started")
+	}
+	if !start(c, "0101", "0101").Done() {
+		t.Fatal("a session to its own source is not done")
+	}
+	return counts, ring
+}
+
+// TestSessionRouteMetrics pins, at every call boundary, what the
+// sessions of sessionSteps count, untraced and traced, and the route_*
+// lines of the exposition they leave. A traced session counts what an
+// untraced one does, and its trace enters the ring when the session
+// fails at admission, starts at its destination or arrives; a session
+// that aborts stays out.
+func TestSessionRouteMetrics(t *testing.T) {
+	wantCounts := []string{
+		"start admit_c1=1 unicasts=1",
+		"step admit_c1=1 hops=1 unicasts=1",
+		"step admit_c1=1 blocked=1 hops=1 unicasts=1",
+		"reroute admit_c1=1 blocked=1 hops=1 reroutes=1 unicasts=1",
+		"run admit_c1=1 blocked=1 hops=5 outcome_suboptimal=1 reroutes=1 spare_hops=1 unicasts=1",
+		"start admit_c1=2 blocked=1 hops=5 outcome_suboptimal=1 reroutes=1 spare_hops=1 unicasts=2",
+		"step admit_c1=2 blocked=1 hops=6 outcome_suboptimal=1 reroutes=1 spare_hops=1 unicasts=2",
+		"step admit_c1=2 blocked=2 hops=6 outcome_suboptimal=1 reroutes=1 spare_hops=1 unicasts=2",
+		"reroute admit_c1=2 blocked=2 hops=6 outcome_suboptimal=1 reroute_aborts=1 reroutes=1 spare_hops=1 unicasts=2",
+		"start admit_c1=2 admit_none=1 blocked=2 hops=6 outcome_failure=1 outcome_suboptimal=1 reroute_aborts=1 reroutes=1 spare_hops=1 unicasts=3",
+		"start admit_c1=2 admit_none=2 blocked=2 hops=6 outcome_failure=2 outcome_suboptimal=1 reroute_aborts=1 reroutes=1 spare_hops=1 unicasts=4",
+		"start admit_c1=3 admit_none=2 blocked=2 hops=6 outcome_failure=2 outcome_optimal=1 outcome_suboptimal=1 reroute_aborts=1 reroutes=1 spare_hops=1 unicasts=5",
+	}
+	wantRing := map[bool][]int{
+		false: make([]int, len(wantCounts)),
+		true:  {0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 3, 4},
+	}
+	const wantLines = `# TYPE safecube_route_admit_c1_total counter
+safecube_route_admit_c1_total 3
+# TYPE safecube_route_admit_c2_total counter
+safecube_route_admit_c2_total 0
+# TYPE safecube_route_admit_c3_total counter
+safecube_route_admit_c3_total 0
+# TYPE safecube_route_admit_none_total counter
+safecube_route_admit_none_total 2
+# TYPE safecube_route_blocked_total counter
+safecube_route_blocked_total 2
+# TYPE safecube_route_forward_errors_total counter
+safecube_route_forward_errors_total 0
+# TYPE safecube_route_hops_total counter
+safecube_route_hops_total 6
+# TYPE safecube_route_outcome_failure_total counter
+safecube_route_outcome_failure_total 2
+# TYPE safecube_route_outcome_optimal_total counter
+safecube_route_outcome_optimal_total 1
+# TYPE safecube_route_outcome_suboptimal_total counter
+safecube_route_outcome_suboptimal_total 1
+# TYPE safecube_route_reroute_aborts_total counter
+safecube_route_reroute_aborts_total 1
+# TYPE safecube_route_reroutes_total counter
+safecube_route_reroutes_total 1
+# TYPE safecube_route_spare_hops_total counter
+safecube_route_spare_hops_total 1
+# TYPE safecube_route_unicasts_total counter
+safecube_route_unicasts_total 5
+# TYPE safecube_route_hamming histogram
+safecube_route_hamming_bucket{le="0"} 1
+safecube_route_hamming_bucket{le="1"} 1
+safecube_route_hamming_bucket{le="2"} 3
+safecube_route_hamming_bucket{le="4"} 5
+safecube_route_hamming_bucket{le="8"} 5
+safecube_route_hamming_bucket{le="16"} 5
+safecube_route_hamming_bucket{le="32"} 5
+safecube_route_hamming_bucket{le="64"} 5
+safecube_route_hamming_bucket{le="+Inf"} 5
+safecube_route_hamming_sum 11
+safecube_route_hamming_count 5
+safecube_route_hamming_quantile{q="0.5"} 1.75
+safecube_route_hamming_quantile{q="0.9"} 3.5
+safecube_route_hamming_quantile{q="0.99"} 3.95
+safecube_route_hamming_quantile{q="0.999"} 3.995
+# TYPE safecube_route_path_hops histogram
+safecube_route_path_hops_bucket{le="0"} 1
+safecube_route_path_hops_bucket{le="1"} 1
+safecube_route_path_hops_bucket{le="2"} 1
+safecube_route_path_hops_bucket{le="4"} 1
+safecube_route_path_hops_bucket{le="8"} 2
+safecube_route_path_hops_bucket{le="16"} 2
+safecube_route_path_hops_bucket{le="32"} 2
+safecube_route_path_hops_bucket{le="64"} 2
+safecube_route_path_hops_bucket{le="+Inf"} 2
+safecube_route_path_hops_sum 5
+safecube_route_path_hops_count 2
+safecube_route_path_hops_quantile{q="0.5"} 0
+safecube_route_path_hops_quantile{q="0.9"} 7.2
+safecube_route_path_hops_quantile{q="0.99"} 7.92
+safecube_route_path_hops_quantile{q="0.999"} 7.992
+# TYPE safecube_route_stretch histogram
+safecube_route_stretch_bucket{le="0"} 1
+safecube_route_stretch_bucket{le="1"} 1
+safecube_route_stretch_bucket{le="2"} 2
+safecube_route_stretch_bucket{le="3"} 2
+safecube_route_stretch_bucket{le="4"} 2
+safecube_route_stretch_bucket{le="8"} 2
+safecube_route_stretch_bucket{le="+Inf"} 2
+safecube_route_stretch_sum 2
+safecube_route_stretch_count 2
+safecube_route_stretch_quantile{q="0.5"} 0
+safecube_route_stretch_quantile{q="0.9"} 1.8
+safecube_route_stretch_quantile{q="0.99"} 1.98
+safecube_route_stretch_quantile{q="0.999"} 1.998`
+	for _, traced := range []bool{false, true} {
+		reg := NewRegistry()
+		reg.KeepTraces(8)
+		counts, ring := sessionSteps(t, reg, traced)
+		if !reflect.DeepEqual(counts, wantCounts) {
+			t.Errorf("traced %v: counters at each call\n%s\nwant\n%s", traced, strings.Join(counts, "\n"), strings.Join(wantCounts, "\n"))
+		}
+		if !reflect.DeepEqual(ring, wantRing[traced]) {
+			t.Errorf("traced %v: ring lengths %v, want %v", traced, ring, wantRing[traced])
+		}
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.Contains(line, "route_") {
+				lines = append(lines, line)
+			}
+		}
+		if got := strings.Join(lines, "\n"); got != wantLines {
+			t.Errorf("traced %v: route lines\n%s\nwant\n%s", traced, got, wantLines)
+		}
 	}
 }

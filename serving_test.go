@@ -154,3 +154,31 @@ func TestServeFacadeGeneralized(t *testing.T) {
 		t.Fatalf("feasibility mismatch: (%v,%v) vs (%v,%v)", r.Condition, r.Outcome, wc, wo)
 	}
 }
+
+// TestServerUnicastOutsideCube routes through the facade's Server from
+// a source and to a destination outside the cube. Each answers Failure
+// with Err set and leaves an incident whose trace admits at level 0.
+func TestServerUnicastOutsideCube(t *testing.T) {
+	c := MustNew(4)
+	for _, p := range []TrafficPair{{Src: 1 << 20, Dst: 3}, {Src: 3, Dst: 1 << 20}} {
+		srv, err := c.Serve(ServeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := srv.UnicastCtx(context.Background(), p.Src, p.Dst)
+		srv.Close()
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		if r.Outcome != Failure || r.Err == nil {
+			t.Fatalf("%v: outcome %v, err %v; want failure with an error", p, r.Outcome, r.Err)
+		}
+		inc := srv.Flight().Incidents().Incidents
+		if len(inc) != 1 || inc[0].Trace == nil {
+			t.Fatalf("%v: incidents %+v, want one with a trace", p, inc)
+		}
+		if ev := inc[0].Trace.Events; len(ev) == 0 || ev[0].Kind != EvAdmit || ev[0].Level != 0 {
+			t.Errorf("%v: trace events %+v, want an admit at level 0 first", p, ev)
+		}
+	}
+}
