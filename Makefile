@@ -31,6 +31,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRepairLevels$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzChurnSchedule$$' -fuzztime $(FUZZTIME) ./internal/simnet
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/topo
+	$(GO) test -run '^$$' -fuzz '^FuzzNavVector$$' -fuzztime $(FUZZTIME) ./internal/topo
+	$(GO) test -run '^$$' -fuzz '^FuzzMixedParse$$' -fuzztime $(FUZZTIME) ./internal/topo
 
 # One iteration of every benchmark: catches bit-rot in the measurement
 # code without paying for real measurements.

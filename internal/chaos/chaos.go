@@ -12,10 +12,6 @@ import (
 
 // Options configure one churn run.
 type Options struct {
-	// Core options are used for both the incremental repair and the cold
-	// reference computation. MaxRounds must be 0 (repair refuses
-	// truncated convergence).
-	Core core.Options
 	// Churn shapes the generated schedule (faults.ChurnSchedule).
 	Churn faults.ChurnOptions
 	// OracleSources >0 samples that many BFS sources per step for the
@@ -73,7 +69,7 @@ func RunEvents(tp topo.Topology, events []faults.ChurnEvent, opts Options) (*Rep
 		return nil, fmt.Errorf("chaos: empty event schedule")
 	}
 	set := faults.NewSet(tp)
-	prev := core.Compute(set, opts.Core)
+	prev := core.Compute(set, core.Options{})
 	gen := set.Generation()
 	rng := stats.NewRNG(opts.Seed ^ 0x9e3779b97f4a7c15)
 	rep := &Report{Steps: len(events)}
@@ -86,11 +82,11 @@ func RunEvents(tp topo.Topology, events []faults.ChurnEvent, opts Options) (*Rep
 		if !ok {
 			return nil, fmt.Errorf("chaos: step %d: journal gap after one event", i)
 		}
-		repaired, ok := core.RepairLevels(prev, set, delta, opts.Core)
+		repaired, ok := core.RepairLevels(prev, set, delta, core.Options{})
 		if !ok {
 			return nil, fmt.Errorf("chaos: step %d (%v): repair refused", i, ev)
 		}
-		cold := core.Compute(set, opts.Core)
+		cold := core.Compute(set, core.Options{})
 
 		// (a) bit-for-bit equality with the cold fixpoint.
 		for a := 0; a < tp.Nodes(); a++ {

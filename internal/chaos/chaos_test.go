@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/topo"
 )
@@ -67,33 +66,39 @@ func TestChurnChaosAcceptanceQ10(t *testing.T) {
 		rep.RepairRounds, rep.ColdRounds, rep.DirtyNodes)
 }
 
-// TestChurnChaosParallelWorkers runs the harness with the worker-pool
-// repair; under -race this doubles as the data-race check on the
-// chunked frontier evaluation.
+// TestChurnChaosParallelWorkers runs the Q7 link-churn harness on four
+// goroutines at once. Every run must pass the differential and report
+// the work of the run made alone before; under -race this checks that
+// concurrent harness runs share no state beyond the engine's pooled
+// scratch.
 func TestChurnChaosParallelWorkers(t *testing.T) {
-	rep, err := Run(topo.MustCube(7), 80, Options{
-		Core:          core.Options{Workers: 4},
+	tp := topo.MustCube(7)
+	opts := Options{
 		Churn:         faults.ChurnOptions{Links: true},
 		OracleSources: 16,
 		Unicasts:      2,
 		Seed:          77,
-	})
+	}
+	want, err := Run(tp, 80, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Steps != 80 {
-		t.Fatalf("schedule ran %d steps, want 80", rep.Steps)
+	if want.Steps != 80 {
+		t.Fatalf("schedule ran %d steps, want 80", want.Steps)
 	}
-}
-
-// TestChaosRejectsTruncatedOptions pins the harness contract that
-// repair composes only with full-convergence options.
-func TestChaosRejectsTruncatedOptions(t *testing.T) {
-	_, err := Run(topo.MustCube(4), 10, Options{
-		Core: core.Options{MaxRounds: 1},
-		Seed: 3,
-	})
-	if err == nil {
-		t.Fatal("harness accepted MaxRounds truncation")
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			rep, err := Run(tp, 80, opts)
+			if err == nil && *rep != *want {
+				err = fmt.Errorf("report %+v, want %+v", rep, want)
+			}
+			errs <- err
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/topo"
 )
@@ -57,31 +56,36 @@ func TestScenarioChurnChaosAllProfiles(t *testing.T) {
 	}
 }
 
-// TestScenarioChurnChaosParallelEquality replays every profile twice —
-// sequential and with the 4-worker sharded repair — and requires not
-// just that both pass the differential but that their work accounting
-// is identical, pinning the bit-identical Workers contract on the
-// correlated shapes. Under -race (CI's test job) this doubles as the
-// data-race check for scenario replays.
+// TestScenarioChurnChaosParallelEquality replays every profile twice at
+// once, on two goroutines, and requires not just that both pass the
+// differential but that their work accounting is identical: a replay
+// is a function of its schedule and seed. Under -race (CI's test job)
+// this doubles as the data-race check for concurrent scenario replays.
 func TestScenarioChurnChaosParallelEquality(t *testing.T) {
 	tp := topo.MustCube(5)
 	for _, p := range faults.ScenarioProfiles() {
 		t.Run(string(p), func(t *testing.T) {
 			events := scenarioEvents(t, tp, p, 41)
-			seq, err := RunEvents(tp, events, Options{Unicasts: 2, Seed: 41})
-			if err != nil {
-				t.Fatalf("sequential: %v", err)
+			opts := Options{Unicasts: 2, Seed: 41}
+			type result struct {
+				rep *Report
+				err error
 			}
-			par, err := RunEvents(tp, events, Options{
-				Core:     core.Options{Workers: 4},
-				Unicasts: 2,
-				Seed:     41,
-			})
+			other := make(chan result, 1)
+			go func() {
+				rep, err := RunEvents(tp, events, opts)
+				other <- result{rep, err}
+			}()
+			first, err := RunEvents(tp, events, opts)
 			if err != nil {
-				t.Fatalf("workers=4: %v", err)
+				t.Fatalf("first replay: %v", err)
 			}
-			if *seq != *par {
-				t.Errorf("parallel run diverged from sequential:\nseq %+v\npar %+v", seq, par)
+			second := <-other
+			if second.err != nil {
+				t.Fatalf("second replay: %v", second.err)
+			}
+			if *first != *second.rep {
+				t.Errorf("two replays of one schedule diverged:\n%+v\n%+v", first, second.rep)
 			}
 		})
 	}

@@ -3,8 +3,30 @@ package core
 import (
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/stats"
 	"repro/internal/topo"
 )
+
+// benchSet builds the benchmark workload: a 12-cube with 2n faults.
+func benchSet(tb testing.TB) *faults.Set {
+	c := topo.MustCube(12)
+	s := faults.NewSet(c)
+	if err := faults.InjectUniform(s, stats.NewRNG(7), 24); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkComputeSequential runs a cold Compute on the BENCH_2
+// workload (Q12, 24 faults).
+func BenchmarkComputeSequential(b *testing.B) {
+	s := benchSet(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Compute(s, Options{})
+	}
+}
 
 // BenchmarkRepairLevels measures single-event incremental repair on the
 // BENCH_2 workload (Q12, 24 faults): fail or recover one node, replay

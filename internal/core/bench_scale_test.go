@@ -23,15 +23,15 @@ func coldQ16Set(tb testing.TB) *faults.Set {
 	return s
 }
 
-// BenchmarkGSColdQ16 runs a cold GLOBAL_STATUS run over Q16 with the
-// parallel rounds at GOMAXPROCS — the serving engine's cold-start path
-// on a large cube.
+// BenchmarkGSColdQ16 runs a cold GLOBAL_STATUS run over Q16 with 40
+// uniform faults — the serving engine's cold-start path on a large
+// cube.
 func BenchmarkGSColdQ16(b *testing.B) {
 	s := coldQ16Set(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compute(s, Options{Workers: -1})
+		Compute(s, Options{})
 	}
 }
 
@@ -60,19 +60,17 @@ func TestGSColdQ16Bytes(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	s := coldQ16Set(t)
-	for _, opts := range []Options{{}, {Workers: -1}} {
-		Compute(s, opts) // fill the scratch pool
-		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			Compute(s, opts)
-		}
-		runtime.ReadMemStats(&after)
-		perNode := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(s.Topology().Nodes())
-		if perNode > 2 {
-			t.Errorf("workers=%d: cold Compute allocates %.2f bytes per node, want <= 2", opts.Workers, perNode)
-		}
+	Compute(s, Options{}) // fill the scratch pool
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		Compute(s, Options{})
+	}
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(s.Topology().Nodes())
+	if perNode > 2 {
+		t.Errorf("cold Compute allocates %.2f bytes per node, want <= 2", perNode)
 	}
 }
 

@@ -28,7 +28,7 @@
 //
 // Key invariant (Theorem 1): the GS iteration is monotonically
 // non-increasing from the all-n start and its fixpoint is unique, so
-// Compute, its parallel rounds, and RepairLevels must all land on the
-// same assignment for the same fault set — the property every
-// differential suite in this repository leans on.
+// Compute and RepairLevels must land on the same assignment for the
+// same fault set — the property every differential suite in this
+// repository leans on.
 package core

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -24,8 +23,8 @@ import (
 // after the last round it was evaluated (or at the seed) and none of its
 // inputs moved since. Frontier rounds are therefore bit-identical to
 // sweeps over every node, round for round. The next frontier collects as
-// marks on a dense bitset and drains in ascending node order, so
-// sequential and parallel runs walk identical work lists.
+// marks on a dense bitset and drains in ascending node order. Every
+// round runs on the caller's goroutine.
 //
 // A cold run prunes its frontiers further (touchCold). Its levels start
 // at n and only fall, and a node with at most one neighbor below n still
@@ -80,10 +79,7 @@ type scratch struct {
 	sibs     []topo.NodeID
 	neigh    []int
 	lvlCnt   []int
-	// sws[0] evaluates sequential rounds, sws[1..] evalParallel's
-	// workers; parts holds each worker's updates.
-	sws   []*sweeper
-	parts [][]levelUpdate
+	sw       *sweeper
 }
 
 // Scratches recycle through spare, which keeps the last one returned,
@@ -113,7 +109,7 @@ func getScratch(t topo.Topology) *scratch {
 		sc.mark = bitset.NewTracked(nodes)
 		sc.seen = bitset.NewTracked(nodes)
 		sc.owned = make([]bool, pageCount(nodes))
-		sc.sws = nil
+		sc.sw = nil
 	}
 	return sc
 }
@@ -150,16 +146,13 @@ func (sc *scratch) fork(t levelTable) levelTable {
 	return slices.Clone(t)
 }
 
-// sweeperFor returns evaluator i for topology t, rebuilt when the pooled
-// one belongs to another topology value.
-func (sc *scratch) sweeperFor(t topo.Topology, i int) *sweeper {
-	for len(sc.sws) <= i {
-		sc.sws = append(sc.sws, nil)
+// sweeperFor returns the evaluator for topology t, rebuilt when the
+// pooled one belongs to another topology value.
+func (sc *scratch) sweeperFor(t topo.Topology) *sweeper {
+	if sc.sw == nil || sc.sw.t != t {
+		sc.sw = newSweeper(t)
 	}
-	if sc.sws[i] == nil || sc.sws[i].t != t {
-		sc.sws[i] = newSweeper(t)
-	}
-	return sc.sws[i]
+	return sc.sw
 }
 
 // finalizeStable sorts the appended (node, round) stability entries by
@@ -245,28 +238,21 @@ func (f *frontier) touchCold(a topo.NodeID) {
 // stops when a round changes no level or after roundCap rounds, and
 // returns the number of NODE_STATUS evaluations it made and whether it
 // converged before the cap.
-func (f *frontier) run(as *Assignment, workers, roundCap int) (evals int, converged bool) {
+func (f *frontier) run(as *Assignment, roundCap int) (evals int, converged bool) {
 	sc := f.sc
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	touch := f.touch
 	if f.cold {
 		touch = f.touchCold
 	}
 	dirty := sc.mark.DrainInto(sc.dirty[:0])
 	updates := sc.updates[:0]
-	sw := sc.sweeperFor(f.t, 0)
+	sw := sc.sweeperFor(f.t)
 	for round := 0; len(dirty) > 0 && round < roundCap; round++ {
 		// Evaluate the frontier against the previous round's table.
 		updates = updates[:0]
-		if workers > 1 && len(dirty) >= 2*workers {
-			updates = f.evalParallel(dirty, workers, updates)
-		} else {
-			for _, a := range dirty {
-				if v := uint8(sw.eval(f.cur, topo.NodeID(a))); v != f.cur.at(int(a)) {
-					updates = append(updates, levelUpdate{a, v})
-				}
+		for _, a := range dirty {
+			if v := uint8(sw.eval(f.cur, topo.NodeID(a))); v != f.cur.at(int(a)) {
+				updates = append(updates, levelUpdate{a, v})
 			}
 		}
 		evals += len(dirty)
@@ -289,50 +275,6 @@ func (f *frontier) run(as *Assignment, workers, roundCap int) (evals int, conver
 	}
 	sc.dirty, sc.updates = dirty, updates
 	return evals, len(dirty) == 0
-}
-
-// evalParallel fans one round's frontier across a worker pool. Workers
-// only read the shared level table (writes wait for the round barrier)
-// and collect changes for contiguous frontier chunks; chunks are
-// concatenated in order, making the update list identical to the
-// sequential one. Worker evaluators and chunk buffers live in the
-// scratch and are reused round over round.
-func (f *frontier) evalParallel(dirty []int32, workers int, out []levelUpdate) []levelUpdate {
-	if workers > len(dirty) {
-		workers = len(dirty)
-	}
-	sc, cur := f.sc, f.cur
-	for len(sc.parts) < workers {
-		sc.parts = append(sc.parts, nil)
-	}
-	chunk := (len(dirty) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(dirty) {
-			hi = len(dirty)
-		}
-		sc.parts[w] = sc.parts[w][:0]
-		if lo >= hi {
-			continue
-		}
-		wsw := sc.sweeperFor(f.t, w+1)
-		wg.Add(1)
-		go func(part []int32, wsw *sweeper, out *[]levelUpdate) {
-			defer wg.Done()
-			for _, a := range part {
-				if v := uint8(wsw.eval(cur, topo.NodeID(a))); v != cur.at(int(a)) {
-					*out = append(*out, levelUpdate{a, v})
-				}
-			}
-		}(dirty[lo:hi], wsw, &sc.parts[w])
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		out = append(out, sc.parts[w]...)
-	}
-	return out
 }
 
 // finish publishes the settled table as the public view, finalizes the

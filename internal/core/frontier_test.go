@@ -25,26 +25,24 @@ func TestColdFrontierQ4(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, opts := range []Options{{}, {Workers: -1}} {
-		as, evals := compute(set, opts)
-		if evals != 2 {
-			t.Errorf("workers=%d: the frontier made %d evaluations, want 2", opts.Workers, evals)
+	as, evals := compute(set, Options{})
+	if evals != 2 {
+		t.Errorf("the frontier made %d evaluations, want 2", evals)
+	}
+	for a := 0; a < 16; a++ {
+		want := 4
+		switch a {
+		case 0, 3:
+			want = 0
+		case 1, 2:
+			want = 1
 		}
-		for a := 0; a < 16; a++ {
-			want := 4
-			switch a {
-			case 0, 3:
-				want = 0
-			case 1, 2:
-				want = 1
-			}
-			if got := as.Level(topo.NodeID(a)); got != want {
-				t.Errorf("workers=%d: node %d level %d, want %d", opts.Workers, a, got, want)
-			}
+		if got := as.Level(topo.NodeID(a)); got != want {
+			t.Errorf("node %d level %d, want %d", a, got, want)
 		}
-		if as.Rounds() != 1 || as.Evals() != 14*2 {
-			t.Errorf("workers=%d: rounds %d evals %d, want 1 and 28", opts.Workers, as.Rounds(), as.Evals())
-		}
+	}
+	if as.Rounds() != 1 || as.Evals() != 14*2 {
+		t.Errorf("rounds %d evals %d, want 1 and 28", as.Rounds(), as.Evals())
 	}
 }
 
@@ -139,4 +137,61 @@ func TestConcurrentRunsShareScratch(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// TestParallelMatchesSequential runs Compute on every fuzzed fault set
+// from four goroutines at once and requires each result to equal the
+// run made alone on the test's goroutine: levels, own levels, rounds,
+// per-round deltas and stabilization rounds. The sets span six
+// topologies of different sizes, with node and link faults, so the
+// pooled scratch passes between goroutines and is resized on the way.
+// Run it under -race.
+func TestParallelMatchesSequential(t *testing.T) {
+	sets := fuzzedSets(t)
+	want := make([]*Assignment, len(sets))
+	for i, set := range sets {
+		want[i] = Compute(set, Options{})
+		if err := want[i].Verify(); err != nil {
+			t.Fatalf("set %d: %v", i, err)
+		}
+	}
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			for k := range sets {
+				i := (g + k) % len(sets)
+				if err := sameRun(Compute(sets[i], Options{}), want[i]); err != nil {
+					errs <- fmt.Errorf("goroutine %d, set %d: %v", g, i, err)
+					return
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// sameRun reports the first difference between two engine runs: their
+// level views, rounds, per-round deltas, evaluation and dirty counts,
+// and stabilization rounds.
+func sameRun(got, want *Assignment) error {
+	if !slices.Equal(got.Levels(), want.Levels()) || !slices.Equal(ownLevels(got), ownLevels(want)) {
+		return fmt.Errorf("levels differ")
+	}
+	if got.Rounds() != want.Rounds() || !slices.Equal(got.Deltas(), want.Deltas()) ||
+		got.Evals() != want.Evals() || got.DirtyNodes() != want.DirtyNodes() {
+		return fmt.Errorf("rounds %d deltas %v evals %d dirty %d, want %d %v %d %d",
+			got.Rounds(), got.Deltas(), got.Evals(), got.DirtyNodes(),
+			want.Rounds(), want.Deltas(), want.Evals(), want.DirtyNodes())
+	}
+	for a := 0; a < want.Topology().Nodes(); a++ {
+		if id := topo.NodeID(a); got.StableRound(id) != want.StableRound(id) {
+			return fmt.Errorf("node %d stable round %d, want %d", a, got.StableRound(id), want.StableRound(id))
+		}
+	}
+	return nil
 }

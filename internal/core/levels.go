@@ -319,12 +319,9 @@ type Options struct {
 	// smaller cap deliberately truncates convergence; the ablation
 	// experiments use it to show what an under-provisioned D costs.
 	MaxRounds int
-	// Workers parallelizes each synchronous round: the round's frontier
-	// (the nodes whose inputs changed) is split into contiguous chunks
-	// evaluated by a worker pool. Since every round reads only the
-	// previous round's levels and changes apply after the round's
-	// barrier, the result is bit-identical to the sequential run. 0 or
-	// 1 means sequential; negative means GOMAXPROCS.
+	// Deprecated: Workers is ignored; every round runs on the caller's
+	// goroutine. The field remains only for the benchmark module under
+	// bench/, which still sets it.
 	Workers int
 }
 
@@ -379,7 +376,7 @@ func compute(set *faults.Set, opts Options) (*Assignment, int) {
 	as := &Assignment{t: t, set: set}
 	as.deltas = as.deltaBuf[:0]
 	roundCap := maxRounds(t, opts)
-	evals, _ := f.run(as, opts.Workers, roundCap)
+	evals, _ := f.run(as, roundCap)
 	// Evals reports the synchronous algorithm's work, not the frontier's.
 	sweeps := as.rounds + 1
 	if sweeps > roundCap {

@@ -263,8 +263,7 @@ func TestFlatMatchesReferenceExhaustiveQ3(t *testing.T) {
 }
 
 // TestFlatMatchesReferenceExhaustiveQ4 sweeps every single and double
-// node-fault subset of Q4, sequential and sharded, under every round
-// cap.
+// node-fault subset of Q4 under every round cap.
 func TestFlatMatchesReferenceExhaustiveQ4(t *testing.T) {
 	tp := topo.MustCube(4)
 	for a := 0; a < tp.Nodes(); a++ {
@@ -281,7 +280,6 @@ func TestFlatMatchesReferenceExhaustiveQ4(t *testing.T) {
 			for _, d := range roundCaps {
 				name := fmt.Sprintf("faults={%d,%d} D=%d", a, b, d)
 				assertColdMatchesReference(t, name, set, Options{MaxRounds: d})
-				assertColdMatchesReference(t, name+"/sharded", set, Options{MaxRounds: d, Workers: -1})
 			}
 		}
 	}
@@ -289,8 +287,7 @@ func TestFlatMatchesReferenceExhaustiveQ4(t *testing.T) {
 
 // TestFlatMatchesReferenceRandomized drives randomized mixed-fault
 // scenarios on Q5, Q8 and Q10 and on mixed-radix shapes through the flat
-// core, sequential and sharded, under every round cap, against the map
-// reference.
+// core under every round cap, against the map reference.
 func TestFlatMatchesReferenceRandomized(t *testing.T) {
 	cases := []struct {
 		tp           topo.Topology
@@ -318,9 +315,6 @@ func TestFlatMatchesReferenceRandomized(t *testing.T) {
 			for _, d := range roundCaps {
 				name := fmt.Sprintf("case%d/trial%d D=%d", ci, trial, d)
 				assertColdMatchesReference(t, name, set, Options{MaxRounds: d})
-				if trial%2 == 0 {
-					assertColdMatchesReference(t, name+"/sharded", set, Options{MaxRounds: d, Workers: -1})
-				}
 			}
 		}
 	}

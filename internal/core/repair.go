@@ -103,7 +103,7 @@ func RepairLevels(prev *Assignment, set *faults.Set, delta []faults.Delta, opts 
 		if phase == 2 {
 			f.release()
 		}
-		evals, converged := f.run(as, opts.Workers, roundCap)
+		evals, converged := f.run(as, roundCap)
 		if !converged {
 			return nil, false
 		}

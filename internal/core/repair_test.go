@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -100,48 +101,66 @@ func TestRepairSavesWorkOnLargeCube(t *testing.T) {
 	}
 }
 
-// TestChurnRepairParallelMatchesSequential is the -race determinism
-// contract for repair: on identical schedules the Workers>1 repair must
-// produce byte-identical level tables and identical repair statistics.
+// TestChurnRepairParallelMatchesSequential replays each shape's churn
+// schedule on four goroutines at once, each over a fault set of its
+// own, and requires every step's repair to equal the one made alone on
+// the test's goroutine: levels, own levels and the run's statistics.
+// Run it under -race.
 func TestChurnRepairParallelMatchesSequential(t *testing.T) {
 	shapes := []topo.Topology{topo.MustCube(6), topo.MustMixed(3, 3, 3)}
 	for si, tp := range shapes {
 		events := faults.ChurnSchedule(tp, uint64(99+si), 50, faults.ChurnOptions{Links: true})
-		// Drive sequential and parallel repairs in lockstep over the
-		// same mutating set.
-		set := faults.NewSet(tp)
-		seq := Compute(set, Options{})
-		pars := map[int]*Assignment{2: seq, 8: seq, -1: seq}
-		gen := set.Generation()
-		for i, ev := range events {
-			if err := set.Apply(ev); err != nil {
-				t.Fatalf("shape %d step %d: %v", si, i, ev)
-			}
-			delta, ok := set.Since(gen)
-			if !ok {
-				t.Fatalf("shape %d step %d: journal gap", si, i)
-			}
-			nseq, ok := RepairLevels(seq, set, delta, Options{})
-			if !ok {
-				t.Fatalf("shape %d step %d: sequential repair refused", si, i)
-			}
-			for w, prev := range pars {
-				npar, ok := RepairLevels(prev, set, delta, Options{Workers: w})
-				if !ok {
-					t.Fatalf("shape %d step %d workers=%d: repair refused", si, i, w)
+		want, err := repairChain(tp, events)
+		if err != nil {
+			t.Fatalf("shape %d: %v", si, err)
+		}
+		errs := make(chan error, 4)
+		for g := 0; g < 4; g++ {
+			go func() {
+				got, err := repairChain(tp, events)
+				for i := 0; err == nil && i < len(got); i++ {
+					if err = sameRun(got[i], want[i]); err != nil {
+						err = fmt.Errorf("step %d: %v", i, err)
+					}
 				}
-				name := fmt.Sprintf("shape %d step %d workers=%d", si, i, w)
-				assertSameFixpoint(t, name, npar, nseq)
-				if npar.Rounds() != nseq.Rounds() || npar.DirtyNodes() != nseq.DirtyNodes() || npar.Evals() != nseq.Evals() {
-					t.Fatalf("%s: stats (rounds %d dirty %d evals %d) != sequential (%d %d %d)",
-						name, npar.Rounds(), npar.DirtyNodes(), npar.Evals(),
-						nseq.Rounds(), nseq.DirtyNodes(), nseq.Evals())
-				}
-				pars[w] = npar
+				errs <- err
+			}()
+		}
+		for g := 0; g < 4; g++ {
+			if err := <-errs; err != nil {
+				t.Errorf("shape %d: %v", si, err)
 			}
-			seq, gen = nseq, set.Generation()
 		}
 	}
+}
+
+// repairChain applies events to a fault-free set one at a time and
+// returns the assignment each step's repair produced, after checking
+// it against Definition 1 on that step's faults.
+func repairChain(tp topo.Topology, events []faults.ChurnEvent) ([]*Assignment, error) {
+	set := faults.NewSet(tp)
+	prev := Compute(set, Options{})
+	gen := set.Generation()
+	out := make([]*Assignment, 0, len(events))
+	for i, ev := range events {
+		if err := set.Apply(ev); err != nil {
+			return nil, fmt.Errorf("step %d %v: %v", i, ev, err)
+		}
+		delta, ok := set.Since(gen)
+		if !ok {
+			return nil, fmt.Errorf("step %d: journal gap", i)
+		}
+		rep, ok := RepairLevels(prev, set, delta, Options{})
+		if !ok {
+			return nil, fmt.Errorf("step %d %v: repair refused", i, ev)
+		}
+		if err := rep.Verify(); err != nil {
+			return nil, fmt.Errorf("step %d %v: %v", i, ev, err)
+		}
+		out = append(out, rep)
+		prev, gen = rep, set.Generation()
+	}
+	return out, nil
 }
 
 // TestRepairRefusals pins the conditions under which RepairLevels must
@@ -198,6 +217,50 @@ func TestRepairEmptyFaultSet(t *testing.T) {
 			t.Fatalf("node %d level %d, want %d", a, rep.Level(topo.NodeID(a)), tp.Dim())
 		}
 	}
+}
+
+// fuzzedSets builds a deterministic spread of fault sets across binary
+// and generalized topologies: node faults alone, link faults alone, and
+// both (EGS), at light and heavy loads.
+func fuzzedSets(tb testing.TB) []*faults.Set {
+	tb.Helper()
+	var sets []*faults.Set
+	shapes := []topo.Topology{
+		topo.MustCube(4),
+		topo.MustCube(6),
+		topo.MustCube(8),
+		topo.MustMixed(2, 3, 2),
+		topo.MustMixed(3, 3, 3),
+		topo.MustMixed(4, 3, 2, 2),
+	}
+	rng := stats.NewRNG(42)
+	for _, t := range shapes {
+		for _, load := range []int{1, t.Dim(), 2 * t.Dim()} {
+			s := faults.NewSet(t)
+			if err := faults.InjectUniform(s, rng, load); err != nil {
+				tb.Fatal(err)
+			}
+			sets = append(sets, s)
+
+			if _, ok := t.(*topo.Cube); ok {
+				sl := faults.NewSet(t)
+				if err := faults.InjectUniformLinks(sl, rng, load); err != nil {
+					tb.Fatal(err)
+				}
+				sets = append(sets, sl)
+
+				both := faults.NewSet(t)
+				if err := faults.InjectUniform(both, rng, load/2+1); err != nil {
+					tb.Fatal(err)
+				}
+				if err := faults.InjectUniformLinks(both, rng, load/2+1); err != nil {
+					tb.Fatal(err)
+				}
+				sets = append(sets, both)
+			}
+		}
+	}
+	return sets
 }
 
 // TestRepairAcrossFuzzedSets repairs from arbitrary (not churn-built)

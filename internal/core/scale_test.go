@@ -41,7 +41,7 @@ func TestScaleSmokeQ20(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	as := Compute(set, Options{Workers: -1})
+	as := Compute(set, Options{})
 	cold := time.Since(start)
 	t.Logf("Q20 cold GS: %v (rounds=%d evals=%d tableBytes=%d)",
 		cold, as.Rounds(), as.Evals(), as.TableBytes())

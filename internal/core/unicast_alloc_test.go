@@ -27,7 +27,7 @@ func routeRing(tb testing.TB, n, nfaults, pairs int, seed uint64) (*Router, [][2
 			ring = append(ring, [2]topo.NodeID{s, d})
 		}
 	}
-	return NewRouter(Compute(set, Options{Workers: -1}), LowestDim), ring
+	return NewRouter(Compute(set, Options{}), LowestDim), ring
 }
 
 // BenchmarkUnicastQ20 is the router's hot path at serving scale: Q20

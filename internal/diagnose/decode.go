@@ -72,27 +72,21 @@ type Options struct {
 	// Diagnosability(t)). Decoding is only guaranteed exact while the
 	// true fault count stays within it.
 	Bound int
-	// MaxCandidates caps the consistent fault sets an Ambiguous verdict
-	// collects before the search stops (0 means 8, minimum 2 — one
-	// short of proving uniqueness is useless).
-	MaxCandidates int
-	// MaxBranches is a safety valve on the search tree (0 means 1<<20).
-	// Exceeding it yields Ambiguous with Exhaustive=false.
-	MaxBranches int
 }
+
+const (
+	// maxCandidates caps the consistent fault sets an Ambiguous verdict
+	// collects before the search stops; at least 2 are needed to show
+	// that a decode is not unique.
+	maxCandidates = 8
+	// maxBranches is a safety valve on the search tree. Exceeding it
+	// yields Ambiguous with Exhaustive=false.
+	maxBranches = 1 << 20
+)
 
 func (o Options) withDefaults(t topo.Topology) Options {
 	if o.Bound <= 0 {
 		o.Bound = Diagnosability(t)
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 8
-	}
-	if o.MaxCandidates < 2 {
-		o.MaxCandidates = 2
-	}
-	if o.MaxBranches <= 0 {
-		o.MaxBranches = 1 << 20
 	}
 	return o
 }
@@ -141,9 +135,8 @@ type decoder struct {
 	// queue is the propagation worklist (indices into labels).
 	queue []topo.NodeID
 
-	branches    int
-	maxBranches int
-	truncated   bool
+	branches  int
+	truncated bool
 
 	// onLeaf consumes one full consistent labeling; returning false
 	// stops the search.
@@ -155,13 +148,12 @@ type decoder struct {
 func newDecoder(syn *Syndrome, allowed bitset.Set, nodes []topo.NodeID, opts Options) *decoder {
 	t := syn.Topology()
 	return &decoder{
-		t:           t,
-		syn:         syn,
-		allowed:     allowed,
-		nodes:       nodes,
-		bound:       opts.Bound,
-		labels:      make([]int8, t.Nodes()),
-		maxBranches: opts.MaxBranches,
+		t:       t,
+		syn:     syn,
+		allowed: allowed,
+		nodes:   nodes,
+		bound:   opts.Bound,
+		labels:  make([]int8, t.Nodes()),
 	}
 }
 
@@ -336,7 +328,7 @@ func (d *decoder) search(idx int) bool {
 		return d.onLeaf(d)
 	}
 	d.branches++
-	if d.branches > d.maxBranches {
+	if d.branches > maxBranches {
 		d.truncated = true
 		return false
 	}
@@ -394,7 +386,7 @@ func Decode(syn *Syndrome, opts Options) *Diagnosis {
 	var candidates [][]topo.NodeID
 	d.onLeaf = func(d *decoder) bool {
 		candidates = append(candidates, d.badSet())
-		return len(candidates) < opts.MaxCandidates
+		return len(candidates) < maxCandidates
 	}
 	if d.forceComponents() {
 		diag.Stats.Forced = len(d.trail)

@@ -143,8 +143,6 @@ type ReconcilerOptions struct {
 	// Bound overrides the decode fault budget (0 means
 	// Diagnosability(Topology)).
 	Bound int
-	// MaxCandidates caps ambiguous-candidate collection (0 means 8).
-	MaxCandidates int
 	// Interval is the Run sweep cadence (0 means 1s). Tick ignores it.
 	Interval time.Duration
 	// Registry receives the diagnose_* metrics (nil disables them).
@@ -246,7 +244,7 @@ func (r *Reconciler) Tick(ctx context.Context) (TickResult, error) {
 		return TickResult{}, fmt.Errorf("diagnose: syndrome collection: %w", err)
 	}
 	start := r.opts.Now()
-	diag := Decode(syn, Options{Bound: r.opts.Bound, MaxCandidates: r.opts.MaxCandidates})
+	diag := Decode(syn, Options{Bound: r.opts.Bound})
 	decodeUS := r.opts.Now().Sub(start).Microseconds()
 
 	res := TickResult{Verdict: diag.Verdict, Tests: diag.Stats.Tests}

@@ -49,17 +49,17 @@ func (s *Set) Apply(ev ChurnEvent) error {
 // ChurnOptions tune schedule generation. The zero value yields a
 // node-only schedule bounded at 2n simultaneous faults.
 type ChurnOptions struct {
-	// Links enables link fail/recover events alongside node events.
+	// Links enables link fail/recover events alongside node events,
+	// with at most n link faults at once.
 	Links bool
 	// MaxNodeFaults caps simultaneous node faults (0 means 2n). Once at
 	// the cap the generator recovers instead of failing.
 	MaxNodeFaults int
-	// MaxLinkFaults caps simultaneous link faults (0 means n).
-	MaxLinkFaults int
-	// MinHealthy keeps at least this many nodes alive (0 means 2), so
-	// routing steps always have endpoints to work with.
-	MinHealthy int
 }
+
+// churnMinHealthy is the number of nodes a churn schedule keeps alive,
+// so routing steps always have endpoints to work with.
+const churnMinHealthy = 2
 
 // ChurnSchedule generates a deterministic steps-long schedule of
 // feasible fail/recover events over topology t using the splitmix64
@@ -71,19 +71,11 @@ func ChurnSchedule(t topo.Topology, seed uint64, steps int, opts ChurnOptions) [
 	if maxNode <= 0 {
 		maxNode = 2 * t.Dim()
 	}
-	maxLink := opts.MaxLinkFaults
-	if maxLink <= 0 {
-		maxLink = t.Dim()
-	}
-	minHealthy := opts.MinHealthy
-	if minHealthy <= 0 {
-		minHealthy = 2
-	}
 	rng := stats.NewRNG(seed)
 	shadow := NewSet(t)
 	events := make([]ChurnEvent, 0, steps)
 	for len(events) < steps {
-		ev, ok := nextChurnEvent(shadow, rng, opts.Links, maxNode, maxLink, minHealthy)
+		ev, ok := nextChurnEvent(shadow, rng, opts.Links, maxNode)
 		if !ok {
 			break // topology too small for any feasible event
 		}
@@ -99,10 +91,10 @@ func ChurnSchedule(t topo.Topology, seed uint64, steps int, opts ChurnOptions) [
 // preferred while under the caps (roughly 60/40 fail/recover), which
 // keeps the fault population hovering near the cap — the interesting
 // regime for safety levels.
-func nextChurnEvent(s *Set, rng *stats.RNG, links bool, maxNode, maxLink, minHealthy int) (ChurnEvent, bool) {
-	canFailNode := s.NodeFaults() < maxNode && s.t.Nodes()-s.NodeFaults() > minHealthy
+func nextChurnEvent(s *Set, rng *stats.RNG, links bool, maxNode int) (ChurnEvent, bool) {
+	canFailNode := s.NodeFaults() < maxNode && s.t.Nodes()-s.NodeFaults() > churnMinHealthy
 	canRecoverNode := s.NodeFaults() > 0
-	canFailLink := links && s.LinkFaults() < maxLink
+	canFailLink := links && s.LinkFaults() < s.t.Dim()
 	canRecoverLink := links && s.LinkFaults() > 0
 	for try := 0; try < 16; try++ {
 		switch rng.Intn(10) {

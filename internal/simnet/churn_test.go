@@ -123,6 +123,31 @@ func TestReviveNode(t *testing.T) {
 	}
 }
 
+// TestNodeOutsideTopologyIsAnError pins that KillNode, ReviveNode and a
+// node-fail Apply answer a node outside the topology with an error, on
+// Q4 and on GH(3x2x4), at the first ID past the last node and far past
+// it.
+func TestNodeOutsideTopologyIsAnError(t *testing.T) {
+	for _, tp := range []topo.Topology{topo.MustCube(4), topo.MustMixed(4, 2, 3)} {
+		e := New(faults.NewSet(tp))
+		for _, a := range []topo.NodeID{topo.NodeID(tp.Nodes()), 1 << 20} {
+			for _, c := range []struct {
+				name string
+				call func() error
+			}{
+				{"KillNode", func() error { return e.KillNode(a) }},
+				{"ReviveNode", func() error { return e.ReviveNode(a) }},
+				{"Apply", func() error { return e.Apply(faults.ChurnEvent{Kind: faults.DeltaFailNode, A: a}) }},
+			} {
+				if err := c.call(); err == nil {
+					t.Errorf("%v: %s(%d) returned no error", tp, c.name, a)
+				}
+			}
+		}
+		e.Close()
+	}
+}
+
 // FuzzChurnSchedule feeds arbitrary schedules through the distributed
 // engine: after every event and exchange, the engine's agreement must
 // equal the sequential fixpoint (repaired or cold — they are the same

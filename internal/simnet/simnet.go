@@ -429,6 +429,9 @@ func (e *Engine) RunGS(rounds int) {
 // oracle (the paper's assumption 2: fault detection exists). Following
 // the state-change-driven strategy, callers should RunGS again.
 func (e *Engine) KillNode(a topo.NodeID) error {
+	if !e.t.Contains(a) {
+		return fmt.Errorf("simnet: node %d outside cube", a)
+	}
 	n := e.nodes[a]
 	if n == nil {
 		return fmt.Errorf("simnet: node %d already dead", a)

@@ -51,3 +51,34 @@ func FuzzNavVector(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMixedParse checks, on generalized cubes of up to four dimensions
+// with radixes 2 to 16, that Parse never panics and that whatever it
+// accepts is a node of the cube that Format writes back unchanged.
+func FuzzMixedParse(f *testing.F) {
+	f.Add([]byte{1, 10}, "0.2")
+	f.Add([]byte{1, 10}, "00.2")
+	f.Add([]byte{7, 10, 12}, "0.0.00")
+	f.Add([]byte{0, 1, 0}, "021")
+	f.Add([]byte{2, 0, 3, 1}, "2130")
+	f.Fuzz(func(t *testing.T, shape []byte, s string) {
+		if len(shape) == 0 || len(shape) > 4 {
+			return
+		}
+		radix := make([]int, len(shape))
+		for i, b := range shape {
+			radix[i] = 2 + int(b)%15
+		}
+		m := MustMixed(radix...)
+		id, err := m.Parse(s)
+		if err != nil {
+			return
+		}
+		if !m.Contains(id) {
+			t.Fatalf("%v: Parse(%q) = %d outside the cube", m, s, id)
+		}
+		if got := m.Format(id); got != s {
+			t.Fatalf("%v: round trip %q -> %d -> %q", m, s, id, got)
+		}
+	})
+}

@@ -227,7 +227,8 @@ func (t *Mixed) AppendFormat(dst []byte, a NodeID) []byte {
 // Parse converts an address in Format's notation back into a NodeID:
 // one digit per dimension, or, when some radix exceeds 10, one
 // dot-separated decimal field per dimension. Every coordinate must be
-// ASCII digits below its dimension's radix.
+// ASCII digits below its dimension's radix, written without leading
+// zeros.
 func (t *Mixed) Parse(s string) (NodeID, error) {
 	sep := ""
 	if t.wide {
@@ -250,9 +251,9 @@ func (t *Mixed) Parse(s string) (NodeID, error) {
 }
 
 // coord reads field as a coordinate below radix: one or more ASCII
-// digits.
+// digits, without the leading zeros Format never writes.
 func coord(field string, radix int) (int, bool) {
-	if field == "" {
+	if field == "" || len(field) > 1 && field[0] == '0' {
 		return 0, false
 	}
 	v := 0

@@ -149,7 +149,7 @@ func TestGHMixedParseReadsFormat(t *testing.T) {
 		m   *Mixed
 		bad []string
 	}{
-		{MustMixed(3, 12), []string{":2", "9.", ".2", "12.0", "9.2.1", "+9.2", "9.3", "92", "", ".", "9.-1", "\uff19.2", "9.2\u00e9", "\u00e9.2"}},
+		{MustMixed(3, 12), []string{":2", "9.", ".2", "12.0", "9.2.1", "+9.2", "9.3", "92", "", ".", "9.-1", "\uff19.2", "9.2\u00e9", "\u00e9.2", "00.2", "9.02", "011.0"}},
 		{MustMixed(2, 11, 3), []string{"2.10", "3.0.0", "0.11.0", "0.:.0", "0..0", "0.0.0.0"}},
 		{MustMixed(2, 3, 2), []string{":00", "0.1", "0\u00e9", "\u00e9", "+01", "030"}},
 	} {
